@@ -18,7 +18,7 @@ from .crossbar import (ActivationMode, CrossbarTile, PhasePlan, SenseChain,
 from .network import (Activation, Conv2D, Dense, MaxPool2D,
                       NetworkDescription, ThermometricEncoder,
                       encode_thermometric, forward_ideal, im2col, lenet,
-                      lower_conv_to_matmul, predict_ideal, thermometric_trits)
+                      predict_ideal, thermometric_trits)
 from .hardware import (TiledNetwork, forward_hardware, map_network_to_tiles,
                        predict_hardware)
 from .weightfile import load_network, save_network

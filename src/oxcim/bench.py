@@ -133,10 +133,15 @@ def run_accuracy(spec, images, labels):
     encoded = encode_images(images[:n])
     accuracies = []
     confusion = None
+    ideal = None
     for seed in spec.seeds:
         if spec.mode == "ideal":
-            preds = _predict_many(lambda i: predict_ideal(spec.net, encoded[i]),
-                                  n, spec.threads)
+            # no randomness: the first trial's predictions serve every trial
+            if ideal is None:
+                ideal = _predict_many(
+                    lambda i: predict_ideal(spec.net, encoded[i]), n,
+                    spec.threads)
+            preds = ideal
         else:
             cfg = dataclasses.replace(spec.config, seed=seed)
             tiled = map_network_to_tiles(spec.net, cfg, max_tile=spec.max_tile)

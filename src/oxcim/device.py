@@ -197,18 +197,6 @@ def sample_device_conductance_grid(config, state_grid, array_id):
     return g
 
 
-def sample_read_conductance(device_g, state, seed, array_id, row, col, read_id):
-    """Read conductance for one cell and READ event: device_g + N(0, c2c)."""
-    base = rng.c2c_cell_key_grid(seed, array_id, int(row) + 1, int(col) + 1)[row, col]
-    z = rng.read_noise_normals(np.asarray(base, dtype=np.uint64), [read_id])[0]
-    g = np.asarray(device_g + state.c2c_sigma_S * float(z))
-    g, n = clamp_floor(g, state.mean_S * CLAMP_FLOOR_FRACTION)
-    if n:
-        log.warning("variability overflow: C2C draw for cell (%d,%d) of array %d "
-                    "clamped to the mean/100 floor", row, col, array_id)
-    return float(g)
-
-
 # ---------------------------------------------------------------------------
 # Sigmoid neuron
 # ---------------------------------------------------------------------------

@@ -48,11 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import ActivationMode, CrossbarTile, SenseChain, SenseResult, \
-    sense_to_activation
+from .crossbar import CrossbarTile, SenseChain
+from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
-from .network import Activation, Conv2D, Dense, MaxPool2D, conv_weight_matrix, \
-    im2col
+from .network import Conv2D, as_batch, conv_weight_matrix, walk
+# No caller here; benchmarks/tracing.py wraps these module attributes.
+from .crossbar import sense_to_activation  # noqa: F401
+from .network import im2col  # noqa: F401
 
 DEFAULT_MAX_TILE = (64, 64)
 
@@ -116,7 +118,6 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE, chain=None,
         raise ConfigError(f"max tile {max_tile} cannot hold data plus "
                           f"{n_ref} reference columns")
     net.require_weights()
-    net.validate_chain()
     a = config.conductance_slope()
     mappings = {}
     array_id = 1
@@ -128,10 +129,9 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE, chain=None,
         else:
             wmat = w.data
         rows, cols = wmat.shape
-        scale = net.scale_for(li + 1)  # the activation right after this layer
         mapping = LayerMapping(
             layer_index=li, rows=rows, cols=cols,
-            gain_uA=config.v_read * a * scale * 1e6,
+            gain_uA=config.v_read * a * net.plan[li].scale * 1e6,
         )
         for r0 in _block_starts(rows, max_r):
             for c0 in _block_starts(cols, max_c - n_ref):
@@ -179,60 +179,33 @@ def _layer_delta(tiled, mapping, patches, read_pairs):
 
 
 def forward_hardware(tiled, x, image_ordinal=0):
-    """Analog-simulated forward pass; returns the 10 neuron voltages.
+    """Analog-simulated forward pass; returns the neuron voltages.
 
-    Same layer walk as forward_ideal, but every conv/dense matmul runs as
-    two-phase READs on the mapped tiles.  image_ordinal namespaces the READ
-    ids so distinct images never share cycle-to-cycle noise.
+    Runs the layer walk of forward_ideal, but every conv/dense matmul runs
+    as two-phase READs on the mapped tiles, and the output layer's scaled
+    currents drive the sigmoid neurons.  x is one trit image or a batch
+    with a leading axis (one row of voltages per image).  image_ordinal
+    namespaces the READ ids so distinct images never share cycle-to-cycle
+    noise; the images of a batch take consecutive ordinals from it, so a
+    batch gives the same bits as one call per image.
     """
-    net = tiled.net
-    arr = np.asarray(x.data if hasattr(x, "data") else x, dtype=np.int8)
-    if tuple(arr.shape) != tuple(net.input_shape):
-        raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
-    from .network import maxpool  # shared pooling helper
+    batch, single = as_batch(tiled.net, x)
+    ordinals = np.uint64(image_ordinal) \
+        + np.arange(batch.shape[0], dtype=np.uint64)
 
-    val = arr
-    delta = None
-    pre_spatial = None
-    gain = None
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            patches, (oh, ow) = im2col(val, layer.kernel, layer.stride)
-            m = tiled.mappings[i]
-            pairs = np.uint64(image_ordinal) * np.uint64(patches.shape[0]) \
-                + np.arange(patches.shape[0], dtype=np.uint64)
-            delta = _layer_delta(tiled, m, patches, pairs)
-            gain = m.gain_uA
-            pre_spatial = (oh, ow)
-        elif isinstance(layer, Dense):
-            m = tiled.mappings[i]
-            flat = val.reshape(1, -1)
-            pairs = np.asarray([image_ordinal], dtype=np.uint64)
-            delta = _layer_delta(tiled, m, flat, pairs)
-            gain = m.gain_uA
-            pre_spatial = None
-        elif isinstance(layer, Activation):
-            if layer.kind == "sigmoid_output":
-                res = SenseResult(i_pos_uA=delta.ravel(),
-                                  i_neg_uA=np.zeros(delta.size))
-                # comparator offsets were already applied per tile
-                return sense_to_activation(res, ActivationMode.OUTPUT_SIGMOID,
-                                           gain_uA=gain,
-                                           chain=SenseChain(0.0, tiled.chain.neuron))
-            mode = ActivationMode.HIDDEN_BINARY if layer.kind == "binary" \
-                else ActivationMode.HIDDEN_TERNARY
-            res = SenseResult(i_pos_uA=delta, i_neg_uA=np.zeros_like(delta))
-            act = sense_to_activation(res, mode, r=layer.r, gain_uA=gain,
-                                      chain=SenseChain(0.0, tiled.chain.neuron))
-            if pre_spatial is not None:
-                oh, ow = pre_spatial
-                val = act.reshape(oh, ow, -1).transpose(2, 0, 1)
-            else:
-                val = act.ravel()
-            delta = None
-        elif isinstance(layer, MaxPool2D):
-            val = maxpool(val, layer.size)
-    raise ConfigError("network ended without a sigmoid_output activation")
+    def preact(op, patches):
+        m = tiled.mappings[op.index]
+        per_image = np.uint64(patches.shape[0] // ordinals.size)
+        pairs = ordinals[:, None] * per_image \
+            + np.arange(per_image, dtype=np.uint64)
+        return _layer_delta(tiled, m, patches, pairs.ravel()) / m.gain_uA
+
+    def output(op, u):
+        # comparator offsets were already applied per tile
+        return sigmoid_neuron_voltage(u, tiled.chain.neuron)
+
+    volts = walk(tiled.net, batch, preact, output)
+    return volts[0] if single else volts
 
 
 def predict_hardware(tiled, x, image_ordinal=0):

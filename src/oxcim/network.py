@@ -1,10 +1,17 @@
-"""Network descriptions and the exact digital forward pass.
+"""Network descriptions, their compiled layer plan, the layer walk, and the
+exact digital forward pass.
 
 A network is an ordered list of layers (conv / maxpool / dense / activation)
-plus one trit weight tensor per parametric layer.  Convolutions execute as
-matrix products through im2col lowering, which is also how they later land
-on crossbar tiles: the lowered weight matrix is (k*k*in_ch) x out_ch and a
-patch matrix of the input is multiplied against it.
+plus one trit weight tensor per parametric layer.  Construction checks the
+chain once and compiles it into a plan, one LayerOp per layer with its
+shapes, fan-in, activation scale and, for a conv, the im2col gather
+indices.  Convolutions execute as matrix products through that lowering,
+which is also how they land on crossbar tiles: the lowered weight matrix is
+(k*k*in_ch) x out_ch and a patch matrix of the input is multiplied against
+it.  One walk runs the plan on an image batch for the exact pass here, the
+analog pass (hardware.py) and the training pass (train.py); each supplies
+the step from patch matrix to scaled pre-activations and the output step,
+and training also wraps the activation step to record what backprop needs.
 
 Hidden pre-activations are integer popcounts with magnitude up to the
 layer's fan-in, so before an activation they are divided by a fixed
@@ -137,31 +144,122 @@ def conv_output_shape(input_shape, conv):
     return (conv.out_channels, oh, ow)
 
 
-def lower_conv_to_matmul(conv, input_shape):
-    """Lowered weight-matrix dims and the patch-extraction plan for a conv."""
-    c, h, w = input_shape
-    out_shape = conv_output_shape(input_shape, conv)
-    rows = c * conv.kernel * conv.kernel
-    return {
-        "weight_matrix_shape": (rows, conv.out_channels),
-        "patch_count": out_shape[1] * out_shape[2],
-        "output_shape": out_shape,
-        "kernel": conv.kernel,
-        "stride": conv.stride,
-    }
-
-
 def maxpool(x, size):
-    """Non-overlapping max pool over trit maps; order is -1 < 0 < +1."""
-    c, h, w = x.shape
+    """Non-overlapping max pool over (..., C, H, W) trit maps; -1 < 0 < +1."""
+    *lead, c, h, w = x.shape
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    return x.reshape(c, h // size, size, w // size, size).max(axis=(2, 4))
+    return x.reshape(*lead, c, h // size, size, w // size, size) \
+        .max(axis=(-3, -1))
 
 
 # ---------------------------------------------------------------------------
-# Network description
+# Network description and its compiled plan
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LayerOp:
+    """One layer of a compiled plan; shapes are per image.
+
+    A conv or dense op and the activation right after it share fan_in and
+    scale, the sqrt(fan_in) divisor of that activation.  weight_shape is the
+    trit tensor a conv or dense layer needs; gather holds a conv's flat input
+    offsets, one row of fan_in per output position (the im2col order).
+    """
+
+    index: int
+    layer: object
+    in_shape: tuple
+    out_shape: tuple
+    fan_in: int = None
+    scale: float = None
+    weight_shape: tuple = None
+    gather: np.ndarray = None
+
+
+def compile_plan(precision, input_shape, layers, weights):
+    """Check a layer chain and compile it into one LayerOp per layer.
+
+    Checks shapes, weights and activation order; raises if anything is
+    inconsistent.
+    """
+    shape = tuple(input_shape)
+    plan = []
+    param = None  # the conv/dense op still waiting for its activation
+    for i, (layer, w) in enumerate(zip(layers, weights)):
+        if isinstance(layer, Conv2D):
+            if len(shape) != 3:
+                raise ShapeError(f"layer {i}: conv needs 3-D input, got {shape}")
+            if param is not None:
+                raise ConfigError(f"layer {i}: missing activation before conv")
+            out = conv_output_shape(shape, layer)
+            ids = np.arange(int(np.prod(shape))).reshape(shape)
+            fan_in = shape[0] * layer.kernel * layer.kernel
+            op = param = LayerOp(
+                i, layer, shape, out, fan_in, _scale(fan_in),
+                (layer.out_channels, shape[0], layer.kernel, layer.kernel),
+                im2col(ids, layer.kernel, layer.stride)[0])
+        elif isinstance(layer, Dense):
+            if param is not None:
+                raise ConfigError(f"layer {i}: missing activation before dense")
+            fan_in = int(np.prod(shape))
+            op = param = LayerOp(i, layer, shape, (layer.out_units,), fan_in,
+                                 _scale(fan_in), (fan_in, layer.out_units))
+        elif isinstance(layer, Activation):
+            if param is None:
+                raise ConfigError(f"layer {i}: activation without a preceding "
+                                  "conv/dense")
+            if w is not None:
+                raise ConfigError(f"layer {i}: activation carries no weights")
+            if layer.kind == "binary" and precision is not Precision.BINARY:
+                raise ConfigError(f"layer {i}: binary activation in a "
+                                  f"{precision.value} net")
+            if layer.kind == "ternary" and precision is not Precision.TERNARY:
+                raise ConfigError(f"layer {i}: ternary activation in a "
+                                  f"{precision.value} net")
+            op = LayerOp(i, layer, shape, shape, param.fan_in, param.scale)
+            param = None
+        elif isinstance(layer, MaxPool2D):
+            if param is not None:
+                raise ConfigError(f"layer {i}: missing activation before pool")
+            if len(shape) != 3:
+                raise ShapeError(f"layer {i}: pool needs 3-D input, got {shape}")
+            if shape[1] % layer.size or shape[2] % layer.size:
+                raise ShapeError(f"layer {i}: pool {layer.size} does not divide "
+                                 f"{shape[1]}x{shape[2]}")
+            op = LayerOp(i, layer, shape, (shape[0], shape[1] // layer.size,
+                                           shape[2] // layer.size))
+        else:
+            raise ConfigError(f"layer {i}: unknown layer {layer!r}")
+        if op.weight_shape is not None:
+            _check_weights(i, w, precision, op.weight_shape)
+        plan.append(op)
+        shape = op.out_shape
+    if param is not None:
+        raise ConfigError("network must end with an activation")
+    if not layers or not isinstance(layers[-1], Activation) \
+            or layers[-1].kind != "sigmoid_output":
+        raise ConfigError("network must end with a sigmoid_output activation")
+    if len(shape) != 1:
+        raise ShapeError(f"network output must be a vector, got {shape}")
+    return tuple(plan)
+
+
+def _scale(fan_in):
+    return float(np.sqrt(fan_in)) * SCALE_NUDGE
+
+
+def _check_weights(i, w, precision, expected_shape):
+    if w is None:
+        return  # architecture-only description; require_weights() gates use
+    if not isinstance(w, TernaryTensor):
+        raise ConfigError(f"layer {i}: weights must be a TernaryTensor")
+    if w.precision is not precision:
+        raise ConfigError(f"layer {i}: weight precision {w.precision.value} "
+                          f"!= network precision {precision.value}")
+    if tuple(w.shape) != tuple(expected_shape):
+        raise ShapeError(f"layer {i}: weight shape {w.shape} != {expected_shape}")
 
 
 @dataclass
@@ -170,104 +268,22 @@ class NetworkDescription:
     input_shape: tuple          # (C, H, W)
     layers: list = field(default_factory=list)
     weights: list = field(default_factory=list)  # parallel to layers; None for non-parametric
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.layers):
             raise ConfigError("weights list must parallel the layer list")
-        self.validate_chain()
-
-    def validate_chain(self):
-        """Walk the layer chain, checking shapes, weights and activation order.
-
-        Returns the output length.  Raises if anything is inconsistent.
-        """
-        shape = tuple(self.input_shape)
-        pending_act = False
-        fan_in = None
-        self._scales = [None] * len(self.layers)
-        for i, layer in enumerate(self.layers):
-            w = self.weights[i]
-            if isinstance(layer, Conv2D):
-                if len(shape) != 3:
-                    raise ShapeError(f"layer {i}: conv needs 3-D input, got {shape}")
-                if pending_act:
-                    raise ConfigError(f"layer {i}: missing activation before conv")
-                fan_in = shape[0] * layer.kernel * layer.kernel
-                self._check_weights(i, w, (layer.out_channels, shape[0],
-                                           layer.kernel, layer.kernel))
-                shape = conv_output_shape(shape, layer)
-                pending_act = True
-            elif isinstance(layer, Dense):
-                if pending_act:
-                    raise ConfigError(f"layer {i}: missing activation before dense")
-                fan_in = int(np.prod(shape))
-                self._check_weights(i, w, (fan_in, layer.out_units))
-                shape = (layer.out_units,)
-                pending_act = True
-            elif isinstance(layer, Activation):
-                if not pending_act:
-                    raise ConfigError(f"layer {i}: activation without a preceding "
-                                      "conv/dense")
-                if w is not None:
-                    raise ConfigError(f"layer {i}: activation carries no weights")
-                self._scales[i] = float(np.sqrt(fan_in)) * SCALE_NUDGE
-                pending_act = False
-                if layer.kind == "binary" and self.precision is not Precision.BINARY:
-                    raise ConfigError(f"layer {i}: binary activation in a "
-                                      f"{self.precision.value} net")
-                if layer.kind == "ternary" and self.precision is not Precision.TERNARY:
-                    raise ConfigError(f"layer {i}: ternary activation in a "
-                                      f"{self.precision.value} net")
-            elif isinstance(layer, MaxPool2D):
-                if pending_act:
-                    raise ConfigError(f"layer {i}: missing activation before pool")
-                if len(shape) != 3:
-                    raise ShapeError(f"layer {i}: pool needs 3-D input, got {shape}")
-                if shape[1] % layer.size or shape[2] % layer.size:
-                    raise ShapeError(f"layer {i}: pool {layer.size} does not divide "
-                                     f"{shape[1]}x{shape[2]}")
-                shape = (shape[0], shape[1] // layer.size, shape[2] // layer.size)
-            else:
-                raise ConfigError(f"layer {i}: unknown layer {layer!r}")
-        if pending_act:
-            raise ConfigError("network must end with an activation")
-        if not self.layers or not isinstance(self.layers[-1], Activation) \
-                or self.layers[-1].kind != "sigmoid_output":
-            raise ConfigError("network must end with a sigmoid_output activation")
-        if len(shape) != 1:
-            raise ShapeError(f"network output must be a vector, got {shape}")
-        return shape[0]
-
-    def _check_weights(self, i, w, expected_shape):
-        if w is None:
-            return  # architecture-only description; require_weights() gates use
-        if not isinstance(w, TernaryTensor):
-            raise ConfigError(f"layer {i}: weights must be a TernaryTensor")
-        if w.precision is not self.precision:
-            raise ConfigError(f"layer {i}: weight precision {w.precision.value} "
-                              f"!= network precision {self.precision.value}")
-        if tuple(w.shape) != tuple(expected_shape):
-            raise ShapeError(f"layer {i}: weight shape {w.shape} != {expected_shape}")
+        self.plan = compile_plan(self.precision, self.input_shape,
+                                 self.layers, self.weights)
 
     def require_weights(self):
         missing = [i for i in self.parametric_indices() if self.weights[i] is None]
         if missing:
             raise ConfigError(f"layers {missing} have no trained weights")
 
-    def scale_for(self, act_index):
-        """Pre-activation scale (sqrt fan-in) for the activation at act_index."""
-        self.validate_chain()
-        s = self._scales[act_index]
-        if s is None:
-            raise ConfigError(f"layer {act_index} is not an activation")
-        return s
-
     def parametric_indices(self):
         return [i for i, l in enumerate(self.layers)
                 if isinstance(l, (Conv2D, Dense))]
-
-    def n_outputs(self):
-        return self.validate_chain()
 
     def total_weight_count(self):
         return sum(self.weights[i].size for i in self.parametric_indices())
@@ -297,60 +313,75 @@ def lenet(precision, r=0.5, input_shape=(N_THERMO_CHANNELS, 32, 32), weights=Non
 
 
 # ---------------------------------------------------------------------------
-# Exact digital forward pass
+# The layer walk and the exact digital forward pass
 # ---------------------------------------------------------------------------
 
 
-def _apply_hidden_activation(layer, u, precision):
-    out = act_binary(u) if layer.kind == "binary" else act_ternary(u, layer.r)
-    allowed = precision.allowed_values
-    if not np.isin(out, allowed).all():
-        raise DomainError(f"activation produced values outside {allowed}")
-    return out
+def activate(op, u):
+    """Hidden activations of the activation op from scaled pre-activations."""
+    if op.layer.kind == "binary":
+        return act_binary(u)
+    return act_ternary(u, op.layer.r)
+
+
+def walk(net, x, preact, output, activate=activate):
+    """Run the compiled plan of net on a batch x of shape (N, C, H, W).
+
+    preact(op, patches) turns a conv's (N*P, K) patch matrix (image-major,
+    then output position row-major) or a dense layer's (N, K) input into
+    scaled pre-activations, (N*P, O) or (N, O).  activate(op, u) sees them
+    as (N, O, oh, ow) or (N, O); output(op, u) gets the last layer's (N, O)
+    and the walk returns what it returns.
+    """
+    n = x.shape[0]
+    val = x
+    for op in net.plan:
+        layer = op.layer
+        if isinstance(layer, MaxPool2D):
+            val = maxpool(val, layer.size)
+        elif isinstance(layer, Activation):
+            if layer.kind == "sigmoid_output":
+                return output(op, u)
+            val = activate(op, u)
+        elif op.gather is not None:
+            patches = np.take(val.reshape(n, -1), op.gather, axis=1)
+            u = preact(op, patches.reshape(-1, op.fan_in))
+            o, oh, ow = op.out_shape
+            u = u.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+        else:
+            u = preact(op, val.reshape(n, -1))
+
+
+def as_batch(net, x):
+    """(int8 batch, one image?) for one (C, H, W) trit image or a batch."""
+    arr = np.asarray(x.data if isinstance(x, TernaryTensor) else x,
+                     dtype=np.int8)
+    if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
+        raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
+    return arr.reshape(-1, *net.input_shape), arr.ndim == 3
 
 
 def forward_ideal(net, x):
     """Digital-oracle forward pass: exact integer popcounts everywhere.
 
-    x is a trit array matching net.input_shape.  Returns the sigmoid output
-    scores (floats in (0,1)); the predicted class is argmax with ties going
-    to the lowest index.
+    x is a trit array matching net.input_shape, or a batch of them with a
+    leading axis.  Returns the sigmoid output scores (floats in (0,1)), one
+    row per image for a batch; the predicted class is argmax with ties
+    going to the lowest index.
     """
-    arr = x.data if isinstance(x, TernaryTensor) else np.asarray(x, dtype=np.int8)
-    if tuple(arr.shape) != tuple(net.input_shape):
-        raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
-    if not np.isin(arr, net.precision.allowed_values).all():
+    batch, single = as_batch(net, x)
+    if not np.isin(batch, net.precision.allowed_values).all():
         raise DomainError("input holds values outside the network precision")
     net.require_weights()
-    net.validate_chain()
-    val = arr
-    pre = None          # pending pre-activation popcounts
-    pre_spatial = None  # (oh, ow) if the popcounts came from a conv
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            patches, (oh, ow) = im2col(val, layer.kernel, layer.stride)
-            wmat = conv_weight_matrix(net.weights[i].data)
-            # float64 matmul of small integers is exact and fast
-            pre = patches.astype(np.float64) @ wmat.astype(np.float64)
-            pre_spatial = (oh, ow)
-        elif isinstance(layer, Dense):
-            flat = val.reshape(-1).astype(np.float64)
-            pre = flat @ net.weights[i].data.astype(np.float64)
-            pre_spatial = None
-        elif isinstance(layer, Activation):
-            scale = net._scales[i]
-            if layer.kind == "sigmoid_output":
-                return sigmoid_ideal(pre / scale)
-            act = _apply_hidden_activation(layer, pre / scale, net.precision)
-            if pre_spatial is not None:
-                oh, ow = pre_spatial
-                val = act.reshape(oh, ow, -1).transpose(2, 0, 1)
-            else:
-                val = act
-            pre = None
-        elif isinstance(layer, MaxPool2D):
-            val = maxpool(val, layer.size)
-    raise ConfigError("network ended without a sigmoid_output activation")
+
+    def preact(op, patches):
+        w = net.weights[op.index].data
+        wmat = w if op.gather is None else conv_weight_matrix(w)
+        # float64 matmul of small integers is exact and fast
+        return (patches.astype(np.float64) @ wmat.astype(np.float64)) / op.scale
+
+    scores = walk(net, batch, preact, lambda op, u: sigmoid_ideal(u))
+    return scores[0] if single else scores
 
 
 def predict_ideal(net, x):

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pad_to_32
-from .errors import ConfigError, TrainingDiverged
-from .network import Activation, Conv2D, Dense, MaxPool2D, im2col, \
-    thermometric_trits
-from .quant import act_binary, act_ternary, quantize_weights
+from .errors import TrainingDiverged
+from .network import Activation, activate, maxpool, thermometric_trits, walk
+from .quant import quantize_weights
+# No caller here; benchmarks/tracing.py wraps these module attributes.
+from .quant import act_binary, act_ternary  # noqa: F401
 
 
 @dataclass
@@ -66,6 +67,21 @@ def _encode_batch(images):
     return out
 
 
+def _unpool(a, sizes, dval):
+    """Gradient at a from dval, the gradient at a pooled by sizes in turn."""
+    inputs = [a]
+    for size in sizes[:-1]:
+        inputs.append(maxpool(inputs[-1], size))
+    for x, s in zip(reversed(inputs), reversed(sizes)):
+        b, c, h, w = x.shape
+        x6 = x.reshape(b, c, h // s, s, w // s, s)
+        ties = (x6 == x6.max(axis=(3, 5), keepdims=True)).astype(np.float64)
+        ties /= ties.sum(axis=(3, 5), keepdims=True)
+        dval = (ties * dval.reshape(b, c, h // s, 1, w // s, 1)) \
+            .reshape(b, c * h * w)
+    return dval
+
+
 class _Adam:
     def __init__(self, shapes, cfg):
         self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
@@ -94,40 +110,12 @@ class Trainer:
         self.cfg = cfg or TrainConfig()
         self.net = net_template
         self.precision = net_template.precision
-        net_template.validate_chain()
         self.rng = np.random.default_rng(self.cfg.seed)
-        self._build_plans()
         self.params = [
-            self.rng.uniform(-0.9, 0.9, size=self._weight_shape(i))
+            self.rng.uniform(-0.9, 0.9, size=self.net.plan[i].weight_shape)
             for i in self.net.parametric_indices()
         ]
         self.opt = _Adam([p.shape for p in self.params], self.cfg)
-
-    # -- architecture plumbing ------------------------------------------------
-
-    def _weight_shape(self, li):
-        layer = self.net.layers[li]
-        shape = self._shapes[li]
-        if isinstance(layer, Conv2D):
-            return (layer.out_channels, shape[0], layer.kernel, layer.kernel)
-        return (int(np.prod(shape)), layer.out_units)
-
-    def _build_plans(self):
-        """Per-layer input shapes and gather indices for conv lowering."""
-        shape = tuple(self.net.input_shape)
-        self._shapes = {}
-        self._gather = {}
-        for i, layer in enumerate(self.net.layers):
-            self._shapes[i] = shape
-            if isinstance(layer, Conv2D):
-                flat_ids = np.arange(int(np.prod(shape))).reshape(shape)
-                idx, (oh, ow) = im2col(flat_ids, layer.kernel, layer.stride)
-                self._gather[i] = (idx, oh, ow)
-                shape = (layer.out_channels, oh, ow)
-            elif isinstance(layer, MaxPool2D):
-                shape = (shape[0], shape[1] // layer.size, shape[2] // layer.size)
-            elif isinstance(layer, Dense):
-                shape = (layer.out_units,)
 
     def quantized_weights(self):
         """Current latent weights quantized to TernaryTensors."""
@@ -143,13 +131,6 @@ class Trainer:
                               list(self.net.layers), weights)
 
     # -- forward / backward ----------------------------------------------------
-
-    def _quant_act(self, u, layer, surrogate):
-        if surrogate:
-            return np.clip(u, -1.0, 1.0)
-        if layer.kind == "binary":
-            return act_binary(u).astype(np.float64)
-        return act_ternary(u, layer.r).astype(np.float64)
 
     def _quant_weight(self, p, surrogate):
         if surrogate:
@@ -171,107 +152,73 @@ class Trainer:
                     f"latent weights of parametric layer {k} became non-finite")
         B = x_trits.shape[0]
         y = np.asarray(labels)
-        val = x_trits.reshape(B, -1).astype(np.float64)
-        stack = []      # per-layer backward records
-        pidx = 0
-        pre = None
-        for i, layer in enumerate(self.net.layers):
-            if isinstance(layer, Conv2D):
-                idx, oh, ow = self._gather[i]
-                patches = val[:, idx.ravel()].reshape(B * idx.shape[0], idx.shape[1])
-                wq = self._quant_weight(self.params[pidx], surrogate)
-                wmat = wq.reshape(wq.shape[0], -1).T
-                pre = patches @ wmat
-                stack.append(("conv", i, pidx, patches, wmat, (oh, ow)))
-                pidx += 1
-            elif isinstance(layer, Dense):
-                wq = self._quant_weight(self.params[pidx], surrogate)
-                pre = val @ wq
-                stack.append(("dense", i, pidx, val, wq, None))
-                pidx += 1
-            elif isinstance(layer, Activation):
-                scale = self.net._scales[i]
-                u = pre / scale
-                if layer.kind == "sigmoid_output":
-                    z = u
-                    p = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
-                    s = p.sum(axis=1, keepdims=True)
-                    phat = p / s
-                    eps = 1e-12
-                    losses = -np.log(phat[np.arange(B), y] + eps)
-                    loss = float(losses.mean())
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"loss became {loss}")
-                    # d loss / d z for the normalized-sigmoid cross entropy
-                    dz = p * (1.0 - p) / s
-                    dz[np.arange(B), y] -= (1.0 - p[np.arange(B), y])
-                    dz /= B
-                    dpre = dz / scale
-                    grads = self._backward(stack, dpre, B)
-                    return loss, grads
-                a = self._quant_act(u, layer, surrogate)
-                mask = (np.abs(u) <= 1.0).astype(np.float64)
-                stack.append(("act", i, None, mask, scale, None))
-                ishape = self._shapes[i]
-                if len(ishape) == 3:
-                    # pre is (B*P, O); restore (B, O, oh, ow)
-                    prev = stack[-2]
-                    oh, ow = prev[5]
-                    val = a.reshape(B, oh, ow, -1).transpose(0, 3, 1, 2) \
-                        .reshape(B, -1)
-                    stack[-1] = ("act", i, None, mask, scale, (oh, ow))
-                else:
-                    val = a
-            elif isinstance(layer, MaxPool2D):
-                c, h, w = self._shapes[i]
-                s = layer.size
-                x4 = val.reshape(B, c, h // s, s, w // s, s)
-                mx = x4.max(axis=(3, 5))
-                ties = (x4 == mx[:, :, :, None, :, None]).astype(np.float64)
-                ties /= ties.sum(axis=(3, 5), keepdims=True)
-                stack.append(("pool", i, None, ties, (c, h, w, s), None))
-                val = mx.reshape(B, -1)
-        raise ConfigError("network must end in a sigmoid_output activation")
+        stack = []  # what _backward needs, in forward order
 
-    def _backward(self, stack, dpre, B):
+        def preact(op, patches):
+            k = self.net.parametric_indices().index(op.index)
+            wq = self._quant_weight(self.params[k], surrogate)
+            wmat = wq if op.gather is None else wq.reshape(wq.shape[0], -1).T
+            patches = np.asarray(patches, dtype=np.float64)
+            stack.append((op, k, patches, wmat))
+            return (patches @ wmat) / op.scale
+
+        def ste_activate(op, u):
+            a = np.clip(u, -1.0, 1.0) if surrogate else activate(op, u)
+            stack.append((op, (np.abs(u) <= 1.0).astype(np.float64), a))
+            return a
+
+        def output(op, z):
+            p = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+            s = p.sum(axis=1, keepdims=True)
+            phat = p / s
+            eps = 1e-12
+            losses = -np.log(phat[np.arange(B), y] + eps)
+            loss = float(losses.mean())
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"loss became {loss}")
+            # d loss / d z for the normalized-sigmoid cross entropy
+            dz = p * (1.0 - p) / s
+            dz[np.arange(B), y] -= (1.0 - p[np.arange(B), y])
+            dz /= B
+            return loss, self._backward(stack, dz / op.scale)
+
+        return walk(self.net, x_trits, preact, output, ste_activate)
+
+    def _backward(self, stack, dpre):
+        """Latent-weight gradients from the records of one forward walk.
+
+        Conv/dense records hold (op, param index, float64 input, weight
+        matrix); activation records hold (op, STE mask, activations).  Only
+        pools can sit between an activation and the next conv/dense, and
+        their ties share the gradient evenly.
+        """
         grads = [None] * len(self.params)
-        dval = None  # gradient wrt the flattened layer input
-        for kind, i, pidx, a1, a2, a3 in reversed(stack):
-            if kind == "dense":
-                flat, wq = a1, a2
-                grads[pidx] = flat.T @ dpre
-                dval = dpre @ wq.T
-                dpre = None
-            elif kind == "conv":
-                patches, wmat, (oh, ow) = a1, a2, a3
-                gw_mat = patches.T @ dpre          # (K, O)
-                grads[pidx] = gw_mat.T.reshape(self.params[pidx].shape)
-                dcol = dpre @ wmat.T               # (B*P, K)
-                idx, _, _ = self._gather[i]
-                n_in = int(np.prod(self._shapes[i]))
-                dval = np.empty((B, n_in))
-                dc = dcol.reshape(B, -1)
-                flat_idx = idx.ravel()
-                for b in range(B):
-                    dval[b] = np.bincount(flat_idx, weights=dc[b],
-                                          minlength=n_in)
-                dpre = None
-            elif kind == "act":
-                mask, scale = a1, a2
-                if a3 is not None:
-                    oh, ow = a3
-                    # dval is (B, O*oh*ow) in (O, oh, ow) order; undo to (B*P, O)
-                    o = mask.shape[1]
-                    dact = dval.reshape(B, o, oh, ow).transpose(0, 2, 3, 1) \
-                        .reshape(B * oh * ow, o)
-                else:
-                    dact = dval
-                dpre = dact * mask / scale
-                dval = None
-            elif kind == "pool":
-                ties, (c, h, w, s) = a1, a2
-                dmx = dval.reshape(B, c, h // s, 1, w // s, 1)
-                dval = (ties * dmx).reshape(B, c * h * w)
+        above = None  # layer index of the conv/dense that dval belongs to
+        for rec in reversed(stack):
+            op = rec[0]
+            if isinstance(op.layer, Activation):
+                _, mask, a = rec
+                sizes = [l.size for l in self.net.layers[op.index + 1:above]]
+                dpre = _unpool(a, sizes, dval).reshape(mask.shape) * mask \
+                    / op.scale
+                continue
+            _, k, inputs, wmat = rec
+            if dpre.ndim == 4:  # (B, O, oh, ow) -> (B*P, O), patch order
+                dpre = dpre.transpose(0, 2, 3, 1).reshape(-1, dpre.shape[1])
+            gw = inputs.T @ dpre
+            grads[k] = gw if op.gather is None \
+                else gw.T.reshape(self.params[k].shape)
+            if rec is stack[0]:
+                break  # nothing below the first layer has weights
+            dval = dpre @ wmat.T
+            if op.gather is not None:
+                # col2im: sum each patch gradient back onto its input cells
+                n_in = int(np.prod(op.in_shape))
+                dc = dval.reshape(dpre.shape[0] // op.gather.shape[0], -1)
+                flat_idx = op.gather.ravel()
+                dval = np.stack([np.bincount(flat_idx, weights=row,
+                                             minlength=n_in) for row in dc])
+            above = op.index
         # STE through the weight quantizers: identity inside |latent| <= 1
         for k, p in enumerate(self.params):
             grads[k] = grads[k] * (np.abs(p) <= 1.0)

@@ -179,7 +179,6 @@ def dumps(net, encoding="pack64"):
     if encoding not in ("pack64", "rle"):
         raise ParseError(f"unknown weight encoding {encoding!r}")
     net.require_weights()
-    net.validate_chain()
     lines = [f"{MAGIC} {VERSION}",
              f"precision = {net.precision.value}",
              f"input = {','.join(str(d) for d in net.input_shape)}"]

@@ -68,7 +68,13 @@ class TestExperimentSpec:
 
 
 class TestRunAccuracy:
-    def test_ideal_trials_identical(self, hrs_config, dataset):
+    def test_ideal_trials_identical(self, hrs_config, dataset, monkeypatch):
+        from oxcim import bench
+        from oxcim.network import predict_ideal
+        calls = []
+        monkeypatch.setattr(bench, "predict_ideal",
+                            lambda net, x: calls.append(1) or
+                            predict_ideal(net, x))
         net = tiny_net(Precision.TERNARY, seed=1)
         # tiny net takes (1, 4, 4) inputs; use a 10-class fake set instead
         imgs = dataset.test_images[:60]
@@ -82,6 +88,8 @@ class TestRunAccuracy:
         assert rep.accuracies[0] == rep.accuracies[1]
         assert rep.n_images == 40
         assert rep.confusion.total == 40
+        # the ideal pass has no randomness, so it runs once for both trials
+        assert len(calls) == 40
 
     def test_hardware_deterministic_per_seed(self, hrs_config, dataset):
         from test_train import small_arch

@@ -8,9 +8,9 @@ from oxcim.device import (CLAMP_FLOOR_FRACTION, DeviceConfig, MlcStateModel,
                           SigmoidNeuronModel, default_device_config,
                           load_device_config, parse_device_config,
                           sample_device_conductance,
-                          sample_device_conductance_grid,
-                          sample_read_conductance, save_device_config,
+                          sample_device_conductance_grid, save_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
+from oxcim.crossbar import A_TO_UA, CrossbarTile
 from oxcim.errors import ConfigError, DomainError, ParseError
 from oxcim.quant import Precision
 from oxcim import rng
@@ -87,16 +87,23 @@ class TestDeviceSampling:
         assert any("variability overflow" in r.message for r in caplog.records)
 
 
+def _one_cell_tile(d2d=0.0, c2c=0.0):
+    cfg = DeviceConfig("HRS", {-1: _state(1e-6), 1: _state(50e-6, d2d, c2c)},
+                       seed=0)
+    return CrossbarTile(cfg, [[1]], array_id=1)
+
+
 class TestReadSampling:
     def test_zero_c2c_returns_device_g(self):
-        st = _state(50e-6, c2c=0.0)
-        assert sample_read_conductance(42e-6, st, 0, 1, 0, 0, 0) == 42e-6
+        tile = _one_cell_tile(d2d=2e-6)
+        current = tile.read_phase([True], read_id=0)[0]
+        assert current == tile.cell_g[0, 0] * (tile.config.v_read * A_TO_UA)
 
     def test_successive_reads_differ(self):
-        st = _state(50e-6, c2c=1e-6)
-        a = sample_read_conductance(50e-6, st, 0, 1, 0, 0, read_id=0)
-        b = sample_read_conductance(50e-6, st, 0, 1, 0, 0, read_id=1)
-        assert a != b
+        tile = _one_cell_tile(c2c=1e-6)
+        a = tile.read_phase([True], read_id=0)
+        b = tile.read_phase([True], read_id=1)
+        assert a[0] != b[0]
 
     def test_read_variance_matches_c2c(self):
         st = _state(100e-6, c2c=4e-6)

@@ -117,7 +117,7 @@ class TestForwardHardware:
             [TernaryTensor(w, Precision.TERNARY), None])
         tiled = map_network_to_tiles(net, affine_config())
         from oxcim.quant import popcount_oracle
-        scale = net.scale_for(1)
+        scale = net.plan[1].scale
         for k in range(20):
             x = np.array([1] * 6 + [-1] * 6 + [0] * 4, dtype=np.int8)
             gen.shuffle(x)

@@ -5,9 +5,8 @@ from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import (Activation, Conv2D, Dense,
                            NetworkDescription, ThermometricEncoder,
                            conv_weight_matrix, encode_thermometric,
-                           forward_ideal, im2col, lenet,
-                           lower_conv_to_matmul, maxpool, predict_ideal,
-                           thermometric_trits)
+                           forward_ideal, im2col, lenet, maxpool,
+                           predict_ideal, thermometric_trits)
 from oxcim.quant import Precision, TernaryTensor
 from oxcim.device import sigmoid_ideal
 from oxcim.quant import popcount_oracle
@@ -79,10 +78,13 @@ class TestThermometric:
 
 class TestConvLowering:
     def test_lenet_first_conv_dims(self):
-        plan = lower_conv_to_matmul(Conv2D(6, 5), (8, 32, 32))
-        assert plan["weight_matrix_shape"] == (200, 6)
-        assert plan["output_shape"] == (6, 28, 28)
-        assert plan["patch_count"] == 784
+        conv1 = lenet(Precision.BINARY).plan[0]
+        assert conv1.fan_in == 200 and conv1.weight_shape == (6, 8, 5, 5)
+        assert conv1.out_shape == (6, 28, 28)
+        assert conv1.gather.shape == (784, 200)
+        # the gather rows are the im2col patches of the flat input offsets
+        ids = np.arange(8 * 32 * 32).reshape(8, 32, 32)
+        np.testing.assert_array_equal(conv1.gather, im2col(ids, 5)[0])
 
     def test_one_by_one_kernel_is_identity_reshape(self):
         x = np.arange(16, dtype=np.int8).reshape(1, 4, 4) % 3 - 1
@@ -155,18 +157,20 @@ def tiny_net(precision=Precision.TERNARY, r=0.5, seed=0, n_out=10):
 class TestNetworkDescription:
     def test_lenet_chains_to_ten_classes(self):
         net = lenet(Precision.BINARY)
-        assert net.n_outputs() == 10
+        assert net.plan[-1].out_shape == (10,)
+        assert [op.index for op in net.plan] == list(range(len(net.layers)))
         assert [type(l).__name__ for l in net.layers][:3] == \
             ["Conv2D", "Activation", "MaxPool2D"]
 
     def test_scales_are_sqrt_fan_in(self):
         net = lenet(Precision.BINARY)
-        net.validate_chain()
-        assert net.scale_for(1) == pytest.approx(np.sqrt(200), rel=1e-5)
-        assert net.scale_for(11) == pytest.approx(np.sqrt(84), rel=1e-5)
+        assert net.plan[1].scale == pytest.approx(np.sqrt(200), rel=1e-5)
+        assert net.plan[11].scale == pytest.approx(np.sqrt(84), rel=1e-5)
         # the nudge keeps r * scale off the popcount lattice even for
         # perfectly square fan-ins (dense 400 -> scale just above 20)
-        assert net.scale_for(7) > np.sqrt(400)
+        assert net.plan[7].scale > np.sqrt(400)
+        # a conv/dense layer carries the scale of its activation
+        assert net.plan[6].scale == net.plan[7].scale
 
     def test_wrong_weight_shape_rejected(self):
         net = tiny_net()
@@ -210,7 +214,7 @@ class TestForwardIdeal:
             [TernaryTensor(w, Precision.TERNARY), None])
         x = gen.choice([-1, 0, 1], size=(1, 4, 4)).astype(np.int8)
         s = forward_ideal(net, x)
-        scale = net.scale_for(1)
+        scale = net.plan[1].scale
         for c in range(10):
             pc = popcount_oracle(x.ravel(), w[:, c])
             assert s[c] == pytest.approx(sigmoid_ideal(pc / scale), abs=1e-15)

@@ -8,7 +8,8 @@ the run (derandomize=True), so every run checks the same examples.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oxcim.device import sigmoid_ideal
+from oxcim.device import DeviceConfig, MlcStateModel, sigmoid_ideal
+from oxcim.hardware import forward_hardware, map_network_to_tiles
 from oxcim.network import (SCALE_NUDGE, Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal)
 from oxcim.quant import Precision, TernaryTensor
@@ -108,3 +109,25 @@ def test_exact_pass_equals_nested_loop_oracle(net_seed):
     for x in random_inputs(net, seed, 2):
         np.testing.assert_array_equal(forward_ideal(net, x),
                                       oracle_scores(net, x))
+
+
+# D2D and C2C spread on every state, so every READ draws keyed noise
+NOISY = DeviceConfig("HRS", {t: MlcStateModel(f"s{t:+d}", 11e-6 + 9e-6 * t,
+                                              0.3e-6, 0.3e-6)
+                             for t in (-1, 0, 1)}, v_read=0.2, seed=3)
+
+
+@PROPERTY
+@given(small_nets(), st.integers(1, 4), st.integers(0, 1000))
+def test_a_batch_gives_the_bits_of_one_run_per_image(net_seed, n, ordinal):
+    net, seed = net_seed
+    xs = random_inputs(net, seed, n)
+    np.testing.assert_array_equal(
+        forward_ideal(net, xs), np.stack([forward_ideal(net, x) for x in xs]))
+    # small tiles split rows and columns; image i of the batch reads with
+    # ordinal + i, exactly like its own call
+    tiled = map_network_to_tiles(net, NOISY, max_tile=(5, 4))
+    np.testing.assert_array_equal(
+        forward_hardware(tiled, xs, image_ordinal=ordinal),
+        np.stack([forward_hardware(tiled, x, image_ordinal=ordinal + i)
+                  for i, x in enumerate(xs)]))
