@@ -22,7 +22,13 @@ the hardware gain calibration so the digital and analog paths agree.  The
 scale carries a relative 2**-20 nudge: a perfectly square fan-in (e.g.
 400) would otherwise put integer popcounts exactly on the dead-band edge
 r * scale, where the analog path's last-ulp rounding could disagree with
-the exact digital decision.
+the exact digital decision.  The binary activation has the same hazard at
+its sign edge: a popcount of exactly 0 is common (even fan-ins), and the
+analog path lands it a few ulp either side of zero.  Binary hidden
+activations therefore decide at minus half a popcount unit,
+u + 0.5 / scale >= 0, which keeps the edge strictly between integer
+popcounts; digital and training decisions, on exact integers, are those
+of a plain sign at 0.
 
 Grayscale inputs enter through thermometric encoding: channel k of a pixel
 is set iff the pixel meets threshold k, giving 8 monotone binary channels
@@ -320,7 +326,7 @@ def lenet(precision, r=0.5, input_shape=(N_THERMO_CHANNELS, 32, 32), weights=Non
 def activate(op, u):
     """Hidden activations of the activation op from scaled pre-activations."""
     if op.layer.kind == "binary":
-        return act_binary(u)
+        return act_binary(u + 0.5 / op.scale)  # edge off the popcount lattice
     return act_ternary(u, op.layer.r)
 
 

@@ -50,7 +50,7 @@ _ACCEPTANCE_LABELS = {
     "c4": "sigmoid neuron transfer curve",
     "c5": "bounded hardware degradation (<=5 points, HRS<=LRS ordering)",
     "c5a": "zero-variability hardware within 1 point of ideal",
-    "c5b": "zero-variability class agreement >= 99%",
+    "c5b": "zero-variability disagreements are ideal ties (TNN agrees >= 99%)",
     "c6": "training sanity run (loss improves)",
     "c6x": "full-dataset training reproduction (extended)",
     "c7": "separability at 3 sigma + histogram conservation",
@@ -63,6 +63,8 @@ def pytest_runtest_logreport(report):
     if "test_acceptance.py::test_" not in report.nodeid:
         return
     name = report.nodeid.split("::test_", 1)[1].split("_", 1)[0]
+    if _ACCEPTANCE_RESULTS.get(name, "PASS") != "PASS":
+        return  # a parametrized criterion keeps its first failure
     if report.when == "call":
         _ACCEPTANCE_RESULTS[name] = ("PASS" if report.passed else "FAIL")
     elif report.when == "setup":
