@@ -99,21 +99,16 @@ class TestTrainingProgress:
 
 
 class TestGradients:
-    def test_surrogate_gradients_match_finite_differences(self):
-        # two-layer net in surrogate (clipped-identity) mode; preactivations
-        # kept inside the clip range so the surrogate is smooth there
-        arch = NetworkDescription(
-            Precision.TERNARY, (1, 3, 3),
-            [Dense(6), Activation("ternary"), Dense(4),
-             Activation("sigmoid_output")],
-            [None, None, None, None])
-        # 4-class labels: use n_out=4 directly
+    @staticmethod
+    def check_surrogate_gradients(arch, x_shape, n_classes):
+        # surrogate (clipped-identity) mode; latents kept well inside the
+        # clip range so the surrogate network is smooth there
         trainer = Trainer(arch, TrainConfig(seed=8))
         for k, p in enumerate(trainer.params):
             trainer.params[k] = 0.4 * p  # keep |latent| well inside 1
         gen = np.random.default_rng(9)
-        x = gen.choice([-1, 0, 1], size=(5, 1, 3, 3)).astype(np.int8)
-        y = gen.integers(0, 4, size=5)
+        x = gen.choice([-1, 0, 1], size=x_shape).astype(np.int8)
+        y = gen.integers(0, n_classes, size=x_shape[0])
         loss0, grads = trainer.loss_and_grads(x, y, surrogate=True)
         eps = 1e-6
         checked = 0
@@ -131,6 +126,26 @@ class TestGradients:
                 assert an == pytest.approx(fd, rel=1e-4, abs=1e-8)
                 checked += 1
         assert checked >= 20
+
+    def test_surrogate_gradients_match_finite_differences(self):
+        # two-layer dense net with 4 output classes
+        arch = NetworkDescription(
+            Precision.TERNARY, (1, 3, 3),
+            [Dense(6), Activation("ternary"), Dense(4),
+             Activation("sigmoid_output")],
+            [None, None, None, None])
+        self.check_surrogate_gradients(arch, (5, 1, 3, 3), 4)
+
+    def test_surrogate_gradients_through_convs_and_stacked_pools(self):
+        # a second conv routes its gradient back through col2im, and two
+        # pools in a row route theirs back through each other's ties
+        layers = [Conv2D(2, 3), Activation("ternary"),
+                  Conv2D(3, 3), Activation("ternary"),
+                  MaxPool2D(3), MaxPool2D(2),
+                  Dense(4), Activation("sigmoid_output")]
+        arch = NetworkDescription(Precision.TERNARY, (1, 10, 10), layers,
+                                  [None] * len(layers))
+        self.check_surrogate_gradients(arch, (3, 1, 10, 10), 4)
 
     def test_ste_masks_zero_gradients_outside_clip(self):
         trainer = Trainer(small_arch(), TrainConfig(seed=10))
