@@ -7,18 +7,16 @@ popcount the hardware is supposed to compute.
 """
 
 from .quant import (Precision, TernaryTensor, act_binary, act_ternary,
-                    gated_xnor, pack_trits, popcount_oracle, popcount_packed,
-                    quantize_weights, unpack_trits)
+                    gated_xnor, popcount_oracle, quantize_weights)
 from .device import (DeviceConfig, MlcStateModel, SigmoidNeuronModel,
                      default_device_config, load_device_config,
                      parse_device_config, save_device_config, sigmoid_ideal,
                      sigmoid_neuron_voltage)
-from .crossbar import (ActivationMode, CrossbarTile, PhasePlan, SenseChain,
-                       SenseResult, encode_input_phases, sense_to_activation)
+from .crossbar import (ActivationMode, CrossbarTile, SenseResult,
+                       sense_to_activation)
 from .network import (Activation, Conv2D, Dense, MaxPool2D,
-                      NetworkDescription, ThermometricEncoder,
-                      encode_thermometric, forward_ideal, im2col, lenet,
-                      predict_ideal, thermometric_trits)
+                      NetworkDescription, encode_thermometric, forward_ideal,
+                      im2col, lenet, predict_ideal, thermometric_trits)
 from .hardware import (TiledNetwork, forward_hardware, map_network_to_tiles,
                        predict_hardware)
 from .weightfile import load_network, save_network

@@ -155,8 +155,7 @@ def run_accuracy(spec, images, labels):
     return AccuracyReport(spec.mode, list(spec.seeds), accuracies, confusion, n)
 
 
-def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0,
-                             neuron=None):
+def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0):
     """Record (popcount, sense output) pairs for random small-tile VMMs.
 
     Each sample draws a fresh weight grid and input vector; every column of
@@ -178,7 +177,7 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0,
         tile = CrossbarTile(config, w, array_id=s + 1)
         res = tile.vmm_two_phase(x, read_pair=0)
         delta = res.delta_uA
-        v = sigmoid_neuron_voltage(delta / gain_uA, neuron)
+        v = sigmoid_neuron_voltage(delta / gain_uA)
         n_pos = int(np.count_nonzero(x > 0))
         n_neg = int(np.count_nonzero(x < 0))
         for c in range(cols_n):

@@ -20,9 +20,13 @@ the term with per-tile reference columns (see hardware.py), and the
 digital popcount oracle in quant.py is the reference everything here is
 compared against.
 
+The column periphery is fixed: an ideal S/H pair, an ideal subtracting
+comparator and the measured sigmoid neuron of device.py.
+
 Cycle-to-cycle conductance noise is resampled per READ event, keyed by
 (config seed, array id, row, col, read id); device-to-device offsets are
-frozen when the tile is programmed.
+frozen when the tile is programmed.  Reads keep no state on the tile: a
+read that clamps draws to the conductance floor logs it and moves on.
 """
 
 import enum
@@ -32,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .device import DeviceConfig, SigmoidNeuronModel, clamp_floor, \
-    sigmoid_neuron_voltage, sample_device_conductance_grid
+from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
+    sample_device_conductance_grid
 from .errors import ConfigError, ShapeError
-from .quant import TernaryTensor, act_binary, act_ternary
+from .quant import act_binary, act_ternary
 
 log = logging.getLogger(__name__)
 
@@ -47,52 +51,16 @@ A_TO_UA = 1e6
 CLAMP_WARN_FRACTION = 1e-3
 
 
-@dataclass(frozen=True)
-class PhasePlan:
-    """Row-gate vectors for the two READ phases of one input vector."""
-
-    gate_pos: np.ndarray  # bool, on during t0
-    gate_neg: np.ndarray  # bool, on during t1
-
-    def __post_init__(self):
-        if np.any(self.gate_pos & self.gate_neg):
-            raise ShapeError("a row cannot be gated on in both phases")
-
-
-def encode_input_phases(x):
-    """Split a trit input vector into the two phase gate vectors.
-
-    +1 -> (on, off);  -1 -> (off, on);  0 -> (off, off).
-    """
-    arr = x.data if isinstance(x, TernaryTensor) else np.asarray(x, dtype=np.int8)
-    if arr.ndim != 1:
-        raise ShapeError("input vector must be 1-D")
-    return PhasePlan(gate_pos=arr > 0, gate_neg=arr < 0)
-
-
 @dataclass
 class SenseResult:
-    """Per-column phase currents plus the optional neuron output."""
+    """Per-column currents of the two READ phases."""
 
     i_pos_uA: np.ndarray
     i_neg_uA: np.ndarray
-    v_neuron_V: np.ndarray = None
 
     @property
     def delta_uA(self):
         return self.i_pos_uA - self.i_neg_uA
-
-
-@dataclass(frozen=True)
-class SenseChain:
-    """S/H pair + comparator + neuron column periphery.
-
-    The S/H is ideal storage and the comparator is ideal subtraction with an
-    optional input-referred offset (default 0) for sensitivity studies.
-    """
-
-    comparator_offset_uA: float = 0.0
-    neuron: SigmoidNeuronModel = SigmoidNeuronModel.measured()
 
 
 class ActivationMode(enum.Enum):
@@ -123,25 +91,6 @@ class CrossbarTile:
         self._c2c_keys = rng.c2c_cell_key_grid(config.seed, self.array_id,
                                                self.rows, self.cols)
         self._has_c2c = bool(np.any(c2c > 0.0))
-        # diagnostics only; results never depend on these
-        self.read_draws = 0
-        self.read_clamps = 0
-        self._clamp_warned = False
-
-    def _note_clamps(self, n_draws, n_clamps):
-        self.read_draws += n_draws
-        self.read_clamps += n_clamps
-        if n_clamps:
-            log.debug("array %d: %d of %d read draws clamped",
-                      self.array_id, n_clamps, n_draws)
-        if not self._clamp_warned and self.read_draws > 1000 and \
-                self.read_clamps > CLAMP_WARN_FRACTION * self.read_draws:
-            self._clamp_warned = True
-            log.warning(
-                "variability overflow: array %d clamped %d of %d read draws "
-                "to the mean/100 floor; states sit too close to zero "
-                "conductance for their sigmas", self.array_id,
-                self.read_clamps, self.read_draws)
 
     def _check_rows(self, n):
         if n != self.rows:
@@ -160,13 +109,16 @@ class CrossbarTile:
                                                         dtype=np.uint64))[0]
 
     def vmm_two_phase(self, x, read_pair=0):
-        """Both READ phases for one input vector; returns the sense result."""
-        plan = encode_input_phases(x)
-        self._check_rows(plan.gate_pos.shape[0])
+        """Both READ phases for one input vector; returns the sense result.
+
+        +1 rows are gated on during t0, -1 rows during t1, 0 rows never.
+        """
+        arr = np.asarray(x, dtype=np.int8)
+        if arr.ndim != 1:
+            raise ShapeError("input vector must be 1-D")
         rid = 2 * int(read_pair)
-        i_pos = self.read_phase(plan.gate_pos, rid)
-        i_neg = self.read_phase(plan.gate_neg, rid + 1)
-        return SenseResult(i_pos_uA=i_pos, i_neg_uA=i_neg)
+        return SenseResult(i_pos_uA=self.read_phase(arr > 0, rid),
+                           i_neg_uA=self.read_phase(arr < 0, rid + 1))
 
     def vmm_batch(self, x_batch, read_pairs):
         """Two-phase VMM for a batch of input vectors.
@@ -204,7 +156,15 @@ class CrossbarTile:
             z *= self._c2c_sigma[rat, :]
             g_read = g_read + z
             g_read, n = clamp_floor(g_read, self._floor[rat, :])
-            self._note_clamps(g_read.size, n)
+            if n:
+                log.debug("array %d: %d of %d read draws clamped",
+                          self.array_id, n, g_read.size)
+                if g_read.size > 1000 and n > CLAMP_WARN_FRACTION * g_read.size:
+                    log.warning(
+                        "variability overflow: array %d clamped %d of %d read "
+                        "draws to the mean/100 floor; states sit too close to "
+                        "zero conductance for their sigmas", self.array_id, n,
+                        g_read.size)
         # Segment-sum rows of g_read back onto their pattern index.  reduceat
         # sums every segment from a fresh accumulator, so each pattern's
         # current is bit-identical whether it is read alone or in a batch.
@@ -215,24 +175,21 @@ class CrossbarTile:
         return out * (self.config.v_read * A_TO_UA)
 
 
-def sense_to_activation(result, mode, r=0.5, gain_uA=1.0, chain=None):
+def sense_to_activation(result, mode, r=0.5, gain_uA=1.0):
     """Convert a sense result into activations or neuron voltages.
 
     gain_uA is the comparator-output scale in microamps per activation unit:
     the activation functions see delta / gain_uA.  For OUTPUT_SIGMOID the
     scaled value is the neuron input current in uA and the neuron voltages
-    are returned (and recorded on the result).
+    are returned.
     """
     if not (gain_uA > 0.0):
         raise ConfigError(f"gain must be > 0, got {gain_uA}")
-    chain = chain or SenseChain()
-    delta = result.delta_uA + chain.comparator_offset_uA
+    u = result.delta_uA / gain_uA
     if mode is ActivationMode.HIDDEN_BINARY:
-        return act_binary(delta / gain_uA)
+        return act_binary(u)
     if mode is ActivationMode.HIDDEN_TERNARY:
-        return act_ternary(delta / gain_uA, r)
+        return act_ternary(u, r)
     if mode is ActivationMode.OUTPUT_SIGMOID:
-        v = sigmoid_neuron_voltage(delta / gain_uA, chain.neuron)
-        result.v_neuron_V = v
-        return v
+        return sigmoid_neuron_voltage(u)
     raise ConfigError(f"unknown activation mode {mode!r}")

@@ -25,8 +25,8 @@ common-mode reference per tile recovers
     delta_c - delta_ref = v_read * a * popcount_c        (at zero noise)
 
 exactly for affine maps, which is what the activation stage consumes.
-Mapping with ``imbalance_reference=False`` keeps the raw biased behavior
-for sensitivity studies.
+The raw, biased two-phase behavior stays visible at tile level
+(crossbar.py); every mapped tile carries its references.
 
 The per-layer gain converts the comparator output (uA) into the same
 activation units the digital path uses:
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import CrossbarTile, SenseChain
+from .crossbar import CrossbarTile
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
 from .network import Conv2D, as_batch, conv_weight_matrix, walk
@@ -83,7 +83,6 @@ class TiledNetwork:
     net: object
     config: object
     max_tile: tuple
-    chain: SenseChain
     mappings: dict  # layer_index -> LayerMapping
 
     def all_cells(self):
@@ -101,19 +100,17 @@ def _block_starts(total, block):
     return list(range(0, total, block))
 
 
-def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE, chain=None,
-                         imbalance_reference=True):
+def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     """Program every lowered weight matrix onto crossbar tiles.
 
     Deterministic: array ids are assigned in (layer, row block, col block)
     order and all conductance draws are keyed from them, so the same
-    (network, config) always produces identical tiles.  With
-    imbalance_reference (the default) every tile gets two extra reference
-    columns; physical tile widths still respect max_tile.
+    (network, config) always produces identical tiles.  Every tile gets two
+    extra reference columns; physical tile widths still respect max_tile.
     """
     config.require_states(net.precision)
     max_r, max_c = max_tile
-    n_ref = 2 if imbalance_reference else 0
+    n_ref = 2
     if max_r < 1 or max_c < 1 + n_ref:
         raise ConfigError(f"max tile {max_tile} cannot hold data plus "
                           f"{n_ref} reference columns")
@@ -136,45 +133,39 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE, chain=None,
         for r0 in _block_starts(rows, max_r):
             for c0 in _block_starts(cols, max_c - n_ref):
                 block = wmat[r0:r0 + max_r, c0:c0 + max_c - n_ref]
-                if n_ref:
-                    refs = np.empty((block.shape[0], 2), dtype=np.int8)
-                    refs[:, 0] = 1
-                    refs[:, 1] = -1
-                    grid = np.concatenate([block, refs], axis=1)
-                else:
-                    grid = block
+                refs = np.empty((block.shape[0], 2), dtype=np.int8)
+                refs[:, 0] = 1
+                refs[:, 1] = -1
+                grid = np.concatenate([block, refs], axis=1)
                 tile = CrossbarTile(config, grid, array_id=array_id)
                 mapping.placements.append(
                     TilePlacement(tile, r0, c0, block.shape[1]))
                 array_id += 1
         mappings[li] = mapping
     return TiledNetwork(net=net, config=config, max_tile=tuple(max_tile),
-                        chain=chain or SenseChain(), mappings=mappings)
+                        mappings=mappings)
 
 
-def _layer_delta(tiled, mapping, patches, read_pairs):
+def _layer_delta(mapping, patches, read_pairs):
     """Differential currents (P, cols) for one lowered layer.
 
-    Row-split partial deltas are summed digitally; each tile's comparator
-    offset applies to its own partial result, and each tile's reference
-    columns (when present) are averaged and subtracted from its data
-    columns before the digital sum.
+    Row-split partial deltas are summed digitally; each tile's reference
+    columns are averaged and subtracted from its data columns before the
+    digital sum.
     """
     P = patches.shape[0]
     if patches.shape[1] != mapping.rows:
         raise ShapeError(f"patch width {patches.shape[1]} != layer rows "
                          f"{mapping.rows}")
     delta = np.zeros((P, mapping.cols), dtype=np.float64)
-    off = tiled.chain.comparator_offset_uA
     for pl in mapping.placements:
         t = pl.tile
         xs = patches[:, pl.row_start:pl.row_start + t.rows]
         i_pos, i_neg = t.vmm_batch(xs, read_pairs)
         d = i_pos - i_neg
-        if pl.n_data_cols < t.cols:
-            ref = 0.5 * (d[:, pl.n_data_cols] + d[:, pl.n_data_cols + 1])
-            d = d[:, :pl.n_data_cols] - ref[:, None]
-        delta[:, pl.col_start:pl.col_start + pl.n_data_cols] += d + off
+        ref = 0.5 * (d[:, pl.n_data_cols] + d[:, pl.n_data_cols + 1])
+        delta[:, pl.col_start:pl.col_start + pl.n_data_cols] += \
+            d[:, :pl.n_data_cols] - ref[:, None]
     return delta
 
 
@@ -198,13 +189,10 @@ def forward_hardware(tiled, x, image_ordinal=0):
         per_image = np.uint64(patches.shape[0] // ordinals.size)
         pairs = ordinals[:, None] * per_image \
             + np.arange(per_image, dtype=np.uint64)
-        return _layer_delta(tiled, m, patches, pairs.ravel()) / m.gain_uA
+        return _layer_delta(m, patches, pairs.ravel()) / m.gain_uA
 
-    def output(op, u):
-        # comparator offsets were already applied per tile
-        return sigmoid_neuron_voltage(u, tiled.chain.neuron)
-
-    volts = walk(tiled.net, batch, preact, output)
+    volts = walk(tiled.net, batch, preact,
+                 lambda op, u: sigmoid_neuron_voltage(u))
     return volts[0] if single else volts
 
 

@@ -42,7 +42,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import sigmoid_ideal
 from .errors import ConfigError, DomainError, ShapeError
-from .quant import Precision, TernaryTensor, act_binary, act_ternary
+from .quant import Precision, TernaryTensor, _as_trits, act_binary, \
+    act_ternary
 
 N_THERMO_CHANNELS = 8
 # keeps integer popcounts strictly off the ternary dead-band boundary
@@ -52,37 +53,24 @@ SCALE_NUDGE = 1.0 + 2.0 ** -20
 DEFAULT_THERMO_THRESHOLDS = (32, 64, 96, 128, 160, 192, 224, 255)
 
 
-@dataclass(frozen=True)
-class ThermometricEncoder:
-    channels: int = N_THERMO_CHANNELS
-    thresholds: tuple = DEFAULT_THERMO_THRESHOLDS
-
-    def __post_init__(self):
-        if len(self.thresholds) != self.channels:
-            raise ConfigError("need one threshold per channel")
-        if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ConfigError("thresholds must be strictly increasing")
-
-
-def encode_thermometric(image, encoder=None):
+def encode_thermometric(image):
     """Grayscale 2-D image (0..255) -> (channels, H, W) binary array.
 
-    out[c, i, j] = 1 iff image[i, j] >= thresholds[c]; per pixel the code is
-    monotone in c (a thermometer).
+    out[c, i, j] = 1 iff image[i, j] >= DEFAULT_THERMO_THRESHOLDS[c]; per
+    pixel the code is monotone in c (a thermometer).
     """
-    enc = encoder or ThermometricEncoder()
     img = np.asarray(image)
     if img.ndim != 2:
         raise ShapeError("expected a 2-D grayscale image")
     if not np.all(np.isfinite(img)) or img.min() < 0 or img.max() > 255:
         raise DomainError("pixel values must lie in [0, 255]")
-    thr = np.asarray(enc.thresholds).reshape(-1, 1, 1)
+    thr = np.asarray(DEFAULT_THERMO_THRESHOLDS).reshape(-1, 1, 1)
     return (img[None, :, :] >= thr).astype(np.uint8)
 
 
-def thermometric_trits(image, encoder=None):
+def thermometric_trits(image):
     """Thermometric encoding mapped to +/-1 trit activations (0 -> -1)."""
-    bits = encode_thermometric(image, encoder)
+    bits = encode_thermometric(image)
     return (bits.astype(np.int8) * 2 - 1)
 
 
@@ -359,12 +347,16 @@ def walk(net, x, preact, output, activate=activate):
 
 
 def as_batch(net, x):
-    """(int8 batch, one image?) for one (C, H, W) trit image or a batch."""
-    arr = np.asarray(x.data if isinstance(x, TernaryTensor) else x,
-                     dtype=np.int8)
+    """(int8 batch, one image?) for one (C, H, W) trit image or a batch.
+
+    Raises DomainError for any value the net's precision does not allow,
+    so the exact and the analog pass refuse the same inputs.
+    """
+    arr = np.asarray(x.data if isinstance(x, TernaryTensor) else x)
     if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
         raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
-    return arr.reshape(-1, *net.input_shape), arr.ndim == 3
+    batch = _as_trits(arr, net.precision).reshape(-1, *net.input_shape)
+    return batch, arr.ndim == 3
 
 
 def forward_ideal(net, x):
@@ -376,8 +368,6 @@ def forward_ideal(net, x):
     going to the lowest index.
     """
     batch, single = as_batch(net, x)
-    if not np.isin(batch, net.precision.allowed_values).all():
-        raise DomainError("input holds values outside the network precision")
     net.require_weights()
 
     def preact(op, patches):

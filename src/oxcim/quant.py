@@ -5,10 +5,8 @@ integer dot product of two trit vectors is called popcount here, matching
 common usage for XNOR-style inference engines, and is the exact oracle that
 every analog crossbar result in this package is checked against.
 
-Two popcount routes are provided on purpose: a plain int64 reference path
-and a bit-packed kernel path (two bitplanes, i.e. two bits per trit).  They
-must agree bit-exactly; the test suite enforces this exhaustively for short
-vectors.
+Values are checked before they become int8: 257 or 0.5 is an error, never
+a trit that happens to share its low byte or its truncation.
 """
 
 import enum
@@ -30,13 +28,15 @@ class Precision(enum.Enum):
         return (-1, 1) if self is Precision.BINARY else (-1, 0, 1)
 
 
-def _as_trits(values):
+def _as_trits(values, precision=Precision.TERNARY):
+    """values as an int8 array; DomainError unless each is allowed at precision."""
     arr = np.asarray(values)
-    if arr.dtype != TRIT_DTYPE:
-        if arr.dtype.kind == "f" and not np.all(arr == np.round(arr)):
-            raise DomainError("trit array must hold integer values")
-        arr = arr.astype(TRIT_DTYPE)
-    return arr
+    ok = np.isin(arr, precision.allowed_values)
+    if not ok.all():
+        bad = np.unique(arr[~ok])[:5].tolist()
+        raise DomainError(
+            f"values {bad} not allowed at precision {precision.value}")
+    return arr.astype(TRIT_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,7 @@ class TernaryTensor:
     precision: Precision
 
     def __post_init__(self):
-        arr = _as_trits(self.data)
-        object.__setattr__(self, "data", arr)
-        vals = np.unique(arr)
-        allowed = set(self.precision.allowed_values)
-        bad = [int(v) for v in vals if int(v) not in allowed]
-        if bad:
-            raise DomainError(
-                f"values {bad} not allowed at precision {self.precision.value}"
-            )
+        object.__setattr__(self, "data", _as_trits(self.data, self.precision))
 
     @property
     def shape(self):
@@ -127,57 +119,6 @@ def popcount_oracle(x, w):
     if xa.shape[0] != wa.shape[0]:
         raise ShapeError(f"length mismatch: {xa.shape[0]} vs {wa.shape[0]}")
     return int(np.dot(xa.astype(np.int64), wa.astype(np.int64)))
-
-
-# ---------------------------------------------------------------------------
-# Packed kernel path: two bitplanes (plus-mask, minus-mask) in uint64 words.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PackedTrits:
-    """Bitplane-packed trit vector: bit i of pos/neg marks element i == +/-1."""
-
-    pos: np.ndarray  # uint64 words
-    neg: np.ndarray
-    n: int
-
-
-def pack_trits(trits):
-    """Pack a 1-D trit vector into two uint64 bitplanes (2 bits per trit)."""
-    arr = _as_trits(trits).ravel()
-    n = arr.shape[0]
-    nwords = max(1, (n + 63) // 64)
-    pos_bits = np.packbits((arr > 0).astype(np.uint8), bitorder="little")
-    neg_bits = np.packbits((arr < 0).astype(np.uint8), bitorder="little")
-    pos = np.zeros(nwords * 8, dtype=np.uint8)
-    neg = np.zeros(nwords * 8, dtype=np.uint8)
-    pos[: pos_bits.size] = pos_bits
-    neg[: neg_bits.size] = neg_bits
-    return PackedTrits(pos.view(np.uint64), neg.view(np.uint64), n)
-
-
-def unpack_trits(packed):
-    """Inverse of pack_trits."""
-    pos = np.unpackbits(packed.pos.view(np.uint8), bitorder="little")[: packed.n]
-    neg = np.unpackbits(packed.neg.view(np.uint8), bitorder="little")[: packed.n]
-    return (pos.astype(TRIT_DTYPE) - neg.astype(TRIT_DTYPE))
-
-
-def popcount_packed(a, b):
-    """Bit-parallel popcount over packed vectors; bit-exact vs the oracle.
-
-    dot = |pos&pos| + |neg&neg| - |pos&neg| - |neg&pos|
-    """
-    if a.n != b.n:
-        raise ShapeError(f"length mismatch: {a.n} vs {b.n}")
-    agree = int(np.bitwise_count(a.pos & b.pos).sum()) + int(
-        np.bitwise_count(a.neg & b.neg).sum()
-    )
-    differ = int(np.bitwise_count(a.pos & b.neg).sum()) + int(
-        np.bitwise_count(a.neg & b.pos).sum()
-    )
-    return agree - differ
 
 
 def quantize_weights(latent, precision, r=0.5):

@@ -99,20 +99,6 @@ def read_event_words(read_ids):
     return mix64(np.asarray(read_ids, dtype=np.uint64) + _GOLDEN)
 
 
-def read_noise_normals(cell_key_grid, read_ids):
-    """Cycle-to-cycle standard normals for a set of READ events.
-
-    cell_key_grid : uint64 array, trailing dims are the cell lattice
-    read_ids      : integer array; one READ event per entry
-
-    Returns an array of shape read_ids.shape + cell_key_grid.shape.  The
-    value at [.., r, c] depends only on (cell key, read id).
-    """
-    rk = read_event_words(read_ids)
-    expanded = rk.reshape(rk.shape + (1,) * np.ndim(cell_key_grid))
-    return normals_from_keys(np.asarray(cell_key_grid, dtype=np.uint64) ^ expanded)
-
-
 def c2c_cell_key_grid(seed, array_id, rows, cols):
     """Per-cell base keys for the cycle-to-cycle stream of one array."""
     return cell_keys(stream_key(seed, TAG_C2C, array_id), rows, cols)

@@ -13,22 +13,15 @@ Text format, one record per line, versioned header.  Example:
     ...
     end
 
-Weight payload encodings:
+The one weight payload encoding is ``pack64``: trits bit-packed then
+base64-wrapped.  Binary tensors pack one bit per trit (+1 -> 1), ternary
+tensors pack five trits per byte in base-3 (digit = trit + 1,
+little-endian within the byte).  A binary tensor costs ~1.33 bits per
+weight on disk, which is what gives the format its large edge over 32-bit
+floats.
 
-* ``pack64``  - trits bit-packed then base64-wrapped.  Binary tensors pack
-  one bit per trit (+1 -> 1), ternary tensors pack five trits per byte in
-  base-3 (digit = trit + 1, little-endian within the byte).  This is the
-  default: a binary tensor costs ~1.33 bits per weight on disk, which is
-  what gives the format its large edge over 32-bit floats.
-* ``rle``     - human-readable run-length string over '-', '0', '+' with
-  optional decimal repeat counts, e.g. ``+3-2+12``.  Because '0' doubles as
-  a count digit, a '.' separator (a no-op for the decoder) always precedes
-  a zero-run: ``+2.04`` is two '+' then four '0'.  Accepted on load and
-  available for hand-written fixtures; not emitted by default since random
-  sign sequences barely compress.
-
-Round-trips are identity for both encodings; the parser rejects anything
-malformed with a ParseError carrying the line number.
+Round-trips are identity; the parser rejects anything malformed, an
+unknown encoding included, with a ParseError carrying the line number.
 """
 
 import base64
@@ -73,55 +66,6 @@ def _unpack_payload(b64, n, precision):
     digits = (raw[:, None] // _POW3[None, :]) % 3
     trits = digits.reshape(-1)[:n].astype(np.int8) - 1
     return trits
-
-
-def _rle_encode(tensor):
-    flat = tensor.data.ravel()
-    sym = {-1: "-", 0: "0", 1: "+"}
-    out = []
-    i = 0
-    n = flat.size
-    while i < n:
-        j = i
-        while j < n and flat[j] == flat[i]:
-            j += 1
-        run = j - i
-        piece = sym[int(flat[i])]
-        if run > 1:
-            piece += str(run)
-        # '0' doubles as a count digit, so a following zero-run needs a break
-        if j < n and flat[j] == 0:
-            piece += "."
-        out.append(piece)
-        i = j
-    return "".join(out)
-
-
-def _rle_decode(text, n):
-    vals = {"-": -1, "0": 0, "+": 1}
-    out = np.empty(n, dtype=np.int8)
-    pos = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ".":
-            i += 1
-            continue
-        if ch not in vals:
-            raise ParseError(f"bad run-length symbol {ch!r} at position {i}")
-        i += 1
-        run = 0
-        while i < len(text) and text[i].isdigit():
-            run = run * 10 + int(text[i])
-            i += 1
-        run = max(run, 1)
-        if pos + run > n:
-            raise ParseError(f"run-length payload longer than {n} trits")
-        out[pos:pos + run] = vals[ch]
-        pos += run
-    if pos != n:
-        raise ParseError(f"run-length payload holds {pos} trits, need {n}")
-    return out
 
 
 def _layer_record(layer):
@@ -175,9 +119,7 @@ def _parse_layer(record, lineno, path):
     return layer
 
 
-def dumps(net, encoding="pack64"):
-    if encoding not in ("pack64", "rle"):
-        raise ParseError(f"unknown weight encoding {encoding!r}")
+def dumps(net):
     net.require_weights()
     lines = [f"{MAGIC} {VERSION}",
              f"precision = {net.precision.value}",
@@ -187,11 +129,8 @@ def dumps(net, encoding="pack64"):
     for i in net.parametric_indices():
         w = net.weights[i]
         shape = ",".join(str(d) for d in w.shape)
-        if encoding == "pack64":
-            payload = _pack_payload(w).decode("ascii")
-        else:
-            payload = _rle_encode(w)
-        lines.append(f"weights.{i} = {encoding} {shape} {payload}")
+        payload = _pack_payload(w).decode("ascii")
+        lines.append(f"weights.{i} = pack64 {shape} {payload}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -277,22 +216,20 @@ def loads(text, name="<string>"):
         except ValueError:
             raise ParseError(f"bad weight shape {shape_s!r}",
                              path=name, line=lineno) from None
+        if encoding != "pack64":
+            raise ParseError(f"unknown weight encoding {encoding!r}",
+                             path=name, line=lineno)
         n = int(np.prod(shape))
         try:
-            if encoding == "pack64":
-                flat = _unpack_payload(payload.encode("ascii"), n, precision)
-            elif encoding == "rle":
-                flat = _rle_decode(payload, n)
-            else:
-                raise ParseError(f"unknown weight encoding {encoding!r}")
+            flat = _unpack_payload(payload.encode("ascii"), n, precision)
         except ParseError as exc:
             raise ParseError(str(exc), path=name, line=lineno) from None
         weights[idx] = TernaryTensor(flat.reshape(shape), precision)
     return NetworkDescription(precision, input_shape, layers, weights)
 
 
-def save_network(net, path, encoding="pack64"):
-    text = dumps(net, encoding)
+def save_network(net, path):
+    text = dumps(net)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 

@@ -13,7 +13,6 @@ from oxcim.device import (CLAMP_FLOOR_FRACTION, DeviceConfig, MlcStateModel,
 from oxcim.crossbar import A_TO_UA, CrossbarTile
 from oxcim.errors import ConfigError, DomainError, ParseError
 from oxcim.quant import Precision
-from oxcim import rng
 
 
 def _state(mean, d2d=0.0, c2c=0.0):
@@ -106,11 +105,14 @@ class TestReadSampling:
         assert a[0] != b[0]
 
     def test_read_variance_matches_c2c(self):
-        st = _state(100e-6, c2c=4e-6)
-        keys = rng.c2c_cell_key_grid(3, 1, 1, 1)
-        z = rng.read_noise_normals(keys, np.arange(100_000))
-        g = 100e-6 + st.c2c_sigma_S * z.ravel()
+        # the tile's own READ path; config seed, array id and the read
+        # pairs 0..99,999 fix every draw before the run
+        tile = _one_cell_tile(c2c=4e-6)
+        n = 100_000
+        i_pos, _ = tile.vmm_batch(np.ones((n, 1), dtype=np.int8), np.arange(n))
+        g = i_pos[:, 0] / (tile.config.v_read * A_TO_UA)
         assert abs(g.var() - (4e-6) ** 2) / (4e-6) ** 2 < 0.05
+        assert abs(g.mean() - tile.cell_g[0, 0]) < 5 * 4e-6 / np.sqrt(n)
 
 
 class TestSigmoid:

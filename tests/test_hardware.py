@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oxcim.crossbar import SenseChain
 from oxcim.device import MlcStateModel, DeviceConfig
-from oxcim.errors import ConfigError
+from oxcim.errors import ConfigError, DomainError
 from oxcim.hardware import (forward_hardware, map_network_to_tiles,
                             predict_hardware)
 from oxcim.network import forward_ideal, lenet
@@ -146,43 +145,6 @@ class TestForwardHardware:
         split = forward_hardware(map_network_to_tiles(net, cfg, (2, 3)), x)
         np.testing.assert_allclose(whole, split, rtol=0, atol=1e-12)
 
-    def test_comparator_offset_shifts_decisions(self):
-        net = tiny_net(Precision.TERNARY, seed=10)
-        cfg = affine_config()
-        x = np.ones((1, 4, 4), dtype=np.int8)
-        base = forward_hardware(map_network_to_tiles(net, cfg), x)
-        nudged = forward_hardware(
-            map_network_to_tiles(net, cfg,
-                                 chain=SenseChain(comparator_offset_uA=0.5)), x)
-        assert not np.array_equal(base, nudged)
-
-    def test_raw_mode_keeps_the_imbalance_term(self):
-        # without reference columns the single-device offset shows through:
-        # delta = v_read * (a*pc + b*(n_pos - n_neg)) feeds the neuron
-        from oxcim.network import Activation, Dense, NetworkDescription
-        from oxcim.quant import TernaryTensor, popcount_oracle
-        from oxcim.device import sigmoid_neuron_voltage
-
-        gen = np.random.default_rng(13)
-        w = gen.choice([-1, 0, 1], size=(16, 10)).astype(np.int8)
-        net = NetworkDescription(
-            Precision.TERNARY, (1, 4, 4),
-            [Dense(10), Activation("sigmoid_output")],
-            [TernaryTensor(w, Precision.TERNARY), None])
-        a, b, v_read = 9e-6, 11e-6, 0.2
-        cfg = affine_config(a, b)
-        raw = map_network_to_tiles(net, cfg, imbalance_reference=False)
-        x = np.array([1] * 10 + [-1] * 2 + [0] * 4, dtype=np.int8)  # s = 8
-        gen.shuffle(x)
-        v = forward_hardware(raw, x.reshape(1, 4, 4))
-        gain = raw.mappings[0].gain_uA
-        s = int(x.sum())
-        for c in range(10):
-            pc = popcount_oracle(x, w[:, c])
-            delta = v_read * (a * pc + b * s) * 1e6
-            assert v[c] == pytest.approx(
-                sigmoid_neuron_voltage(delta / gain), rel=1e-12)
-
     def test_voltage_range_is_neuron_range(self):
         net = tiny_net()
         tiled = map_network_to_tiles(net, affine_config())
@@ -191,3 +153,18 @@ class TestForwardHardware:
             x = gen.choice([-1, 0, 1], size=(1, 4, 4)).astype(np.int8)
             v = forward_hardware(tiled, x, k)
             assert np.all(v >= 0.1) and np.all(v <= 0.1 + 1.5156)
+
+
+@pytest.mark.parametrize("precision", [Precision.BINARY, Precision.TERNARY])
+def test_both_passes_refuse_values_outside_the_precision(precision):
+    # 257 and -255 wrap to +1 in int8 and 0.5 truncates to 0: the values
+    # must be checked before the cast, and on the analog pass as well
+    net = tiny_net(precision, seed=12)
+    tiled = map_network_to_tiles(net, affine_config())
+    bad = [5, 257, -255, 0.5] + ([0] if precision is Precision.BINARY else [])
+    for value in bad:
+        x = np.full((1, 4, 4), value)
+        with pytest.raises(DomainError):
+            forward_ideal(net, x)
+        with pytest.raises(DomainError):
+            forward_hardware(tiled, x)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oxcim.errors import ConfigError, DomainError, ShapeError
-from oxcim.network import (Activation, Conv2D, Dense,
-                           NetworkDescription, ThermometricEncoder,
+from oxcim.network import (Activation, Conv2D, Dense, NetworkDescription,
                            conv_weight_matrix, encode_thermometric,
                            forward_ideal, im2col, lenet, maxpool,
                            predict_ideal, thermometric_trits)
@@ -68,12 +67,6 @@ class TestThermometric:
         assert set(np.unique(trits)) <= {-1, 1}
         assert np.all(trits[:, 0, 0] == -1)
         assert np.all(trits[:, 0, 1] == 1)
-
-    def test_encoder_validation(self):
-        with pytest.raises(ConfigError):
-            ThermometricEncoder(channels=3, thresholds=(1, 2))
-        with pytest.raises(ConfigError):
-            ThermometricEncoder(channels=2, thresholds=(5, 5))
 
 
 class TestConvLowering:

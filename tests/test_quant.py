@@ -5,8 +5,7 @@ import pytest
 
 from oxcim.errors import DomainError, ShapeError
 from oxcim.quant import (Precision, TernaryTensor, act_binary, act_ternary,
-                         gated_xnor, pack_trits, popcount_oracle,
-                         popcount_packed, quantize_weights, unpack_trits)
+                         gated_xnor, popcount_oracle, quantize_weights)
 
 TRITS = (-1, 0, 1)
 
@@ -102,36 +101,6 @@ class TestPopcount:
             assert abs(popcount_oracle(x, w)) <= both
 
 
-class TestPackedKernel:
-    def test_pack_roundtrip(self):
-        gen = np.random.default_rng(2)
-        for n in (1, 7, 64, 65, 200):
-            trits = gen.choice([-1, 0, 1], size=n).astype(np.int8)
-            assert np.array_equal(unpack_trits(pack_trits(trits)), trits)
-
-    def test_packed_agrees_with_oracle_exhaustive(self):
-        for n in (1, 2, 3, 4):
-            for x in itertools.product(TRITS, repeat=n):
-                xp = pack_trits(np.array(x, dtype=np.int8))
-                for w in itertools.product(TRITS, repeat=n):
-                    wp = pack_trits(np.array(w, dtype=np.int8))
-                    assert popcount_packed(xp, wp) == \
-                        popcount_oracle(list(x), list(w))
-
-    def test_packed_agrees_with_oracle_long(self):
-        gen = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(gen.integers(1, 500))
-            x = gen.choice([-1, 0, 1], size=n)
-            w = gen.choice([-1, 0, 1], size=n)
-            assert popcount_packed(pack_trits(x), pack_trits(w)) == \
-                popcount_oracle(x, w)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            popcount_packed(pack_trits([1]), pack_trits([1, 1]))
-
-
 class TestTernaryTensor:
     def test_binary_rejects_zero(self):
         with pytest.raises(DomainError):
@@ -140,6 +109,15 @@ class TestTernaryTensor:
     def test_ternary_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             TernaryTensor(np.array([2, 0]), Precision.TERNARY)
+
+    def test_values_checked_before_the_int8_cast(self):
+        # 257 and -255 share their low byte with +1; 0.5 truncates to 0
+        for bad in ([257, -255], [257], [0.5]):
+            for precision in Precision:
+                with pytest.raises(DomainError):
+                    TernaryTensor(np.array(bad), precision)
+        with pytest.raises(DomainError):
+            popcount_oracle([257], [1])
 
     def test_shape_and_reshape(self):
         t = TernaryTensor(np.ones((2, 3), dtype=np.int8), Precision.BINARY)

@@ -23,14 +23,6 @@ def test_cell_lattice_is_stable_under_shape():
     np.testing.assert_array_equal(big[:8, :8], small)
 
 
-def test_read_noise_independent_of_batching():
-    keys = rng.c2c_cell_key_grid(5, 9, 16, 4)
-    all_at_once = rng.read_noise_normals(keys, np.arange(10))
-    one_by_one = np.stack([rng.read_noise_normals(keys, [i])[0]
-                           for i in range(10)])
-    np.testing.assert_array_equal(all_at_once, one_by_one)
-
-
 def test_uniforms_open_interval():
     keys = rng.cell_keys(rng.stream_key(0, 1), 200, 200)
     u = rng.uniforms_from_keys(keys)

@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from oxcim.errors import ParseError
 from oxcim.network import lenet
-from oxcim.quant import Precision, TernaryTensor
+from oxcim.quant import Precision
 from oxcim.train import Trainer
 from oxcim.weightfile import dumps, load_network, loads, save_network
 from test_network import tiny_net
@@ -23,20 +22,18 @@ def nets_equal(a, b):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("encoding", ["pack64", "rle"])
     @pytest.mark.parametrize("precision", [Precision.BINARY, Precision.TERNARY])
-    def test_tiny_net(self, encoding, precision, tmp_path):
+    def test_tiny_net(self, precision, tmp_path):
         net = tiny_net(precision, seed=3)
         path = tmp_path / "w.qnn"
-        save_network(net, path, encoding=encoding)
+        save_network(net, path)
         again = load_network(path)
         assert nets_equal(net, again)
 
-    @pytest.mark.parametrize("encoding", ["pack64", "rle"])
-    def test_lenet(self, encoding, tmp_path):
+    def test_lenet(self, tmp_path):
         net = Trainer(lenet(Precision.TERNARY, r=0.25)).network()
         path = tmp_path / "w.qnn"
-        save_network(net, path, encoding=encoding)
+        save_network(net, path)
         again = load_network(path)
         assert nets_equal(net, again)
         assert again.layers[1].r == 0.25
@@ -45,18 +42,6 @@ class TestRoundTrip:
         net = tiny_net(Precision.TERNARY, seed=4)
         text = dumps(net)
         assert dumps(loads(text)) == text
-
-    @pytest.mark.parametrize("pattern", [
-        [1, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1], [0],
-        [1] * 25 + [0] * 13 + [-1], [1, 0, 1, 0, 0, 1],
-    ])
-    def test_rle_zero_adjacency(self, pattern):
-        # '0' doubles as a count digit; these patterns would misparse
-        # without the separator rule
-        from oxcim.weightfile import _rle_decode, _rle_encode
-        t = TernaryTensor(np.array(pattern, dtype=np.int8), Precision.TERNARY)
-        np.testing.assert_array_equal(_rle_decode(_rle_encode(t), len(pattern)),
-                                      pattern)
 
 
 class TestFormatErrors:
@@ -90,11 +75,15 @@ class TestFormatErrors:
         with pytest.raises(ParseError):
             loads(text)
 
-    def test_bad_rle_symbol(self):
-        net = tiny_net(Precision.TERNARY)
-        text = dumps(net, encoding="rle")
-        with pytest.raises(ParseError):
-            loads(text.replace(" rle ", " rle x", 1))
+    def test_unknown_encoding_names_line(self):
+        lines = dumps(tiny_net(Precision.TERNARY)).splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith("weights."))
+        for encoding in ("rle", "pack32", "PACK64"):
+            bad = lines.copy()
+            bad[i] = bad[i].replace(" pack64 ", f" {encoding} ", 1)
+            with pytest.raises(ParseError, match=f"'{encoding}'") as exc:
+                loads("\n".join(bad) + "\n")
+            assert exc.value.line == i + 1
 
     def test_layer_gap_rejected(self):
         text = dumps(tiny_net()).replace("layer.1", "layer.9")
