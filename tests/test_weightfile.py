@@ -21,19 +21,30 @@ def nets_equal(a, b):
     return True
 
 
+def weight_encodings(text):
+    return {line.split(" = ", 1)[1].split(" ", 1)[0]
+            for line in text.splitlines() if line.startswith("weights.")}
+
+
 class TestRoundTrip:
+    # pack64 is the one encoding the writer emits; the test checks the
+    # saved file names it on every weights record
+    @pytest.mark.parametrize("encoding", ["pack64"])
     @pytest.mark.parametrize("precision", [Precision.BINARY, Precision.TERNARY])
-    def test_tiny_net(self, precision, tmp_path):
+    def test_tiny_net(self, encoding, precision, tmp_path):
         net = tiny_net(precision, seed=3)
         path = tmp_path / "w.qnn"
         save_network(net, path)
+        assert weight_encodings(path.read_text()) == {encoding}
         again = load_network(path)
         assert nets_equal(net, again)
 
-    def test_lenet(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["pack64"])
+    def test_lenet(self, encoding, tmp_path):
         net = Trainer(lenet(Precision.TERNARY, r=0.25)).network()
         path = tmp_path / "w.qnn"
         save_network(net, path)
+        assert weight_encodings(path.read_text()) == {encoding}
         again = load_network(path)
         assert nets_equal(net, again)
         assert again.layers[1].r == 0.25
