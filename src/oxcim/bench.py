@@ -17,7 +17,7 @@ import csv
 import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class ConfusionMatrix:
     @property
     def overall_accuracy(self):
         return 100.0 * np.trace(self.counts) / max(self.total, 1)
-
-    def per_class_accuracy(self):
-        row = self.counts.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acc = np.diag(self.counts) / np.where(row > 0, row, 1)
-        return 100.0 * acc
 
     @classmethod
     def from_predictions(cls, truth, pred):

@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, sweep-sense, hist, encode-preview.  Every run
 writes a machine-readable manifest (key = value text) next to its outputs
-recording the exact command line, seeds and config/weight hashes, so any
-result can be reproduced from the manifest alone.
+recording the exact command line, seeds, config/weight hashes and the
+python, numpy and scipy versions, so any result can be reproduced from the
+manifest alone.
 
 BLAS thread pools are pinned to one thread before numpy loads: all
 parallelism goes through --threads (image-level workers with a fixed-order
@@ -119,8 +120,15 @@ def _file_digest(path):
 
 
 def _write_manifest(out_dir, argv, entries):
+    import platform
+
+    import numpy
+    import scipy
+
     lines = [f"command = oxcim {shlex.join(argv)}"]
     lines += [f"{k} = {v}" for k, v in entries]
+    lines += [f"python = {platform.python_version()}",
+              f"numpy = {numpy.__version__}", f"scipy = {scipy.__version__}"]
     path = os.path.join(out_dir, "manifest.txt")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -23,10 +23,23 @@ compared against.
 The column periphery is fixed: an ideal S/H pair, an ideal subtracting
 comparator and the measured sigmoid neuron of device.py.
 
+A column current is the sum of the gated cells' conductances.  That mean
+term is one BLAS matmul of the 0/1 gate matrix with [hi | lo], an
+error-free split of cell_g made at programming (see _exact_split): every
+partial sum of at most `rows` entries of one column of hi, or of lo, is a
+float64 number, so the sums are exact whatever order BLAS adds in, and
+hi_sum + lo_sum is the correctly rounded sum of the gated cell_g.  A READ
+therefore gives the same bits alone or in a batch of any size, through
+gemv or gemm, at any BLAS thread count; a plain matmul of cell_g does not
+(its rows move with the batch size).
+
 Cycle-to-cycle conductance noise is resampled per READ event, keyed by
 (config seed, array id, row, col, read id); device-to-device offsets are
-frozen when the tile is programmed.  Reads keep no state on the tile: a
-read that clamps draws to the conductance floor logs it and moves on.
+frozen when the tile is programmed.  Each (READ, gated cell) draws one
+normal, clamped so that the cell never reads below the mean/100 floor; the
+noise is summed per READ with np.add.reduceat, whose fresh accumulator per
+segment keeps it batch-independent, and added to the mean.  Reads keep no
+state on the tile: a read that clamps draws logs it and moves on.
 """
 
 import enum
@@ -39,7 +52,7 @@ from . import rng
 from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
     sample_device_conductance_grid
 from .errors import ConfigError, ShapeError
-from .quant import act_binary, act_ternary
+from .quant import _as_trits, act_binary, act_ternary
 
 log = logging.getLogger(__name__)
 
@@ -77,17 +90,22 @@ class CrossbarTile:
     """
 
     def __init__(self, config: DeviceConfig, cell_state, array_id=0):
-        trits = np.asarray(cell_state, dtype=np.int8)
+        trits = _as_trits(cell_state)
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
         self.config = config
         self.array_id = int(array_id)
         self.cell_state = trits
         self.rows, self.cols = trits.shape
-        mean, _, c2c, floor = config.grids_for(trits)
+        _, _, c2c, floor = config.grids_for(trits)
         self._c2c_sigma = c2c
-        self._floor = floor
         self.cell_g = sample_device_conductance_grid(config, trits, self.array_id)
+        self._split = _exact_split(self.cell_g, self.array_id)
+        # Lowest C2C offset per cell, rounded up so that cell_g + headroom
+        # (an exact sum, by Sterbenz) never lies below the floor.
+        head = floor - self.cell_g
+        self._headroom = np.where(self.cell_g + head < floor,
+                                  np.nextafter(head, np.inf), head)
         self._c2c_keys = rng.c2c_cell_key_grid(config.seed, self.array_id,
                                                self.rows, self.cols)
         self._has_c2c = bool(np.any(c2c > 0.0))
@@ -113,7 +131,7 @@ class CrossbarTile:
 
         +1 rows are gated on during t0, -1 rows during t1, 0 rows never.
         """
-        arr = np.asarray(x, dtype=np.int8)
+        arr = _as_trits(x)
         if arr.ndim != 1:
             raise ShapeError("input vector must be 1-D")
         rid = 2 * int(read_pair)
@@ -130,7 +148,7 @@ class CrossbarTile:
         calling vmm_two_phase per row (the per-cell noise is keyed, not
         sequential), just vectorized.
         """
-        xb = np.asarray(x_batch, dtype=np.int8)
+        xb = _as_trits(x_batch)
         if xb.ndim != 2:
             raise ShapeError("x_batch must be 2-D (batch, rows)")
         self._check_rows(xb.shape[1])
@@ -142,37 +160,67 @@ class CrossbarTile:
         return i_pos, i_neg
 
     def _read_phases(self, gates, read_ids):
-        P = gates.shape[0]
-        out = np.zeros((P, self.cols), dtype=np.float64)
+        # Exact in any order (module docstring): one rounding, of hi + lo.
+        halves = gates.astype(np.float64) @ self._split
+        out = halves[:, :self.cols] + halves[:, self.cols:]
+        if self._has_c2c:
+            self._add_c2c(out, gates, read_ids)
+        return out * (self.config.v_read * A_TO_UA)
+
+    def _add_c2c(self, out, gates, read_ids):
+        """Add the clamped C2C noise of every gated cell to its read's row."""
         pat, rat = np.nonzero(gates)  # active (pattern, row) pairs, row-major
         if pat.size == 0:
-            return out
-        g_read = self.cell_g[rat, :]
-        if self._has_c2c:
-            # One keyed draw per (read event, cell); gated-off cells are
-            # never sampled, which leaves their stream untouched.
-            words = rng.read_event_words(read_ids)
-            z = rng.normals_consuming_keys(self._c2c_keys[rat, :] ^ words[pat, None])
-            z *= self._c2c_sigma[rat, :]
-            g_read = g_read + z
-            g_read, n = clamp_floor(g_read, self._floor[rat, :])
-            if n:
-                log.debug("array %d: %d of %d read draws clamped",
-                          self.array_id, n, g_read.size)
-                if g_read.size > 1000 and n > CLAMP_WARN_FRACTION * g_read.size:
-                    log.warning(
-                        "variability overflow: array %d clamped %d of %d read "
-                        "draws to the mean/100 floor; states sit too close to "
-                        "zero conductance for their sigmas", self.array_id, n,
-                        g_read.size)
-        # Segment-sum rows of g_read back onto their pattern index.  reduceat
+            return
+        # One keyed draw per (read event, gated cell); gated-off cells are
+        # never sampled, which leaves their stream untouched.
+        words = rng.read_event_words(read_ids)
+        z = rng.normals_consuming_keys(self._c2c_keys[rat, :] ^ words[pat, None])
+        z *= self._c2c_sigma[rat, :]
+        z, n = clamp_floor(z, self._headroom[rat, :])
+        if n:
+            log.debug("array %d: %d of %d read draws clamped",
+                      self.array_id, n, z.size)
+            if z.size > 1000 and n > CLAMP_WARN_FRACTION * z.size:
+                log.warning(
+                    "variability overflow: array %d clamped %d of %d read "
+                    "draws to the mean/100 floor; states sit too close to "
+                    "zero conductance for their sigmas", self.array_id, n,
+                    z.size)
+        # Segment-sum the noise rows back onto their pattern index.  reduceat
         # sums every segment from a fresh accumulator, so each pattern's
-        # current is bit-identical whether it is read alone or in a batch.
-        counts = np.bincount(pat, minlength=P)
+        # noise is bit-identical whether it is read alone or in a batch.
+        counts = np.bincount(pat, minlength=gates.shape[0])
         nonempty = counts > 0
         starts = np.cumsum(counts) - counts
-        out[nonempty, :] = np.add.reduceat(g_read, starts[nonempty], axis=0)
-        return out * (self.config.v_read * A_TO_UA)
+        out[nonempty, :] += np.add.reduceat(z, starts[nonempty], axis=0)
+
+
+def _exact_split(g, array_id):
+    """[hi | lo] with g == hi + lo and every column sum of either exact.
+
+    Per column c, hi is g rounded to a multiple of u_c = 2**(e_c + L - 53),
+    where g < 2**e_c and 2**L >= rows: any sum of at most rows entries of
+    hi is an integer multiple of u_c no larger than 2**53 * u_c.  lo = g - hi
+    is exact (the ExtractScalar step of Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 2005), at most u_c / 2 in size and a multiple of the ulp of the
+    column minimum, so its sums stay exact while max/min < about
+    2**(54 - 2L); a wider column raises ConfigError.
+    """
+    rows = g.shape[0]
+    L = (rows - 1).bit_length()
+    _, e_max = np.frexp(g.max(axis=0))
+    _, e_min = np.frexp(g.min(axis=0))
+    wide = np.flatnonzero(e_max - e_min > 54 - 2 * L)
+    if wide.size:
+        c = int(wide[0])
+        raise ConfigError(
+            f"array {array_id} column {c}: conductances from {g[:, c].min()!r} "
+            f"to {g[:, c].max()!r} S span more than 2**{54 - 2 * L}, too wide "
+            f"for exact {rows}-row column sums")
+    u = np.ldexp(1.0, e_max + L - 53)
+    hi = np.rint(g / u) * u
+    return np.concatenate([hi, g - hi], axis=1)
 
 
 def sense_to_activation(result, mode, r=0.5, gain_uA=1.0):

@@ -82,7 +82,6 @@ class LayerMapping:
 class TiledNetwork:
     net: object
     config: object
-    max_tile: tuple
     mappings: dict  # layer_index -> LayerMapping
 
     def all_cells(self):
@@ -142,8 +141,7 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
                     TilePlacement(tile, r0, c0, block.shape[1]))
                 array_id += 1
         mappings[li] = mapping
-    return TiledNetwork(net=net, config=config, max_tile=tuple(max_tile),
-                        mappings=mappings)
+    return TiledNetwork(net=net, config=config, mappings=mappings)
 
 
 def _layer_delta(mapping, patches, read_pairs):

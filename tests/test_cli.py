@@ -1,9 +1,12 @@
 import csv
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from oxcim import weightfile
 from oxcim.cli import main
@@ -79,6 +82,11 @@ class TestEval:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "config_sha" in manifest
         assert "weights_sha" in manifest
+        entries = dict(line.split(" = ", 1)
+                       for line in manifest.splitlines())
+        assert entries["python"] == platform.python_version()
+        assert entries["numpy"] == np.__version__
+        assert entries["scipy"] == scipy.__version__
 
     def test_seed_list(self, data_dir, weights_path, tmp_path):
         code = run_cli("eval", "--mode", "hardware", "--weights", weights_path,

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oxcim.crossbar import (ActivationMode, CrossbarTile, SenseResult,
-                            sense_to_activation)
+from oxcim.crossbar import (A_TO_UA, ActivationMode, CrossbarTile,
+                            SenseResult, sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
-from oxcim.errors import ConfigError, ShapeError
+from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.quant import popcount_oracle
 
 TRITS = (-1, 0, 1)
@@ -45,6 +48,84 @@ class TestReadPhase:
         tile = CrossbarTile(affine_config(), np.ones((4, 2), dtype=np.int8))
         with pytest.raises(ShapeError):
             tile.read_phase(np.zeros(3, dtype=bool), 0)
+
+
+def without_c2c(cfg):
+    """cfg with its C2C sigmas zeroed; D2D spread and seed kept."""
+    states = {t: dataclasses.replace(s, c2c_sigma_S=0.0)
+              for t, s in cfg.states.items()}
+    return dataclasses.replace(cfg, states=states)
+
+
+class TestExactColumnSums:
+    """The mean term of a READ is the correctly rounded sum of cell_g."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 4),
+           span=st.integers(0, 30), d2d=st.sampled_from([0.0, 0.05, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_c2c_currents_equal_fsum(self, rows, cols, span, d2d, seed):
+        # -1 and +1 means 2**(span + 1) apart, plus D2D spread, so the lo
+        # halves carry bits
+        m = 50e-6
+        means = {-1: m * 2.0**-(span + 1), 0: m * 2.0**-((span + 1) / 2),
+                 1: m}
+        cfg = DeviceConfig("HRS", {t: MlcStateModel(f"s{t:+d}", g, d2d * g)
+                                   for t, g in means.items()}, seed=seed)
+        gen = np.random.default_rng(seed)
+        tile = CrossbarTile(cfg, gen.integers(-1, 2, size=(rows, cols)),
+                            array_id=3)
+        x = gen.integers(-1, 2, size=(40, rows))
+        x[gen.random((40, rows)) < gen.random()] = 1  # denser t0 gates
+        i_pos, i_neg = tile.vmm_batch(x, np.arange(40))
+        scale = cfg.v_read * A_TO_UA
+        for p in range(40):
+            for c in range(cols):
+                assert i_pos[p, c] == \
+                    math.fsum(tile.cell_g[x[p] > 0, c]) * scale
+                assert i_neg[p, c] == \
+                    math.fsum(tile.cell_g[x[p] < 0, c]) * scale
+
+    @pytest.mark.parametrize("rows", [1, 5, 63, 64])
+    @pytest.mark.parametrize("c2c", [True, False], ids=["c2c", "no_c2c"])
+    def test_lone_read_equals_every_batch(self, rows, c2c):
+        cfg = default_device_config("hrs")
+        if not c2c:
+            cfg = without_c2c(cfg)
+        gen = np.random.default_rng(rows)
+        tile = CrossbarTile(cfg, gen.integers(-1, 2, size=(rows, 6)),
+                            array_id=9)
+        x = gen.integers(-1, 2, size=(333, rows))
+        pairs = np.arange(1000, 1333)
+        k = 200
+        lone = tile.vmm_two_phase(x[k], read_pair=int(pairs[k]))
+        for n in (1, 2, 7, 50, 333):
+            s = min(k - n // 2, 333 - n)
+            i_pos, i_neg = tile.vmm_batch(x[s:s + n], pairs[s:s + n])
+            np.testing.assert_array_equal(i_pos[k - s], lone.i_pos_uA)
+            np.testing.assert_array_equal(i_neg[k - s], lone.i_neg_uA)
+
+    @pytest.mark.parametrize("rows, span, fits", [
+        (64, 42, True), (64, 43, False), (8, 48, True), (8, 49, False)])
+    def test_column_span_bound(self, rows, span, fits):
+        # exponents of the two means differ by span; an exact sum of rows
+        # entries allows a difference of 54 - 2 * ceil(log2(rows))
+        hi = np.nextafter(2.0**-10, 0.0)  # full mantissa, so lo != 0
+        lo = np.nextafter(2.0**-(10 + span), 0.0)
+        cfg = DeviceConfig("HRS", {-1: MlcStateModel("lo", lo),
+                                   1: MlcStateModel("hi", hi)})
+        w = np.ones((rows, 2), dtype=np.int8)
+        w[0, 0] = -1  # column 0 holds both states, column 1 only one
+        if not fits:
+            with pytest.raises(ConfigError, match="column 0"):
+                CrossbarTile(cfg, w)
+            return
+        tile = CrossbarTile(cfg, w)
+        x = np.ones((1, rows), dtype=np.int8)
+        i_pos, _ = tile.vmm_batch(x, [0])
+        for c in range(2):
+            assert i_pos[0, c] == \
+                math.fsum(tile.cell_g[:, c]) * (cfg.v_read * A_TO_UA)
 
 
 class TestVmmTwoPhase:
@@ -255,6 +336,18 @@ class TestTileValidation:
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):
             CrossbarTile(affine_config(), np.ones(4, dtype=np.int8))
+
+    def test_values_checked_before_the_int8_cast(self):
+        # 257 and -255 share their low byte with +1; 0.5 truncates to 0
+        cfg = affine_config()
+        with pytest.raises(DomainError):
+            CrossbarTile(cfg, [[257], [-255]])
+        tile = CrossbarTile(cfg, np.ones((2, 1), dtype=np.int8))
+        for bad in ([0.5, 1], [257, 0], [np.nan, 1]):
+            with pytest.raises(DomainError):
+                tile.vmm_two_phase(bad)
+            with pytest.raises(DomainError):
+                tile.vmm_batch([bad], [0])
 
     def test_cell_conductance_tracks_state(self):
         cfg = affine_config(d2d=0.0)

@@ -10,6 +10,7 @@ from oxcim.device import (CLAMP_FLOOR_FRACTION, DeviceConfig, MlcStateModel,
                           sample_device_conductance,
                           sample_device_conductance_grid, save_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
+from oxcim import rng
 from oxcim.crossbar import A_TO_UA, CrossbarTile
 from oxcim.errors import ConfigError, DomainError, ParseError
 from oxcim.quant import Precision
@@ -103,6 +104,29 @@ class TestReadSampling:
         a = tile.read_phase([True], read_id=0)
         b = tile.read_phase([True], read_id=1)
         assert a[0] != b[0]
+
+    def test_clamped_reads_sit_on_the_floor(self):
+        # C2C sigma equal to the mean clamps about 16% of reads.  Reference:
+        # each read as max(cell_g + sigma * z, floor) from the same keyed z.
+        # The clamp offset floor - cell_g is rounded up at the scale of
+        # cell_g, so a clamped read may sit one ulp of cell_g above the
+        # floor, never below it.
+        tile = _one_cell_tile(c2c=50e-6)
+        n = 20_000
+        i_pos, _ = tile.vmm_batch(np.ones((n, 1), dtype=np.int8), np.arange(n))
+        z = rng.normals_from_keys(
+            rng.c2c_cell_key_grid(0, 1, 1, 1)[0, 0]
+            ^ rng.read_event_words(2 * np.arange(n)))
+        g, floor = tile.cell_g[0, 0], 50e-6 * CLAMP_FLOOR_FRACTION
+        scale = tile.config.v_read * A_TO_UA
+        ref = np.maximum(g + 50e-6 * z, floor)
+        clamped = ref == floor
+        assert clamped.mean() > 0.1
+        assert np.all(i_pos[:, 0] >= floor * scale)
+        np.testing.assert_array_equal(i_pos[~clamped, 0],
+                                      ref[~clamped] * scale)
+        assert np.all(np.abs(i_pos[clamped, 0] - floor * scale)
+                      <= np.spacing(g * scale))
 
     def test_read_variance_matches_c2c(self):
         # the tile's own READ path; config seed, array id and the read

@@ -112,12 +112,22 @@ class TestTernaryTensor:
 
     def test_values_checked_before_the_int8_cast(self):
         # 257 and -255 share their low byte with +1; 0.5 truncates to 0
-        for bad in ([257, -255], [257], [0.5]):
+        for bad in ([257, -255], [257], [0.5], [np.nan, 1], [-np.inf]):
             for precision in Precision:
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match="not allowed"):
                     TernaryTensor(np.array(bad), precision)
         with pytest.raises(DomainError):
             popcount_oracle([257], [1])
+
+    def test_integral_floats_and_bools_are_trits(self):
+        t = TernaryTensor(np.array([1.0, -1.0, 0.0]), Precision.TERNARY)
+        assert t.data.dtype == np.int8
+        np.testing.assert_array_equal(t.data, [1, -1, 0])
+        np.testing.assert_array_equal(
+            TernaryTensor(np.array([True, False]), Precision.TERNARY).data,
+            [1, 0])
+        with pytest.raises(DomainError):
+            TernaryTensor(np.array([True, False]), Precision.BINARY)
 
     def test_shape_and_reshape(self):
         t = TernaryTensor(np.ones((2, 3), dtype=np.int8), Precision.BINARY)
