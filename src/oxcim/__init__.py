@@ -7,13 +7,11 @@ popcount the hardware is supposed to compute.
 """
 
 from .quant import (Precision, TernaryTensor, act_binary, act_ternary,
-                    gated_xnor, popcount_oracle, quantize_weights)
-from .device import (DeviceConfig, MlcStateModel, SigmoidNeuronModel,
-                     default_device_config, load_device_config,
-                     parse_device_config, save_device_config, sigmoid_ideal,
-                     sigmoid_neuron_voltage)
-from .crossbar import (ActivationMode, CrossbarTile, SenseResult,
-                       sense_to_activation)
+                    popcount_oracle, quantize_weights)
+from .device import (DeviceConfig, MlcStateModel, default_device_config,
+                     load_device_config, parse_device_config,
+                     save_device_config, sigmoid_ideal, sigmoid_neuron_voltage)
+from .crossbar import ActivationMode, CrossbarTile, sense_to_activation
 from .network import (Activation, Conv2D, Dense, MaxPool2D,
                       NetworkDescription, encode_thermometric, forward_ideal,
                       im2col, lenet, predict_ideal, thermometric_trits)

@@ -72,6 +72,8 @@ class ExperimentSpec:
             raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.limit is not None and self.limit < 1:
+            raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if self.seeds is None:
             self.seeds = [self.config.seed + i for i in range(self.trials)]
         if len(self.seeds) != self.trials:
@@ -169,8 +171,8 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
         w = trit_pool[gen.integers(0, trit_pool.size, size=(rows_n, cols_n))]
         x = trit_pool[gen.integers(0, trit_pool.size, size=rows_n)]
         tile = CrossbarTile(config, w, array_id=s + 1)
-        res = tile.vmm_two_phase(x, read_pair=0)
-        delta = res.delta_uA
+        i_pos, i_neg = tile.vmm_batch(x[None], [0])
+        delta = i_pos[0] - i_neg[0]
         v = sigmoid_neuron_voltage(delta / gain_uA)
         n_pos = int(np.count_nonzero(x > 0))
         n_neg = int(np.count_nonzero(x < 0))

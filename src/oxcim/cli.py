@@ -108,7 +108,7 @@ def _load_config(spec_text, seed_override=None):
         digest = cfg.digest()
     else:
         cfg = device.load_device_config(spec_text)
-        digest = device.config_file_digest(spec_text)
+        digest = _file_digest(spec_text)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg, digest
@@ -151,6 +151,8 @@ def _cmd_train(args, argv):
     from .quant import Precision
     from .train import TrainConfig, train
 
+    if args.limit is not None and args.limit < 1:
+        raise SystemExit2(f"--limit must be >= 1, got {args.limit}")
     store = load_dataset_dir(args.data)
     images, labels = store.train_images, store.train_labels
     if args.limit is not None:

@@ -20,8 +20,11 @@ the term with per-tile reference columns (see hardware.py), and the
 digital popcount oracle in quant.py is the reference everything here is
 compared against.
 
-The column periphery is fixed: an ideal S/H pair, an ideal subtracting
-comparator and the measured sigmoid neuron of device.py.
+CrossbarTile.vmm_batch is the tile's one READ: it takes a batch of input
+vectors with one read-pair id each and returns both phase currents, so a
+single vector is a batch of one.  The column periphery is fixed: an ideal
+S/H pair, an ideal subtracting comparator and the measured sigmoid neuron
+of device.py.
 
 A column current is the sum of the gated cells' conductances.  That mean
 term is one BLAS matmul of the 0/1 gate matrix with [hi | lo], an
@@ -44,7 +47,6 @@ state on the tile: a read that clamps draws logs it and moves on.
 
 import enum
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +64,6 @@ A_TO_UA = 1e6
 # configs the floor sits several combined sigmas below every state mean and
 # clamps stay in the 1e-5 regime.
 CLAMP_WARN_FRACTION = 1e-3
-
-
-@dataclass
-class SenseResult:
-    """Per-column currents of the two READ phases."""
-
-    i_pos_uA: np.ndarray
-    i_neg_uA: np.ndarray
-
-    @property
-    def delta_uA(self):
-        return self.i_pos_uA - self.i_neg_uA
 
 
 class ActivationMode(enum.Enum):
@@ -110,56 +100,31 @@ class CrossbarTile:
                                                self.rows, self.cols)
         self._has_c2c = bool(np.any(c2c > 0.0))
 
-    def _check_rows(self, n):
-        if n != self.rows:
-            raise ShapeError(f"input length {n} != tile rows {self.rows}")
-
-    def read_phase(self, gates, read_id):
-        """One READ: column currents (uA) with the given rows gated on.
-
-        Fresh C2C noise per cell for this read_id; conductances clamped to
-        the positive floor before summation.  Shares the batch code path so
-        a lone read is bit-identical to the same read inside a batch.
-        """
-        g = np.asarray(gates, dtype=bool)
-        self._check_rows(g.shape[0])
-        return self._read_phases(g[None, :], np.asarray([read_id],
-                                                        dtype=np.uint64))[0]
-
-    def vmm_two_phase(self, x, read_pair=0):
-        """Both READ phases for one input vector; returns the sense result.
-
-        +1 rows are gated on during t0, -1 rows during t1, 0 rows never.
-        """
-        arr = _as_trits(x)
-        if arr.ndim != 1:
-            raise ShapeError("input vector must be 1-D")
-        rid = 2 * int(read_pair)
-        return SenseResult(i_pos_uA=self.read_phase(arr > 0, rid),
-                           i_neg_uA=self.read_phase(arr < 0, rid + 1))
-
     def vmm_batch(self, x_batch, read_pairs):
         """Two-phase VMM for a batch of input vectors.
 
         x_batch    : (P, rows) trit matrix
         read_pairs : (P,) integer read-pair ids; READ ids are 2p and 2p+1
 
-        Returns (i_pos, i_neg), each (P, cols) in uA.  Exactly equivalent to
-        calling vmm_two_phase per row (the per-cell noise is keyed, not
-        sequential), just vectorized.
+        Returns (i_pos, i_neg), each (P, cols) in uA.  +1 rows are gated on
+        during READ 2p, -1 rows during READ 2p+1, 0 rows never.  Each row's
+        currents are the same bits whatever batch it is read in: the mean
+        is an exact sum and the per-cell noise is keyed, not sequential.
         """
         xb = _as_trits(x_batch)
         if xb.ndim != 2:
             raise ShapeError("x_batch must be 2-D (batch, rows)")
-        self._check_rows(xb.shape[1])
+        if xb.shape[1] != self.rows:
+            raise ShapeError(f"input length {xb.shape[1]} != tile rows "
+                             f"{self.rows}")
         pairs = np.asarray(read_pairs, dtype=np.uint64)
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
-        i_pos = self._read_phases(xb > 0, 2 * pairs)
-        i_neg = self._read_phases(xb < 0, 2 * pairs + np.uint64(1))
+        i_pos = self._read(xb > 0, 2 * pairs)
+        i_neg = self._read(xb < 0, 2 * pairs + np.uint64(1))
         return i_pos, i_neg
 
-    def _read_phases(self, gates, read_ids):
+    def _read(self, gates, read_ids):
         # Exact in any order (module docstring): one rounding, of hi + lo.
         halves = gates.astype(np.float64) @ self._split
         out = halves[:, :self.cols] + halves[:, self.cols:]
@@ -223,17 +188,18 @@ def _exact_split(g, array_id):
     return np.concatenate([hi, g - hi], axis=1)
 
 
-def sense_to_activation(result, mode, r=0.5, gain_uA=1.0):
-    """Convert a sense result into activations or neuron voltages.
+def sense_to_activation(delta_uA, mode, r=0.5, gain_uA=1.0):
+    """Convert differential column currents into activations or voltages.
 
-    gain_uA is the comparator-output scale in microamps per activation unit:
-    the activation functions see delta / gain_uA.  For OUTPUT_SIGMOID the
+    delta_uA is i_pos - i_neg of a two-phase READ.  gain_uA is the
+    comparator-output scale in microamps per activation unit: the
+    activation functions see delta / gain_uA.  For OUTPUT_SIGMOID the
     scaled value is the neuron input current in uA and the neuron voltages
     are returned.
     """
     if not (gain_uA > 0.0):
         raise ConfigError(f"gain must be > 0, got {gain_uA}")
-    u = result.delta_uA / gain_uA
+    u = np.asarray(delta_uA) / gain_uA
     if mode is ActivationMode.HIDDEN_BINARY:
         return act_binary(u)
     if mode is ActivationMode.HIDDEN_TERNARY:

@@ -46,10 +46,13 @@ class MlcStateModel:
     c2c_sigma_S: float = 0.0
 
     def __post_init__(self):
-        if not (self.mean_S > 0.0):
-            raise ConfigError(f"state {self.label}: mean conductance must be > 0")
-        if self.d2d_sigma_S < 0.0 or self.c2c_sigma_S < 0.0:
-            raise ConfigError(f"state {self.label}: sigmas must be >= 0")
+        if not (0.0 < self.mean_S < np.inf):
+            raise ConfigError(
+                f"state {self.label}: mean conductance must be finite and > 0")
+        if not (0.0 <= self.d2d_sigma_S < np.inf
+                and 0.0 <= self.c2c_sigma_S < np.inf):
+            raise ConfigError(f"state {self.label}: sigmas must be finite "
+                              f"and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,8 @@ class DeviceConfig:
             raise ConfigError(
                 f"state means must increase with the trit: {list(zip(present, means))}"
             )
-        if not (self.v_read > 0.0):
-            raise ConfigError("v_read must be > 0")
+        if not (0.0 < self.v_read < np.inf):
+            raise ConfigError("v_read must be finite and > 0")
 
     def state_for(self, trit):
         try:
@@ -163,24 +166,6 @@ def clamp_floor(g, floor):
     return g, n
 
 
-def sample_device_conductance(state, seed, array_id, row, col):
-    """Device conductance for one cell: mean + N(0, d2d), clamped positive.
-
-    Keyed by (seed, array, row, col): querying the same cell twice returns
-    the identical value.
-    """
-    z = rng.normals_from_keys(
-        rng.fold(rng.stream_key(seed, rng.TAG_D2D, array_id),
-                 (np.uint64(row) << np.uint64(32)) | np.uint64(col))
-    )
-    g = np.asarray(state.mean_S + state.d2d_sigma_S * float(z))
-    g, n = clamp_floor(g, state.mean_S * CLAMP_FLOOR_FRACTION)
-    if n:
-        log.warning("variability overflow: D2D draw for cell (%d,%d) of array %d "
-                    "clamped to the mean/100 floor", row, col, array_id)
-    return float(g)
-
-
 def sample_device_conductance_grid(config, state_grid, array_id):
     """Device conductances for a whole trit grid, D2D noise keyed per cell."""
     trits = np.asarray(state_grid)
@@ -207,27 +192,6 @@ MEASURED_MIDPOINT_UA = 1.56
 MEASURED_OFFSET_V = 0.1
 
 
-@dataclass(frozen=True)
-class SigmoidNeuronModel:
-    """Current-in, voltage-out sigmoidal transfer: offset + A * sigmoid(i - mid)."""
-
-    amplitude_V: float = MEASURED_AMPLITUDE_V
-    midpoint_uA: float = MEASURED_MIDPOINT_UA
-    offset_V: float = MEASURED_OFFSET_V
-
-    def __post_init__(self):
-        if not (self.amplitude_V > 0.0):
-            raise ConfigError("neuron amplitude must be > 0")
-
-    @classmethod
-    def measured(cls):
-        return cls()
-
-    @classmethod
-    def ideal(cls):
-        return cls(amplitude_V=1.0, midpoint_uA=0.0, offset_V=0.0)
-
-
 def sigmoid_ideal(x):
     """Numerically stable logistic 1 / (1 + exp(-x)), strictly in (0, 1)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -241,13 +205,13 @@ def sigmoid_ideal(x):
     return out[()] if np.ndim(x) == 0 else out
 
 
-def sigmoid_neuron_voltage(i_input_uA, model=None):
-    """Neuron output voltage for a column current given in microamps."""
-    m = model or SigmoidNeuronModel.measured()
+def sigmoid_neuron_voltage(i_input_uA):
+    """Measured neuron voltage, offset + A * sigmoid(i - mid), for i in uA."""
     arr = np.asarray(i_input_uA, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("neuron input current must be finite")
-    v = m.offset_V + m.amplitude_V * sigmoid_ideal(arr - m.midpoint_uA)
+    v = MEASURED_OFFSET_V + MEASURED_AMPLITUDE_V \
+        * sigmoid_ideal(arr - MEASURED_MIDPOINT_UA)
     return v[()] if np.ndim(i_input_uA) == 0 else v
 
 
@@ -310,16 +274,16 @@ def parse_device_config(text, name="<string>"):
 
     if "region" not in scalars:
         raise ParseError("missing required key 'region'", path=name)
-    states = {}
     for trit, vals in state_vals.items():
         missing = [f for f in _STATE_FIELDS if f not in vals]
         if missing:
             raise ParseError(
                 f"state {trit:+d} missing fields {missing}", path=name)
-        label = f"{scalars['region']}_{trit:+d}"
-        states[trit] = MlcStateModel(label, vals["mean_S"],
-                                     vals["d2d_sigma_S"], vals["c2c_sigma_S"])
     try:
+        states = {trit: MlcStateModel(f"{scalars['region']}_{trit:+d}",
+                                      vals["mean_S"], vals["d2d_sigma_S"],
+                                      vals["c2c_sigma_S"])
+                  for trit, vals in state_vals.items()}
         return DeviceConfig(
             region=scalars["region"],
             states=states,
@@ -351,9 +315,3 @@ def default_device_config(which):
     ref = resources.files(__package__).joinpath("configs", f"{key}_default.cfg")
     return parse_device_config(ref.read_text(encoding="utf-8"),
                                name=f"{key}_default")
-
-
-def config_file_digest(path):
-    """sha256 (hex, first 16 chars) of the raw config file bytes."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]

@@ -115,14 +115,6 @@ def act_ternary(x, r):
     return out[()] if np.ndim(x) == 0 else out
 
 
-def gated_xnor(x, w):
-    """Trit product: 0 when either input is 0, XNOR polarity otherwise."""
-    xi, wi = int(x), int(w)
-    if xi not in (-1, 0, 1) or wi not in (-1, 0, 1):
-        raise DomainError(f"gated_xnor operands must be trits, got {x}, {w}")
-    return xi * wi
-
-
 def popcount_oracle(x, w):
     """Exact integer dot product of two 1-D trit vectors (the digital oracle)."""
     xa = x.data if isinstance(x, TernaryTensor) else _as_trits(x)

@@ -30,14 +30,17 @@ from .quant import quantize_weights
 from .quant import act_binary, act_ternary  # noqa: F401
 
 
+# Adam moment decays and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_r: float = 0.5   # ternary weight-quantization dead band
     val_fraction: float = 0.1
     seed: int = 0
@@ -83,23 +86,22 @@ def _unpool(a, sizes, dval):
 
 
 class _Adam:
-    def __init__(self, shapes, cfg):
+    def __init__(self, shapes, lr):
         self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
         self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
         self.t = 0
-        self.cfg = cfg
+        self.lr = lr
 
     def step(self, params, grads):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             np.clip(p, -1.0, 1.0, out=p)
 
 
@@ -115,7 +117,7 @@ class Trainer:
             self.rng.uniform(-0.9, 0.9, size=self.net.plan[i].weight_shape)
             for i in self.net.parametric_indices()
         ]
-        self.opt = _Adam([p.shape for p in self.params], self.cfg)
+        self.opt = _Adam([p.shape for p in self.params], self.cfg.lr)
 
     def quantized_weights(self):
         """Current latent weights quantized to TernaryTensors."""

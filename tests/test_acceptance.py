@@ -18,8 +18,8 @@ import pytest
 
 from oxcim.bench import ExperimentSpec, run_accuracy, sweep_sense_distribution
 from oxcim.crossbar import CrossbarTile
-from oxcim.device import (SigmoidNeuronModel, default_device_config,
-                          sigmoid_neuron_voltage)
+from oxcim.device import (MEASURED_AMPLITUDE_V, MEASURED_MIDPOINT_UA,
+                          default_device_config, sigmoid_neuron_voltage)
 from oxcim.hardware import map_network_to_tiles, predict_hardware
 from oxcim.network import forward_ideal, lenet
 from oxcim.quant import Precision, popcount_oracle
@@ -79,7 +79,8 @@ def test_c2_balanced_sign_fidelity_exhaustive():
     assert len(balanced) == 6
     checked = 0
     for k, x in enumerate(balanced):
-        delta = tile.vmm_two_phase(x, read_pair=k).delta_uA
+        i_pos, i_neg = tile.vmm_batch(x[None], [k])
+        delta = i_pos[0] - i_neg[0]
         for c, w in enumerate(columns):
             pc = popcount_oracle(x, w)
             if pc != 0:
@@ -117,13 +118,12 @@ def test_c4_sigmoid_neuron():
     assert np.all(np.diff(v) >= 0)
     assert v[0] >= lo and v[0] - lo < 1e-12
     assert v[-1] <= hi and hi - v[-1] < 1e-12
-    m = SigmoidNeuronModel.measured()
     for point in (-2.0, 0.0, 1.56, 4.0):
         h = 1e-6
         fd = (sigmoid_neuron_voltage(point + h)
               - sigmoid_neuron_voltage(point - h)) / (2 * h)
-        s = 1.0 / (1.0 + np.exp(-(point - m.midpoint_uA)))
-        analytic = m.amplitude_V * s * (1.0 - s)
+        s = 1.0 / (1.0 + np.exp(-(point - MEASURED_MIDPOINT_UA)))
+        analytic = MEASURED_AMPLITUDE_V * s * (1.0 - s)
         assert fd == pytest.approx(analytic, rel=1e-6)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import platform
 import subprocess
@@ -30,6 +31,12 @@ def weights_path(tmp_path_factory):
     return str(path)
 
 
+# sha256 of sense.csv for sweep-sense --dims 3x3 --precision binary
+# --samples 200 --seed 11 on the packaged hrs config
+SWEEP_3X3_SHA256 = \
+    "9d34668c2269db7219a86768398d50b7446be4142af9f511a18de6546ac0a292"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -55,6 +62,23 @@ class TestUsageErrors:
                        "--data", str(tmp_path), "--out-dir", str(tmp_path))
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_eval_limit_below_one_is_diagnosed(self, data_dir, weights_path,
+                                               tmp_path, capsys, limit):
+        code = run_cli("eval", "--mode", "ideal", "--weights", weights_path,
+                       "--data", data_dir, "--limit", limit,
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "oxcim: error: limit must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_train_limit_below_one_exits_2(self, data_dir, tmp_path, limit):
+        code = run_cli("train", "--data", data_dir, "--precision", "ternary",
+                       "--epochs", "1", "--limit", limit,
+                       "--out-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "weights.qnn").exists()
 
 
 class TestEval:
@@ -171,3 +195,6 @@ class TestDeterminism:
             assert code == 0
             blobs.append((out_dir / "sense.csv").read_bytes())
         assert blobs[0] == blobs[1]
+        # recorded while the sweep still read through a per-vector tile
+        # method; vmm_batch with a batch of one must give the same bits
+        assert hashlib.sha256(blobs[0]).hexdigest() == SWEEP_3X3_SHA256

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxcim.crossbar import (A_TO_UA, ActivationMode, CrossbarTile,
-                            SenseResult, sense_to_activation)
+                            sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.quant import popcount_oracle
@@ -23,10 +23,23 @@ def affine_config(a=9e-6, b=11e-6, v_read=0.2, d2d=0.0, c2c=0.0, seed=0):
     return DeviceConfig("HRS", states, v_read=v_read, seed=seed)
 
 
+def read_one(tile, x, read_pair=0):
+    """(i_pos, i_neg) of one input vector, read as a batch of one."""
+    i_pos, i_neg = tile.vmm_batch(np.asarray(x, dtype=np.int8)[None],
+                                  [read_pair])
+    return i_pos[0], i_neg[0]
+
+
+def delta_one(tile, x, read_pair=0):
+    i_pos, i_neg = read_one(tile, x, read_pair)
+    return i_pos - i_neg
+
+
 class TestReadPhase:
+    # a t0 READ with gates g is the input g as 0/+1 trits, seen on i_pos
     def test_all_gates_off(self):
         tile = CrossbarTile(affine_config(), np.ones((4, 3), dtype=np.int8))
-        i = tile.read_phase(np.zeros(4, dtype=bool), read_id=0)
+        i, _ = read_one(tile, np.zeros(4))
         np.testing.assert_array_equal(i, np.zeros(3))
 
     def test_single_gate_ohms_law(self):
@@ -35,19 +48,19 @@ class TestReadPhase:
                                    1: MlcStateModel("hi", 100e-6)}, v_read=0.2)
         tile = CrossbarTile(cfg, np.array([[1], [1]], dtype=np.int8))
         gates = np.array([True, False])
-        np.testing.assert_allclose(tile.read_phase(gates, 0), [20.0])
+        np.testing.assert_allclose(read_one(tile, gates)[0], [20.0])
 
     def test_two_gates_superpose(self):
         cfg = affine_config()
         tile = CrossbarTile(cfg, np.ones((2, 2), dtype=np.int8))
-        one = tile.read_phase(np.array([True, False]), 0)
-        two = tile.read_phase(np.array([True, True]), 0)
+        one, _ = read_one(tile, [1, 0])
+        two, _ = read_one(tile, [1, 1])
         np.testing.assert_allclose(two, 2 * one)
 
     def test_gate_length_checked(self):
         tile = CrossbarTile(affine_config(), np.ones((4, 2), dtype=np.int8))
         with pytest.raises(ShapeError):
-            tile.read_phase(np.zeros(3, dtype=bool), 0)
+            tile.vmm_batch(np.zeros((1, 3), dtype=np.int8), [0])
 
 
 def without_c2c(cfg):
@@ -98,12 +111,12 @@ class TestExactColumnSums:
         x = gen.integers(-1, 2, size=(333, rows))
         pairs = np.arange(1000, 1333)
         k = 200
-        lone = tile.vmm_two_phase(x[k], read_pair=int(pairs[k]))
+        lone_pos, lone_neg = read_one(tile, x[k], pairs[k])
         for n in (1, 2, 7, 50, 333):
             s = min(k - n // 2, 333 - n)
             i_pos, i_neg = tile.vmm_batch(x[s:s + n], pairs[s:s + n])
-            np.testing.assert_array_equal(i_pos[k - s], lone.i_pos_uA)
-            np.testing.assert_array_equal(i_neg[k - s], lone.i_neg_uA)
+            np.testing.assert_array_equal(i_pos[k - s], lone_pos)
+            np.testing.assert_array_equal(i_neg[k - s], lone_neg)
 
     @pytest.mark.parametrize("rows, span, fits", [
         (64, 42, True), (64, 43, False), (8, 48, True), (8, 49, False)])
@@ -134,17 +147,17 @@ class TestVmmTwoPhase:
                                    1: MlcStateModel("hi", 100e-6)}, v_read=0.2)
         w = np.array([[1, 1, -1, -1]], dtype=np.int8).T.reshape(4, 1)
         tile = CrossbarTile(cfg, w)
-        res = tile.vmm_two_phase(np.array([-1, 0, 0, 1], dtype=np.int8))
-        np.testing.assert_allclose(res.i_pos_uA, [2.0])
-        np.testing.assert_allclose(res.i_neg_uA, [20.0])
-        np.testing.assert_allclose(res.delta_uA, [-18.0])
-        assert np.sign(res.delta_uA[0]) == np.sign(
+        i_pos, i_neg = read_one(tile, [-1, 0, 0, 1])
+        np.testing.assert_allclose(i_pos, [2.0])
+        np.testing.assert_allclose(i_neg, [20.0])
+        np.testing.assert_allclose(i_pos - i_neg, [-18.0])
+        assert np.sign(i_pos[0] - i_neg[0]) == np.sign(
             popcount_oracle([-1, 0, 0, 1], [1, 1, -1, -1]))
 
     def test_zero_input_zero_delta(self):
         tile = CrossbarTile(affine_config(), np.ones((6, 4), dtype=np.int8))
-        res = tile.vmm_two_phase(np.zeros(6, dtype=np.int8))
-        np.testing.assert_array_equal(res.delta_uA, np.zeros(4))
+        np.testing.assert_array_equal(delta_one(tile, np.zeros(6)),
+                                      np.zeros(4))
 
     def test_balanced_identical_weights_cancel(self):
         # n_pos == n_neg over identical cells -> exact cancellation
@@ -152,8 +165,8 @@ class TestVmmTwoPhase:
         for n in (2, 4, 6):
             tile = CrossbarTile(cfg, np.ones((n, 3), dtype=np.int8))
             x = np.array([1, -1] * (n // 2), dtype=np.int8)
-            res = tile.vmm_two_phase(x)
-            np.testing.assert_allclose(res.delta_uA, np.zeros(3), atol=1e-18)
+            np.testing.assert_allclose(delta_one(tile, x), np.zeros(3),
+                                       atol=1e-18)
 
     def test_batch_equals_single_calls(self):
         cfg = default_device_config("hrs")
@@ -163,16 +176,16 @@ class TestVmmTwoPhase:
         xb = gen.choice([-1, 0, 1], size=(10, 8)).astype(np.int8)
         ip, ineg = tile.vmm_batch(xb, np.arange(10))
         for p in range(10):
-            res = tile.vmm_two_phase(xb[p], read_pair=p)
-            np.testing.assert_array_equal(ip[p], res.i_pos_uA)
-            np.testing.assert_array_equal(ineg[p], res.i_neg_uA)
+            i_pos, i_neg = read_one(tile, xb[p], read_pair=p)
+            np.testing.assert_array_equal(ip[p], i_pos)
+            np.testing.assert_array_equal(ineg[p], i_neg)
 
     def test_read_pair_changes_noise(self):
         cfg = default_device_config("hrs")
         tile = CrossbarTile(cfg, np.ones((4, 2), dtype=np.int8))
-        a = tile.vmm_two_phase(np.ones(4, dtype=np.int8), read_pair=0)
-        b = tile.vmm_two_phase(np.ones(4, dtype=np.int8), read_pair=1)
-        assert not np.array_equal(a.i_pos_uA, b.i_pos_uA)
+        a, _ = read_one(tile, np.ones(4), read_pair=0)
+        b, _ = read_one(tile, np.ones(4), read_pair=1)
+        assert not np.array_equal(a, b)
 
     def test_affine_consistency(self):
         # zero variability, affine states: delta = v_read*(a*pc + b*(np-nn))
@@ -183,14 +196,14 @@ class TestVmmTwoPhase:
         tile = CrossbarTile(cfg, w)
         for bits in itertools.product(TRITS, repeat=4):
             x = np.array(bits, dtype=np.int8)
-            res = tile.vmm_two_phase(x)
+            delta = delta_one(tile, x)
             n_pos = int(np.sum(x > 0))
             n_neg = int(np.sum(x < 0))
             for c in range(4):
                 pc = popcount_oracle(x, w[:, c])
                 expect = v_read * (a * pc + b * (n_pos - n_neg)) * 1e6
-                assert res.delta_uA[c] == pytest.approx(expect, rel=1e-12,
-                                                        abs=1e-15)
+                assert delta[c] == pytest.approx(expect, rel=1e-12,
+                                                 abs=1e-15)
 
     def test_balanced_ternary_sign_fidelity_random(self):
         # 1e5 random balanced ternary inputs (n_pos == n_neg): at zero
@@ -232,7 +245,7 @@ class TestVmmTwoPhase:
             seen = {}
             for x in xs:
                 pc = popcount_oracle(x, w[:, 0])
-                d = tile.vmm_two_phase(x).delta_uA[0]
+                d = delta_one(tile, x)[0]
                 seen.setdefault(pc, set()).add(round(d, 15))
             # same pc -> same delta; larger pc -> strictly larger delta
             assert all(len(v) == 1 for v in seen.values())
@@ -249,8 +262,7 @@ class TestVmmTwoPhase:
                     for c in itertools.product((-1, 1), repeat=n)]
         tile = CrossbarTile(cfg, np.stack(all_cols, axis=1))
         x = np.array([1, 1, -1, -1], dtype=np.int8)
-        res = tile.vmm_two_phase(x)
-        assert len(set(np.round(res.delta_uA, 12))) <= n + 1
+        assert len(set(np.round(delta_one(tile, x), 12))) <= n + 1
 
     def test_tnn_levels_are_half_the_bnn_spacing(self):
         # adjacent expected-delta levels: ternary popcounts step by 1,
@@ -262,7 +274,7 @@ class TestVmmTwoPhase:
 
         def levels(cols):
             tile = CrossbarTile(cfg, np.stack(cols, axis=1))
-            return sorted(set(np.round(tile.vmm_two_phase(x).delta_uA, 12)))
+            return sorted(set(np.round(delta_one(tile, x), 12)))
 
         bnn = levels([np.array(c, dtype=np.int8)
                       for c in itertools.product((-1, 1), repeat=4)])
@@ -275,31 +287,32 @@ class TestVmmTwoPhase:
 
 
 class TestSenseToActivation:
+    # inputs are differential currents i_pos - i_neg in uA
     def test_hidden_binary_sign(self):
-        res = SenseResult(np.array([0.0]), np.array([18.0]))
-        out = sense_to_activation(res, ActivationMode.HIDDEN_BINARY)
+        out = sense_to_activation(np.array([0.0 - 18.0]),
+                                  ActivationMode.HIDDEN_BINARY)
         np.testing.assert_array_equal(out, [-1])
 
     def test_hidden_binary_zero_is_plus(self):
-        res = SenseResult(np.array([5.0]), np.array([5.0]))
-        out = sense_to_activation(res, ActivationMode.HIDDEN_BINARY)
+        out = sense_to_activation(np.array([5.0 - 5.0]),
+                                  ActivationMode.HIDDEN_BINARY)
         np.testing.assert_array_equal(out, [1])
 
     def test_hidden_ternary_dead_band(self):
-        res = SenseResult(np.array([3.0]), np.array([0.0]))
-        out = sense_to_activation(res, ActivationMode.HIDDEN_TERNARY,
+        out = sense_to_activation(np.array([3.0]),
+                                  ActivationMode.HIDDEN_TERNARY,
                                   r=0.5, gain_uA=10.0)
         np.testing.assert_array_equal(out, [0])  # 0.3 inside the band
 
     def test_output_sigmoid_records_voltages(self):
-        res = SenseResult(np.array([2.0, 3.0]), np.array([0.0, 0.0]))
-        v = sense_to_activation(res, ActivationMode.OUTPUT_SIGMOID, gain_uA=1.0)
+        v = sense_to_activation(np.array([2.0, 3.0]),
+                                ActivationMode.OUTPUT_SIGMOID, gain_uA=1.0)
         assert v[1] > v[0]  # neuron is monotone
 
     def test_gain_must_be_positive(self):
-        res = SenseResult(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ConfigError):
-            sense_to_activation(res, ActivationMode.HIDDEN_TERNARY, gain_uA=0.0)
+            sense_to_activation(np.array([1.0]),
+                                ActivationMode.HIDDEN_TERNARY, gain_uA=0.0)
 
 
 class TestStatelessReads:
@@ -344,8 +357,6 @@ class TestTileValidation:
             CrossbarTile(cfg, [[257], [-255]])
         tile = CrossbarTile(cfg, np.ones((2, 1), dtype=np.int8))
         for bad in ([0.5, 1], [257, 0], [np.nan, 1]):
-            with pytest.raises(DomainError):
-                tile.vmm_two_phase(bad)
             with pytest.raises(DomainError):
                 tile.vmm_batch([bad], [0])
 

@@ -1,13 +1,14 @@
+import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from oxcim.device import (CLAMP_FLOOR_FRACTION, DeviceConfig, MlcStateModel,
-                          SigmoidNeuronModel, default_device_config,
-                          load_device_config, parse_device_config,
-                          sample_device_conductance,
+from oxcim.device import (CLAMP_FLOOR_FRACTION, MEASURED_AMPLITUDE_V,
+                          MEASURED_MIDPOINT_UA, DeviceConfig, MlcStateModel,
+                          default_device_config, load_device_config,
+                          parse_device_config,
                           sample_device_conductance_grid, save_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
 from oxcim import rng
@@ -29,6 +30,19 @@ class TestStateAndConfigValidation:
         with pytest.raises(ConfigError):
             MlcStateModel("x", 1e-6, d2d_sigma_S=-1e-9)
 
+    @pytest.mark.parametrize("key, value", [
+        *itertools.product(["state.+1.mean_S", "state.+1.d2d_sigma_S",
+                            "state.+1.c2c_sigma_S"], ["nan", "inf"]),
+        ("v_read_V", "inf")])
+    def test_nonfinite_constants_rejected(self, key, value):
+        # a NaN sigma would compare False against 0 and drop its noise
+        lines = default_device_config("hrs").canonical_text().splitlines()
+        text = "\n".join(f"{key} = {value}" if line.startswith(key + " ")
+                         else line for line in lines)
+        assert f"{key} = {value}" in text
+        with pytest.raises(ParseError, match="finite"):
+            parse_device_config(text)
+
     def test_monotone_state_ordering(self):
         with pytest.raises(ConfigError):
             DeviceConfig("HRS", {-1: _state(5e-6), 1: _state(2e-6)})
@@ -40,16 +54,32 @@ class TestStateAndConfigValidation:
             cfg.require_states(Precision.TERNARY)
 
 
+def sample_device_conductance(state, seed, array_id, row, col):
+    """Scalar reference of the D2D draw: one keyed cell, clamped to the floor."""
+    z = rng.normals_from_keys(
+        rng.fold(rng.stream_key(seed, rng.TAG_D2D, array_id),
+                 (np.uint64(row) << np.uint64(32)) | np.uint64(col)))
+    return max(state.mean_S + state.d2d_sigma_S * float(z),
+               state.mean_S * CLAMP_FLOOR_FRACTION)
+
+
 class TestDeviceSampling:
     def test_zero_sigma_is_exact(self):
-        st = _state(100e-6)
-        assert sample_device_conductance(st, 0, 0, 3, 4) == 100e-6
+        cfg = DeviceConfig("HRS", {-1: _state(50e-6), 1: _state(100e-6)})
+        g = sample_device_conductance_grid(cfg, np.ones((4, 5), dtype=np.int8),
+                                           array_id=0)
+        assert np.all(g == 100e-6)
 
     def test_same_cell_same_value(self):
-        st = _state(100e-6, d2d=5e-6)
-        a = sample_device_conductance(st, 7, 1, 2, 3)
-        b = sample_device_conductance(st, 7, 1, 2, 3)
-        assert a == b
+        # a cell's draw does not depend on the grid it is sampled in
+        cfg = DeviceConfig("HRS", {-1: _state(50e-6),
+                                   1: _state(100e-6, d2d=5e-6)}, seed=7)
+        a = sample_device_conductance_grid(cfg, np.ones((3, 4), dtype=np.int8),
+                                           array_id=1)
+        b = sample_device_conductance_grid(cfg, np.ones((5, 6), dtype=np.int8),
+                                           array_id=1)
+        assert a[2, 3] == b[2, 3]
+        assert np.array_equal(a, b[:3, :4])
 
     def test_grid_matches_scalar_path(self):
         cfg = DeviceConfig("HRS", {-1: _state(1e-6, 0.1e-6),
@@ -96,14 +126,15 @@ def _one_cell_tile(d2d=0.0, c2c=0.0):
 class TestReadSampling:
     def test_zero_c2c_returns_device_g(self):
         tile = _one_cell_tile(d2d=2e-6)
-        current = tile.read_phase([True], read_id=0)[0]
+        i_pos, _ = tile.vmm_batch([[1]], [0])
+        current = i_pos[0, 0]
         assert current == tile.cell_g[0, 0] * (tile.config.v_read * A_TO_UA)
 
     def test_successive_reads_differ(self):
         tile = _one_cell_tile(c2c=1e-6)
-        a = tile.read_phase([True], read_id=0)
-        b = tile.read_phase([True], read_id=1)
-        assert a[0] != b[0]
+        a, _ = tile.vmm_batch([[1]], [0])   # READ id 0
+        _, b = tile.vmm_batch([[-1]], [0])  # READ id 1
+        assert a[0, 0] != b[0, 0]
 
     def test_clamped_reads_sit_on_the_floor(self):
         # C2C sigma equal to the mean clamps about 16% of reads.  Reference:
@@ -177,17 +208,11 @@ class TestSigmoid:
         assert np.all(np.diff(v) > 0)
 
     def test_neuron_derivative_at_midpoint(self):
-        m = SigmoidNeuronModel.measured()
         h = 1e-6
-        fd = (sigmoid_neuron_voltage(m.midpoint_uA + h)
-              - sigmoid_neuron_voltage(m.midpoint_uA - h)) / (2 * h)
-        expect = m.amplitude_V / 4.0
+        fd = (sigmoid_neuron_voltage(MEASURED_MIDPOINT_UA + h)
+              - sigmoid_neuron_voltage(MEASURED_MIDPOINT_UA - h)) / (2 * h)
+        expect = MEASURED_AMPLITUDE_V / 4.0
         assert abs(fd - expect) / expect < 1e-6
-
-    def test_ideal_mode_equals_sigmoid(self):
-        xs = np.linspace(-20, 20, 401)
-        v = sigmoid_neuron_voltage(xs, SigmoidNeuronModel.ideal())
-        np.testing.assert_allclose(v, sigmoid_ideal(xs), atol=1e-12)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):

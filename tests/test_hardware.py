@@ -106,7 +106,7 @@ class TestForwardHardware:
         # zero-noise hardware scores must rank exactly like the ideal ones
         from oxcim.network import Activation, Dense, NetworkDescription
         from oxcim.quant import TernaryTensor
-        from oxcim.device import sigmoid_neuron_voltage, SigmoidNeuronModel
+        from oxcim.device import sigmoid_neuron_voltage
 
         gen = np.random.default_rng(7)
         w = gen.choice([-1, 0, 1], size=(16, 10)).astype(np.int8)
@@ -130,8 +130,7 @@ class TestForwardHardware:
             assert int(np.argmax(scores)) in best
             # per class, the neuron sits at the ideal scaled popcount
             for c in range(10):
-                expect = sigmoid_neuron_voltage(pcs[c] / scale,
-                                                SigmoidNeuronModel.measured())
+                expect = sigmoid_neuron_voltage(pcs[c] / scale)
                 assert v[c] == pytest.approx(expect, rel=1e-12)
 
     def test_tiling_invariance_zero_noise(self):
