@@ -11,6 +11,12 @@ the package.  Column schemas:
 Trials are independent Monte-Carlo draws: each seed re-programs the tiles
 (fresh device-to-device offsets) and re-keys the read noise.  Ideal-mode
 runs have no randomness, so every trial reports the same number.
+
+Evaluation sends the images through the forward passes in fixed chunks of
+CHUNK (8) images, and the worker threads map over chunks.  The chunk
+starting at image a reads with image_ordinal a, so its READ ids are those
+of one pass per image; with exact column sums, neither CHUNK nor the
+thread count moves a bit.
 """
 
 import csv
@@ -26,10 +32,11 @@ from .data import pad_to_32
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
 from .hardware import map_network_to_tiles, predict_hardware
-from .network import predict_ideal, thermometric_trits
+from .network import N_THERMO_CHANNELS, predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
 N_CLASSES = 10
+CHUNK = 8  # images per forward pass (module docstring)
 
 
 @dataclass
@@ -72,6 +79,8 @@ class ExperimentSpec:
             raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.limit is not None and self.limit < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if self.seeds is None:
@@ -106,19 +115,23 @@ class AccuracyReport:
 
 
 def encode_images(images):
-    """uint8 test images -> list of (C, 32, 32) trit arrays."""
+    """uint8 test images -> (N, C, 32, 32) int8 trit array."""
     padded = pad_to_32(np.asarray(images))
-    return [thermometric_trits(img) for img in padded]
+    out = np.empty((padded.shape[0], N_THERMO_CHANNELS, 32, 32), dtype=np.int8)
+    for i, img in enumerate(padded):
+        out[i] = thermometric_trits(img)
+    return out
 
 
 def _predict_many(fn, n, threads):
+    """fn(a) for the chunk of images starting at a, joined in image order."""
+    starts = range(0, n, CHUNK)
     if threads <= 1:
-        return [fn(i) for i in range(n)]
-    out = [None] * n
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, p in enumerate(pool.map(fn, range(n))):
-            out[i] = p
-    return out
+        parts = [fn(a) for a in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(fn, starts))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def run_accuracy(spec, images, labels):
@@ -135,16 +148,16 @@ def run_accuracy(spec, images, labels):
             # no randomness: the first trial's predictions serve every trial
             if ideal is None:
                 ideal = _predict_many(
-                    lambda i: predict_ideal(spec.net, encoded[i]), n,
-                    spec.threads)
+                    lambda a: predict_ideal(spec.net, encoded[a:a + CHUNK]),
+                    n, spec.threads)
             preds = ideal
         else:
             cfg = dataclasses.replace(spec.config, seed=seed)
             tiled = map_network_to_tiles(spec.net, cfg, max_tile=spec.max_tile)
             preds = _predict_many(
-                lambda i: predict_hardware(tiled, encoded[i], image_ordinal=i),
+                lambda a: predict_hardware(tiled, encoded[a:a + CHUNK],
+                                           image_ordinal=a),
                 n, spec.threads)
-        preds = np.asarray(preds, dtype=np.int64)
         accuracies.append(100.0 * float(np.mean(preds == truth)))
         if confusion is None:
             confusion = ConfusionMatrix.from_predictions(truth, preds)

@@ -7,8 +7,9 @@ python, numpy and scipy versions, so any result can be reproduced from the
 manifest alone.
 
 BLAS thread pools are pinned to one thread before numpy loads: all
-parallelism goes through --threads (image-level workers with a fixed-order
-reduction), which keeps outputs bit-identical at any thread count.
+parallelism goes through --threads (workers over fixed 8-image chunks with
+a fixed-order reduction), which keeps outputs bit-identical at any thread
+count.
 """
 
 import argparse
@@ -137,7 +138,9 @@ def _write_manifest(out_dir, argv, entries):
 
 
 def _threads(args):
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    if args.threads < 0:
+        raise SystemExit2(f"--threads must be >= 0, got {args.threads}")
+    return args.threads or (os.cpu_count() or 1)
 
 
 class SystemExit2(Exception):
@@ -153,14 +156,14 @@ def _cmd_train(args, argv):
 
     if args.limit is not None and args.limit < 1:
         raise SystemExit2(f"--limit must be >= 1, got {args.limit}")
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                      weight_r=args.weight_r, val_fraction=args.val_fraction,
+                      seed=args.seed if args.seed is not None else 0)
     store = load_dataset_dir(args.data)
     images, labels = store.train_images, store.train_labels
     if args.limit is not None:
         images, labels = images[:args.limit], labels[:args.limit]
     precision = Precision(args.precision)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-                      weight_r=args.weight_r, val_fraction=args.val_fraction,
-                      seed=args.seed if args.seed is not None else 0)
     template = lenet(precision, r=args.r)
     result = train(template, images, labels, cfg,
                    log_fn=lambda msg: print(msg, flush=True))
@@ -192,6 +195,7 @@ def _cmd_eval(args, argv):
 
     if not args.weights:
         raise SystemExit2("eval requires --weights")
+    threads = _threads(args)
     cfg, cfg_digest = _load_config(args.config, args.seed)
     net = weightfile.load_network(args.weights)
     store = load_dataset_dir(args.data)
@@ -199,7 +203,7 @@ def _cmd_eval(args, argv):
     trials = args.trials if seeds is None else len(seeds)
     spec = ExperimentSpec(net=net, config=cfg, mode=args.mode, trials=trials,
                           seeds=seeds, limit=args.limit,
-                          max_tile=args.max_tile, threads=_threads(args))
+                          max_tile=args.max_tile, threads=threads)
     report = run_accuracy(spec, store.test_images, store.test_labels)
     os.makedirs(args.out_dir, exist_ok=True)
     write_accuracy_csv(os.path.join(args.out_dir, "accuracy.csv"), report)

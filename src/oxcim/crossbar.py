@@ -42,7 +42,15 @@ frozen when the tile is programmed.  Each (READ, gated cell) draws one
 normal, clamped so that the cell never reads below the mean/100 floor; the
 noise is summed per READ with np.add.reduceat, whose fresh accumulator per
 segment keeps it batch-independent, and added to the mean.  Reads keep no
-state on the tile: a read that clamps draws logs it and moves on.
+state on the tile: a read that clamps draws logs it, block by block, and
+moves on.
+
+A READ of P patterns walks them in blocks of READ_BLOCK_CELLS // (rows *
+cols) patterns, so its float gate block and per-cell noise arrays stay
+near 1 MB each however large the batch.  Blocking cannot move a bit: each
+pattern's mean is an exact sum, its noise is keyed by its own read id and
+summed from a fresh accumulator, and every cell of it is drawn and clamped
+once, in whichever block it falls.
 """
 
 import enum
@@ -64,6 +72,10 @@ A_TO_UA = 1e6
 # configs the floor sits several combined sigmas below every state mean and
 # clamps stay in the 1e-5 regime.
 CLAMP_WARN_FRACTION = 1e-3
+
+# Cells (patterns x rows x cols) per block of a READ; see the module
+# docstring.
+READ_BLOCK_CELLS = 2**17
 
 
 class ActivationMode(enum.Enum):
@@ -120,17 +132,24 @@ class CrossbarTile:
         pairs = np.asarray(read_pairs, dtype=np.uint64)
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
-        i_pos = self._read(xb > 0, 2 * pairs)
-        i_neg = self._read(xb < 0, 2 * pairs + np.uint64(1))
+        i_pos = self._read(xb, 1, 2 * pairs)
+        i_neg = self._read(xb, -1, 2 * pairs + np.uint64(1))
         return i_pos, i_neg
 
-    def _read(self, gates, read_ids):
-        # Exact in any order (module docstring): one rounding, of hi + lo.
-        halves = gates.astype(np.float64) @ self._split
-        out = halves[:, :self.cols] + halves[:, self.cols:]
-        if self._has_c2c:
-            self._add_c2c(out, gates, read_ids)
-        return out * (self.config.v_read * A_TO_UA)
+    def _read(self, xb, sign, read_ids):
+        """Currents of the READs that gate the rows where xb == sign."""
+        out = np.empty((xb.shape[0], self.cols))
+        step = max(1, READ_BLOCK_CELLS // (self.rows * self.cols))
+        for a in range(0, xb.shape[0], step):
+            g = xb[a:a + step] == sign
+            # Exact in any order (module docstring): one rounding, of hi + lo.
+            halves = g.astype(np.float64) @ self._split
+            blk = out[a:a + step]
+            np.add(halves[:, :self.cols], halves[:, self.cols:], out=blk)
+            if self._has_c2c:
+                self._add_c2c(blk, g, read_ids[a:a + step])
+        out *= self.config.v_read * A_TO_UA
+        return out
 
     def _add_c2c(self, out, gates, read_ids):
         """Add the clamped C2C noise of every gated cell to its read's row."""

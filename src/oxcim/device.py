@@ -159,10 +159,10 @@ class DeviceConfig:
 
 
 def clamp_floor(g, floor):
-    """Clamp conductances to the positive floor; returns (clamped, n_hits)."""
+    """Clamp conductances to the positive floor in place; returns (g, n_hits)."""
     n = int(np.count_nonzero(g < floor))
     if n:
-        g = np.maximum(g, floor)
+        np.maximum(g, floor, out=g)
     return g, n
 
 

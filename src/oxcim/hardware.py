@@ -51,7 +51,8 @@ import numpy as np
 from .crossbar import CrossbarTile
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
-from .network import Conv2D, as_batch, conv_weight_matrix, walk
+from .network import Conv2D, as_batch, conv_weight_matrix, \
+    predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .crossbar import sense_to_activation  # noqa: F401
 from .network import im2col  # noqa: F401
@@ -159,8 +160,7 @@ def _layer_delta(mapping, patches, read_pairs):
     for pl in mapping.placements:
         t = pl.tile
         xs = patches[:, pl.row_start:pl.row_start + t.rows]
-        i_pos, i_neg = t.vmm_batch(xs, read_pairs)
-        d = i_pos - i_neg
+        d = np.subtract(*t.vmm_batch(xs, read_pairs))  # i_pos - i_neg
         ref = 0.5 * (d[:, pl.n_data_cols] + d[:, pl.n_data_cols + 1])
         delta[:, pl.col_start:pl.col_start + pl.n_data_cols] += \
             d[:, :pl.n_data_cols] - ref[:, None]
@@ -195,4 +195,4 @@ def forward_hardware(tiled, x, image_ordinal=0):
 
 
 def predict_hardware(tiled, x, image_ordinal=0):
-    return int(np.argmax(forward_hardware(tiled, x, image_ordinal)))
+    return predicted_class(forward_hardware(tiled, x, image_ordinal))

@@ -373,12 +373,21 @@ def forward_ideal(net, x):
     def preact(op, patches):
         w = net.weights[op.index].data
         wmat = w if op.gather is None else conv_weight_matrix(w)
-        # float64 matmul of small integers is exact and fast
-        return (patches.astype(np.float64) @ wmat.astype(np.float64)) / op.scale
+        # Trit sums over fan-in < 2**24 are exact float32 integers, so the
+        # float32 product casts to the float64 popcount bit for bit.
+        pc = patches.astype(np.float32) @ wmat.astype(np.float32)
+        return pc.astype(np.float64) / op.scale
 
     scores = walk(net, batch, preact, lambda op, u: sigmoid_ideal(u))
     return scores[0] if single else scores
 
 
+def predicted_class(scores):
+    """Argmax class of one score row (an int) or of each row (int64 array);
+    ties go to the lowest index."""
+    pred = np.argmax(scores, axis=-1).astype(np.int64)
+    return int(pred) if pred.ndim == 0 else pred
+
+
 def predict_ideal(net, x):
-    return int(np.argmax(forward_ideal(net, x)))
+    return predicted_class(forward_ideal(net, x))

@@ -85,7 +85,7 @@ def normals_consuming_keys(keys):
     u = keys.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 def d2d_normals(seed, array_id, rows, cols):

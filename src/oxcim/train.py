@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pad_to_32
-from .errors import TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .network import Activation, activate, maxpool, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
@@ -44,6 +44,13 @@ class TrainConfig:
     weight_r: float = 0.5   # ternary weight-quantization dead band
     val_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(
+                f"val fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

@@ -8,14 +8,16 @@ from oxcim.bench import (AccuracyReport, ConfusionMatrix, ExperimentSpec,
                          weight_conductance_histogram, write_accuracy_csv,
                          write_confusion_csv, write_hist_csv, write_sense_csv)
 from oxcim.errors import ConfigError
-from oxcim.hardware import map_network_to_tiles
+from oxcim.hardware import map_network_to_tiles, predict_hardware
+from oxcim.network import predict_ideal
 from oxcim.quant import Precision
+from oxcim.train import TrainConfig
 from test_network import tiny_net
 
 
 @pytest.fixture(scope="module")
 def trained_small_net(dataset):
-    from oxcim.train import TrainConfig, train
+    from oxcim.train import train
     from test_train import small_arch
     cfg = TrainConfig(epochs=1, batch_size=64, lr=2e-3, seed=31,
                       val_fraction=0.1)
@@ -66,14 +68,20 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(net=tiny_net(), config=hrs_config, mode="magic")
 
+    @pytest.mark.parametrize("threads", [0, -1, -3])
+    def test_threads_below_one_rejected(self, hrs_config, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
+                           threads=threads)
+
 
 class TestRunAccuracy:
     def test_ideal_trials_identical(self, hrs_config, dataset, monkeypatch):
         from oxcim import bench
         from oxcim.network import predict_ideal
-        calls = []
+        images_seen = []
         monkeypatch.setattr(bench, "predict_ideal",
-                            lambda net, x: calls.append(1) or
+                            lambda net, x: images_seen.append(len(x)) or
                             predict_ideal(net, x))
         net = tiny_net(Precision.TERNARY, seed=1)
         # tiny net takes (1, 4, 4) inputs; use a 10-class fake set instead
@@ -89,7 +97,7 @@ class TestRunAccuracy:
         assert rep.n_images == 40
         assert rep.confusion.total == 40
         # the ideal pass has no randomness, so it runs once for both trials
-        assert len(calls) == 40
+        assert sum(images_seen) == 40
 
     def test_hardware_deterministic_per_seed(self, hrs_config, dataset):
         from test_train import small_arch
@@ -130,6 +138,49 @@ class TestRunAccuracy:
         a = run_accuracy(base, dataset.test_images, dataset.test_labels)
         b = run_accuracy(multi, dataset.test_images, dataset.test_labels)
         assert a.accuracies == b.accuracies
+
+
+class TestChunkBoundaries:
+    """run_accuracy in CHUNK-image passes gives each image's own result."""
+
+    @pytest.fixture(scope="class")
+    def case(self, hrs_config, dataset):
+        from test_train import small_arch
+        from oxcim.bench import encode_images
+        from oxcim.train import Trainer
+        net = Trainer(small_arch(), TrainConfig(seed=4)).network()
+        images = dataset.test_images[:21]
+        tiled = map_network_to_tiles(net, hrs_config)
+        encoded = encode_images(images)
+        refs = {
+            "ideal": [predict_ideal(net, x) for x in encoded],
+            "hardware": [predict_hardware(tiled, x, image_ordinal=i)
+                         for i, x in enumerate(encoded)],
+        }
+        batched = {"ideal": predict_ideal(net, encoded[5:14]),
+                   "hardware": predict_hardware(tiled, encoded[5:14],
+                                                image_ordinal=5)}
+        return net, images, refs, batched
+
+    @pytest.mark.parametrize("mode", ["ideal", "hardware"])
+    def test_batch_predictions_are_per_image_int64(self, case, mode):
+        _, _, refs, batched = case
+        assert all(type(p) is int for p in refs[mode])  # one image: an int
+        assert batched[mode].dtype == np.int64
+        np.testing.assert_array_equal(batched[mode], refs[mode][5:14])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 21])
+    @pytest.mark.parametrize("mode", ["ideal", "hardware"])
+    def test_matches_per_image_references(self, hrs_config, case, mode, n,
+                                          threads):
+        net, images, refs, _ = case
+        spec = ExperimentSpec(net=net, config=hrs_config, mode=mode,
+                              limit=n, threads=threads)
+        report = run_accuracy(spec, images, refs[mode])
+        counts = report.confusion.counts
+        assert report.n_images == n
+        assert np.trace(counts) == counts.sum() == n
 
 
 class TestSweepSense:

@@ -80,6 +80,28 @@ class TestUsageErrors:
         assert code == 2
         assert not (tmp_path / "weights.qnn").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch", "0", "batch size must be >= 1"),
+        ("--val-fraction", "1.5", "val fraction must lie in [0, 1)")],
+        ids=["batch", "val_fraction"])
+    def test_train_config_out_of_range_is_diagnosed(self, data_dir, tmp_path,
+                                                    capsys, flag, value,
+                                                    message):
+        code = run_cli("train", "--data", data_dir, "--precision", "ternary",
+                       "--epochs", "1", flag, value,
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"oxcim: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "weights.qnn").exists()
+
+    def test_eval_negative_threads_exits_2(self, data_dir, weights_path,
+                                           tmp_path):
+        code = run_cli("eval", "--mode", "ideal", "--weights", weights_path,
+                       "--data", data_dir, "--threads", "-3",
+                       "--out-dir", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "accuracy.csv").exists()
+
 
 class TestEval:
     def test_ideal_happy_path(self, data_dir, weights_path, tmp_path, capsys):

@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oxcim.crossbar import (A_TO_UA, ActivationMode, CrossbarTile,
-                            sense_to_activation)
+from oxcim.crossbar import (A_TO_UA, READ_BLOCK_CELLS, ActivationMode,
+                            CrossbarTile, sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.quant import popcount_oracle
@@ -139,6 +140,39 @@ class TestExactColumnSums:
         for c in range(2):
             assert i_pos[0, c] == \
                 math.fsum(tile.cell_g[:, c]) * (cfg.v_read * A_TO_UA)
+
+
+class TestBlockedRead:
+    """A READ walks its patterns in READ_BLOCK_CELLS-sized blocks."""
+
+    def test_blocked_batch_equals_one_call_per_pattern(self):
+        # 37 x 5 cells: blocks of 708 patterns, the last one partial
+        gen = np.random.default_rng(12)
+        tile = CrossbarTile(default_device_config("hrs"),
+                            gen.integers(-1, 2, size=(37, 5)), array_id=5)
+        P = 3 * READ_BLOCK_CELLS // (37 * 5) + 100
+        x = gen.integers(-1, 2, size=(P, 37)).astype(np.int8)
+        pairs = np.arange(P) + 77
+        i_pos, i_neg = tile.vmm_batch(x, pairs)
+        for p in range(P):
+            lone_pos, lone_neg = read_one(tile, x[p], pairs[p])
+            np.testing.assert_array_equal(i_pos[p], lone_pos)
+            np.testing.assert_array_equal(i_neg[p], lone_neg)
+
+    def test_working_memory_is_bounded(self):
+        # an 8-image conv1 chunk on a 64 x 8 HRS tile, every row gated in
+        # the first READ: without blocks each noise array takes 25 MB
+        gen = np.random.default_rng(13)
+        tile = CrossbarTile(default_device_config("hrs"),
+                            gen.integers(-1, 2, size=(64, 8)), array_id=6)
+        x = np.ones((6272, 64), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            i_pos, i_neg = tile.vmm_batch(x, np.arange(6272))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= i_pos.nbytes + i_neg.nbytes + 4 * 2**20
 
 
 class TestVmmTwoPhase:

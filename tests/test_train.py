@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oxcim.data import synthetic_dataset
-from oxcim.errors import TrainingDiverged
+from oxcim.errors import ConfigError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal)
 from oxcim.quant import Precision
@@ -19,6 +19,18 @@ def small_arch(precision=Precision.TERNARY, r=0.5):
     ]
     return NetworkDescription(precision, (8, 32, 32), layers,
                               [None] * len(layers))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ConfigError, match="batch size"):
+            TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("val_fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
+        with pytest.raises(ConfigError, match="val fraction"):
+            TrainConfig(val_fraction=val_fraction)
 
 
 class TestTrainerMechanics:
