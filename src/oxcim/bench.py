@@ -32,7 +32,7 @@ from .data import pad_to_32
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
 from .hardware import map_network_to_tiles, predict_hardware
-from .network import N_THERMO_CHANNELS, predict_ideal, thermometric_trits
+from .network import predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
 N_CLASSES = 10
@@ -116,11 +116,7 @@ class AccuracyReport:
 
 def encode_images(images):
     """uint8 test images -> (N, C, 32, 32) int8 trit array."""
-    padded = pad_to_32(np.asarray(images))
-    out = np.empty((padded.shape[0], N_THERMO_CHANNELS, 32, 32), dtype=np.int8)
-    for i, img in enumerate(padded):
-        out[i] = thermometric_trits(img)
-    return out
+    return thermometric_trits(pad_to_32(images))
 
 
 def _predict_many(fn, n, threads):

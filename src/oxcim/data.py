@@ -149,14 +149,17 @@ def pad_to_32(images):
 # Synthetic fallback corpus
 # ---------------------------------------------------------------------------
 
+# Row and column index of every pixel, shared (read-only) by every mask.
+_YY, _XX = np.mgrid[0:28, 0:28]
+_YY.flags.writeable = _XX.flags.writeable = False
+
 
 def _shape_mask(cls, rng):
     """One 28x28 boolean mask for class `cls` with jittered geometry."""
     m = np.zeros((28, 28), dtype=bool)
     cy, cx = 14 + rng.integers(-2, 3), 14 + rng.integers(-2, 3)
     size = int(rng.integers(8, 12))
-    yy, xx = np.mgrid[0:28, 0:28]
-    dy, dx = yy - cy, xx - cx
+    dy, dx = _YY - cy, _XX - cx
     t = int(rng.integers(2, 4))  # stroke thickness
     if cls == 0:      # solid square
         m = (np.abs(dy) <= size) & (np.abs(dx) <= size)
@@ -178,9 +181,9 @@ def _shape_mask(cls, rng):
         m = (np.abs(dy - dx) <= t) | (np.abs(dy + dx) <= t)
         m &= (np.abs(dy) <= size) & (np.abs(dx) <= size)
     elif cls == 7:    # horizontal bars
-        m = (np.abs(dx) <= size) & (np.abs(dy) <= size) & ((yy // (t + 2)) % 2 == 0)
+        m = (np.abs(dx) <= size) & (np.abs(dy) <= size) & ((_YY // (t + 2)) % 2 == 0)
     elif cls == 8:    # vertical bars
-        m = (np.abs(dx) <= size) & (np.abs(dy) <= size) & ((xx // (t + 2)) % 2 == 0)
+        m = (np.abs(dx) <= size) & (np.abs(dy) <= size) & ((_XX // (t + 2)) % 2 == 0)
     else:             # diamond
         m = np.abs(dy) + np.abs(dx) <= size + 2
     return m

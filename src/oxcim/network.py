@@ -53,25 +53,35 @@ SCALE_NUDGE = 1.0 + 2.0 ** -20
 DEFAULT_THERMO_THRESHOLDS = (32, 64, 96, 128, 160, 192, 224, 255)
 
 
-def encode_thermometric(image):
-    """Grayscale 2-D image (0..255) -> (channels, H, W) binary array.
+def encode_thermometric(images):
+    """Grayscale (..., H, W) images (0..255) -> (..., channels, H, W) bits.
 
-    out[c, i, j] = 1 iff image[i, j] >= DEFAULT_THERMO_THRESHOLDS[c]; per
-    pixel the code is monotone in c (a thermometer).
+    out[..., c, i, j] = 1 iff image[..., i, j] >= DEFAULT_THERMO_THRESHOLDS[c];
+    per pixel the code is monotone in c (a thermometer).
     """
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise ShapeError("expected a 2-D grayscale image")
-    if not np.all(np.isfinite(img)) or img.min() < 0 or img.max() > 255:
+    img = np.asarray(images)
+    if img.ndim < 2:
+        raise ShapeError("expected (..., H, W) grayscale images")
+    if img.size and (not np.all(np.isfinite(img))
+                     or img.min() < 0 or img.max() > 255):
         raise DomainError("pixel values must lie in [0, 255]")
-    thr = np.asarray(DEFAULT_THERMO_THRESHOLDS).reshape(-1, 1, 1)
-    return (img[None, :, :] >= thr).astype(np.uint8)
+    out = np.empty(img.shape[:-2] + (N_THERMO_CHANNELS,) + img.shape[-2:],
+                   dtype=np.uint8)
+    for c, t in enumerate(DEFAULT_THERMO_THRESHOLDS):
+        np.greater_equal(img, t, out=out[..., c, :, :], casting="unsafe")
+    return out
 
 
-def thermometric_trits(image):
-    """Thermometric encoding mapped to +/-1 trit activations (0 -> -1)."""
-    bits = encode_thermometric(image)
-    return (bits.astype(np.int8) * 2 - 1)
+def thermometric_trits(images):
+    """Thermometric encoding mapped to +/-1 int8 trit activations (0 -> -1).
+
+    Maps the bits in place, so a batch costs no temporary of the output's
+    size.
+    """
+    out = encode_thermometric(images).view(np.int8)
+    out *= 2
+    out -= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +149,20 @@ def conv_output_shape(input_shape, conv):
 
 
 def maxpool(x, size):
-    """Non-overlapping max pool over (..., C, H, W) trit maps; -1 < 0 < +1."""
-    *lead, c, h, w = x.shape
+    """Non-overlapping max pool over (..., C, H, W) trit maps; -1 < 0 < +1.
+
+    Pairwise maxima over the size**2 strided views of the window offsets,
+    which is far faster than a reduction over a 6-D reshape.
+    """
+    h, w = x.shape[-2:]
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")
-    return x.reshape(*lead, c, h // size, size, w // size, size) \
-        .max(axis=(-3, -1))
+    out = x[..., ::size, ::size].copy()
+    for i in range(size):
+        for j in range(size):
+            if i or j:
+                np.maximum(out, x[..., i::size, j::size], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

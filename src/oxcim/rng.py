@@ -11,10 +11,15 @@ Keys are folded together with the SplitMix64 finalizer, which is a cheap
 bijective avalanche mix; standard normals are produced from the mixed 64-bit
 word via the inverse Gaussian CDF on its top 53 bits.  The statistical
 quality is far beyond what Gaussian-moment Monte Carlo needs.
+
+That inverse CDF is scipy.special.ndtri, resolved at the first keyed draw
+rather than at import: loading scipy.special (and the numpy.testing,
+f2py and unittest modules it pulls in) costs more than half of a cold
+``import oxcim``, and ideal inference, training and zero-variability
+hardware runs never draw.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -75,11 +80,13 @@ def uniforms_from_keys(keys):
 
 def normals_from_keys(keys):
     """Map keys to standard normal draws via the inverse Gaussian CDF."""
+    from scipy.special import ndtri  # deferred: see the module docstring
     return ndtri(uniforms_from_keys(keys))
 
 
 def normals_consuming_keys(keys):
     """Like normals_from_keys but allowed to clobber its argument (hot path)."""
+    from scipy.special import ndtri  # deferred: see the module docstring
     _mix64_inplace(keys)
     keys >>= np.uint64(11)
     u = keys.astype(np.float64)

@@ -46,6 +46,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        # lr = 0 is allowed: it keeps the weights where they are
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(
+                f"learning rate must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -69,23 +75,20 @@ class TrainResult:
 
 
 def _encode_batch(images):
-    """uint8 images -> (B, C, 32, 32) +/-1 trits, flattened per sample."""
-    padded = pad_to_32(images)
-    out = np.empty((padded.shape[0], 8, 32, 32), dtype=np.int8)
-    for i in range(padded.shape[0]):
-        out[i] = thermometric_trits(padded[i])
-    return out
+    """uint8 images -> (B, C, 32, 32) +/-1 trits."""
+    return thermometric_trits(pad_to_32(images))
 
 
 def _unpool(a, sizes, dval):
     """Gradient at a from dval, the gradient at a pooled by sizes in turn."""
     inputs = [a]
-    for size in sizes[:-1]:
+    for size in sizes:
         inputs.append(maxpool(inputs[-1], size))
-    for x, s in zip(reversed(inputs), reversed(sizes)):
+    for x, pooled, s in reversed(list(zip(inputs, inputs[1:], sizes))):
         b, c, h, w = x.shape
         x6 = x.reshape(b, c, h // s, s, w // s, s)
-        ties = (x6 == x6.max(axis=(3, 5), keepdims=True)).astype(np.float64)
+        ties = (x6 == pooled.reshape(b, c, h // s, 1, w // s, 1)) \
+            .astype(np.float64)
         ties /= ties.sum(axis=(3, 5), keepdims=True)
         dval = (ties * dval.reshape(b, c, h // s, 1, w // s, 1)) \
             .reshape(b, c * h * w)

@@ -82,8 +82,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch", "0", "batch size must be >= 1"),
-        ("--val-fraction", "1.5", "val fraction must lie in [0, 1)")],
-        ids=["batch", "val_fraction"])
+        ("--val-fraction", "1.5", "val fraction must lie in [0, 1)"),
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--lr", "-1", "learning rate must be finite and >= 0"),
+        ("--lr", "nan", "learning rate must be finite and >= 0")],
+        ids=["batch", "val_fraction", "epochs", "lr", "lr_nan"])
     def test_train_config_out_of_range_is_diagnosed(self, data_dir, tmp_path,
                                                     capsys, flag, value,
                                                     message):

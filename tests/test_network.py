@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oxcim.bench import encode_images
+from oxcim.data import pad_to_32
 from oxcim.errors import ConfigError, DomainError, ShapeError
-from oxcim.network import (Activation, Conv2D, Dense, NetworkDescription,
+from oxcim.network import (DEFAULT_THERMO_THRESHOLDS, Activation, Conv2D,
+                           Dense, NetworkDescription,
                            conv_weight_matrix, encode_thermometric,
                            forward_ideal, im2col, lenet, maxpool,
                            predict_ideal, thermometric_trits)
 from oxcim.quant import Precision, TernaryTensor
 from oxcim.device import sigmoid_ideal
 from oxcim.quant import popcount_oracle
+from oxcim.train import _encode_batch
 
 
 def direct_conv2d(x, w, stride=1):
@@ -69,6 +75,57 @@ class TestThermometric:
         assert np.all(trits[:, 0, 1] == 1)
 
 
+class TestBatchEncoder:
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_batch_equals_per_image_loop(self, n):
+        gen = np.random.default_rng(n)
+        images = gen.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        bits = encode_thermometric(images)
+        trits = thermometric_trits(images)
+        padded = [encode(images) for encode in (encode_images, _encode_batch)]
+        assert bits.shape == trits.shape == (n, 8, 28, 28)
+        assert bits.dtype == np.uint8 and trits.dtype == np.int8
+        thr = np.reshape(DEFAULT_THERMO_THRESHOLDS, (-1, 1, 1))
+        for i, img in enumerate(images):
+            np.testing.assert_array_equal(bits[i], encode_thermometric(img))
+            np.testing.assert_array_equal(trits[i], thermometric_trits(img))
+            np.testing.assert_array_equal(trits[i], (img >= thr) * 2 - 1)
+            for enc in padded:
+                np.testing.assert_array_equal(
+                    enc[i], thermometric_trits(pad_to_32(img)))
+
+    def test_single_image_keeps_its_shape(self):
+        img = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
+        assert encode_thermometric(img).shape == (8, 5, 7)
+        assert thermometric_trits(img).shape == (8, 5, 7)
+
+    @pytest.mark.parametrize("value", [256, -1, np.nan])
+    def test_out_of_range_pixel_anywhere_in_batch_rejected(self, value):
+        images = np.zeros((4, 6, 6))
+        images[2, 5, 3] = value
+        with pytest.raises(DomainError):
+            thermometric_trits(images)
+
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            encode_thermometric(np.zeros(4))
+
+    @pytest.mark.parametrize("encode", [encode_images, _encode_batch])
+    def test_allocates_little_beyond_the_output(self, encode):
+        n = 64
+        images = np.random.default_rng(0).integers(
+            0, 256, size=(n, 28, 28), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = encode(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, 8, 32, 32) and out.dtype == np.int8
+        # the int8 output, the padded images and one N x 32 x 32 bool check
+        assert peak <= out.nbytes + 2 * n * 32 * 32 + 64 * 2**10
+
+
 class TestConvLowering:
     def test_lenet_first_conv_dims(self):
         conv1 = lenet(Precision.BINARY).plan[0]
@@ -125,6 +182,17 @@ class TestMaxPool:
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
             maxpool(np.zeros((1, 5, 4), dtype=np.int8), 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_equals_window_reduction(self, dtype, size):
+        x = np.random.default_rng(size).integers(
+            -1, 2, size=(3, 4, 6, 12)).astype(dtype)
+        ref = x.reshape(3, 4, 6 // size, size, 12 // size, size) \
+            .max(axis=(3, 5))
+        got = maxpool(x, size)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, ref)
 
 
 def tiny_net(precision=Precision.TERNARY, r=0.5, seed=0, n_out=10):

@@ -1,6 +1,16 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 
 from oxcim import rng
+from oxcim.crossbar import CrossbarTile
+from oxcim.device import default_device_config
+
+# A noisy 4x4 HRS tile and one READ pair of two input patterns.
+TILE_TRITS = [[1, -1, 0, 1], [0, 1, -1, -1], [-1, 0, 1, 0], [1, 1, -1, 0]]
+READ_INPUT = [[1, -1, 0, 1], [-1, 1, 1, 0]]
 
 
 def test_same_key_same_value():
@@ -46,3 +56,29 @@ def test_consuming_variant_matches():
     a = rng.normals_from_keys(keys)
     b = rng.normals_consuming_keys(keys.copy())
     np.testing.assert_array_equal(a, b)
+
+
+def test_import_defers_scipy_special():
+    # ndtri is resolved at the first keyed draw; the draws must not move
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import oxcim
+        assert "scipy.special" not in sys.modules, "imported at import"
+        from oxcim.crossbar import CrossbarTile
+        from oxcim.device import default_device_config
+        tile = CrossbarTile(default_device_config("hrs"),
+                            np.array({TILE_TRITS}), array_id=5)
+        i_pos, i_neg = tile.vmm_batch(np.array({READ_INPUT}), [0, 1])
+        assert "scipy.special" in sys.modules
+        print(tile.cell_g.tobytes().hex(), i_pos.tobytes().hex(),
+              i_neg.tobytes().hex())
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tile = CrossbarTile(default_device_config("hrs"), np.array(TILE_TRITS),
+                        array_id=5)
+    i_pos, i_neg = tile.vmm_batch(np.array(READ_INPUT), [0, 1])
+    assert proc.stdout.split() == [a.tobytes().hex()
+                                   for a in (tile.cell_g, i_pos, i_neg)]

@@ -32,6 +32,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="val fraction"):
             TrainConfig(val_fraction=val_fraction)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_negative_or_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainConfig(lr=lr)
+
 
 class TestTrainerMechanics:
     def test_zero_learning_rate_keeps_weights(self):
