@@ -37,6 +37,7 @@ from .quant import popcount_oracle
 
 N_CLASSES = 10
 CHUNK = 8  # images per forward pass (module docstring)
+HIST_BINS = 40  # hist.csv bins per trit
 
 
 @dataclass
@@ -52,10 +53,6 @@ class ConfusionMatrix:
     def total(self):
         return int(self.counts.sum())
 
-    @property
-    def overall_accuracy(self):
-        return 100.0 * np.trace(self.counts) / max(self.total, 1)
-
     @classmethod
     def from_predictions(cls, truth, pred):
         counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
@@ -68,8 +65,7 @@ class ExperimentSpec:
     net: object
     config: object
     mode: str                     # 'ideal' | 'hardware'
-    trials: int = 1
-    seeds: list = None
+    seeds: list = None            # one trial per seed; default [config.seed]
     limit: int = None             # test-set slice: first N images
     max_tile: tuple = (64, 64)
     threads: int = 1
@@ -77,16 +73,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("ideal", "hardware"):
             raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.limit is not None and self.limit < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if self.seeds is None:
-            self.seeds = [self.config.seed + i for i in range(self.trials)]
-        if len(self.seeds) != self.trials:
-            raise ConfigError(f"{self.trials} trials but {len(self.seeds)} seeds")
+            self.seeds = [self.config.seed]
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
 
@@ -169,6 +163,8 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     maps one popcount unit of differential current to 1 uA.
     """
     rows_n, cols_n = tile_dims
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     if rows_n > 8 or cols_n > 8 or rows_n < 1 or cols_n < 1:
         raise ConfigError(f"sweep tiles must be between 1x1 and 8x8, got {tile_dims}")
     config.require_states(precision)
@@ -191,7 +187,7 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     return rows
 
 
-def weight_conductance_histogram(tiled, bins=40):
+def weight_conductance_histogram(tiled):
     """Sampled cell conductances grouped by programmed trit.
 
     Returns (rows, stats): rows follow the hist.csv schema; stats holds the
@@ -214,9 +210,9 @@ def weight_conductance_histogram(tiled, bins=40):
         lo, hi = float(g.min()), float(g.max())
         if lo == hi:
             hi = lo + max(abs(lo), 1e-12) * 1e-9  # delta spike: one thin bin
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, HIST_BINS + 1)
         counts, _ = np.histogram(g, bins=edges)
-        for k in range(bins):
+        for k in range(HIST_BINS):
             rows.append((t, float(edges[k]), float(edges[k + 1]), int(counts[k])))
     trits = sorted(by_trit)
     gaps = []

@@ -6,25 +6,34 @@ recording the exact command line, seeds, config/weight hashes and the
 python, numpy and scipy versions, so any result can be reproduced from the
 manifest alone.
 
-BLAS thread pools are pinned to one thread before numpy loads: all
-parallelism goes through --threads (workers over fixed 8-image chunks with
-a fixed-order reduction), which keeps outputs bit-identical at any thread
-count.
+Evaluation outputs are bit-identical at any --threads and any BLAS thread
+count: workers map over fixed 8-image chunks, every READ column sum is
+exact in any summation order (an error-free hi + lo split of the
+conductances), and the ideal pass multiplies trits, which float32 does
+exactly.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
+import platform
 import shlex
 import sys
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+import numpy
+import scipy
 
-
-def _pin_blas_threads():
-    for var in _BLAS_VARS:
-        os.environ.setdefault(var, "1")
+from . import device, weightfile
+from .bench import (ExperimentSpec, run_accuracy, sweep_sense_distribution,
+                    weight_conductance_histogram, write_accuracy_csv,
+                    write_confusion_csv, write_hist_csv, write_sense_csv)
+from .data import load_dataset_dir, pad_to_32
+from .errors import OxcimError
+from .hardware import map_network_to_tiles
+from .network import encode_thermometric, lenet
+from .quant import Precision
+from .train import TrainConfig, train
 
 
 def _parse_dims(text):
@@ -78,7 +87,8 @@ def build_parser():
     p.add_argument("--mode", required=True, choices=["ideal", "hardware"])
     p.add_argument("--data", required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=1,
+                   help="without --seeds, run seeds seed .. seed+N-1")
     p.add_argument("--seeds", type=_parse_seeds, default=None)
     p.add_argument("--max-tile", type=_parse_dims, default=(64, 64))
 
@@ -100,10 +110,6 @@ def build_parser():
 
 
 def _load_config(spec_text, seed_override=None):
-    import dataclasses
-
-    from . import device
-
     if spec_text in ("hrs", "lrs"):
         cfg = device.default_device_config(spec_text)
         digest = cfg.digest()
@@ -121,11 +127,6 @@ def _file_digest(path):
 
 
 def _write_manifest(out_dir, argv, entries):
-    import platform
-
-    import numpy
-    import scipy
-
     lines = [f"command = oxcim {shlex.join(argv)}"]
     lines += [f"{k} = {v}" for k, v in entries]
     lines += [f"python = {platform.python_version()}",
@@ -148,12 +149,6 @@ class SystemExit2(Exception):
 
 
 def _cmd_train(args, argv):
-    from . import weightfile
-    from .data import load_dataset_dir
-    from .network import lenet
-    from .quant import Precision
-    from .train import TrainConfig, train
-
     if args.limit is not None and args.limit < 1:
         raise SystemExit2(f"--limit must be >= 1, got {args.limit}")
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
@@ -188,11 +183,6 @@ def _cmd_train(args, argv):
 
 
 def _cmd_eval(args, argv):
-    from . import weightfile
-    from .bench import ExperimentSpec, run_accuracy, write_accuracy_csv, \
-        write_confusion_csv
-    from .data import load_dataset_dir
-
     if not args.weights:
         raise SystemExit2("eval requires --weights")
     threads = _threads(args)
@@ -200,8 +190,9 @@ def _cmd_eval(args, argv):
     net = weightfile.load_network(args.weights)
     store = load_dataset_dir(args.data)
     seeds = args.seeds
-    trials = args.trials if seeds is None else len(seeds)
-    spec = ExperimentSpec(net=net, config=cfg, mode=args.mode, trials=trials,
+    if seeds is None:
+        seeds = [cfg.seed + i for i in range(args.trials)]
+    spec = ExperimentSpec(net=net, config=cfg, mode=args.mode,
                           seeds=seeds, limit=args.limit,
                           max_tile=args.max_tile, threads=threads)
     report = run_accuracy(spec, store.test_images, store.test_labels)
@@ -227,9 +218,6 @@ def _cmd_eval(args, argv):
 
 
 def _cmd_sweep(args, argv):
-    from .bench import sweep_sense_distribution, write_sense_csv
-    from .quant import Precision
-
     cfg, cfg_digest = _load_config(args.config)
     seed = args.seed if args.seed is not None else 0
     rows = sweep_sense_distribution(args.dims, Precision(args.precision), cfg,
@@ -252,10 +240,6 @@ def _cmd_sweep(args, argv):
 
 
 def _cmd_hist(args, argv):
-    from . import weightfile
-    from .bench import weight_conductance_histogram, write_hist_csv
-    from .hardware import map_network_to_tiles
-
     if not args.weights:
         raise SystemExit2("hist requires --weights")
     cfg, cfg_digest = _load_config(args.config, args.seed)
@@ -278,9 +262,6 @@ def _cmd_hist(args, argv):
 
 
 def _cmd_encode_preview(args, argv):
-    from .data import load_dataset_dir, pad_to_32
-    from .network import encode_thermometric
-
     store = load_dataset_dir(args.data)
     images = store.test_images if args.split == "test" else store.train_images
     labels = store.test_labels if args.split == "test" else store.train_labels
@@ -316,11 +297,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _pin_blas_threads()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .errors import OxcimError
     try:
         return _COMMANDS[args.command](args, argv)
     except SystemExit2 as exc:

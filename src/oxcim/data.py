@@ -111,6 +111,9 @@ class DatasetStore:
             if imgs.shape[0] != labs.shape[0]:
                 raise ShapeError(
                     f"{split}: {imgs.shape[0]} images vs {labs.shape[0]} labels")
+            if labs.dtype.kind not in "iu":
+                raise DomainError(
+                    f"{split} labels must be integers, got {labs.dtype}")
             if labs.size and (labs.min() < 0 or labs.max() > 9):
                 raise DomainError(f"{split} labels must lie in 0..9")
             if imgs.dtype != np.uint8:

@@ -121,7 +121,7 @@ class DeviceConfig:
         return mean, d2d, c2c, mean * CLAMP_FLOOR_FRACTION
 
     def canonical_text(self):
-        """Stable serialization used both for saving and for hashing."""
+        """The config-file text; digest() hashes it."""
         lines = [
             "# oxcim device config",
             f"region = {self.region}",
@@ -300,11 +300,6 @@ def parse_device_config(text, name="<string>"):
 def load_device_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_device_config(fh.read(), name=str(path))
-
-
-def save_device_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config.canonical_text())
 
 
 def default_device_config(which):

@@ -72,7 +72,6 @@ class TilePlacement:
 
 @dataclass
 class LayerMapping:
-    layer_index: int
     rows: int
     cols: int
     gain_uA: float
@@ -82,8 +81,7 @@ class LayerMapping:
 @dataclass
 class TiledNetwork:
     net: object
-    config: object
-    mappings: dict  # layer_index -> LayerMapping
+    mappings: dict  # layer index -> LayerMapping
 
     def all_cells(self):
         """Yield (trit grid, conductance grid) of the weight-bearing cells.
@@ -94,10 +92,6 @@ class TiledNetwork:
             for p in m.placements:
                 yield (p.tile.cell_state[:, :p.n_data_cols],
                        p.tile.cell_g[:, :p.n_data_cols])
-
-
-def _block_starts(total, block):
-    return list(range(0, total, block))
 
 
 def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
@@ -127,11 +121,11 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
             wmat = w.data
         rows, cols = wmat.shape
         mapping = LayerMapping(
-            layer_index=li, rows=rows, cols=cols,
+            rows=rows, cols=cols,
             gain_uA=config.v_read * a * net.plan[li].scale * 1e6,
         )
-        for r0 in _block_starts(rows, max_r):
-            for c0 in _block_starts(cols, max_c - n_ref):
+        for r0 in range(0, rows, max_r):
+            for c0 in range(0, cols, max_c - n_ref):
                 block = wmat[r0:r0 + max_r, c0:c0 + max_c - n_ref]
                 refs = np.empty((block.shape[0], 2), dtype=np.int8)
                 refs[:, 0] = 1
@@ -142,7 +136,7 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
                     TilePlacement(tile, r0, c0, block.shape[1]))
                 array_id += 1
         mappings[li] = mapping
-    return TiledNetwork(net=net, config=config, mappings=mappings)
+    return TiledNetwork(net=net, mappings=mappings)
 
 
 def _layer_delta(mapping, patches, read_pairs):

@@ -297,15 +297,12 @@ class NetworkDescription:
         return [i for i, l in enumerate(self.layers)
                 if isinstance(l, (Conv2D, Dense))]
 
-    def total_weight_count(self):
-        return sum(self.weights[i].size for i in self.parametric_indices())
-
 
 def hidden_activation_kind(precision):
     return "binary" if precision is Precision.BINARY else "ternary"
 
 
-def lenet(precision, r=0.5, input_shape=(N_THERMO_CHANNELS, 32, 32), weights=None):
+def lenet(precision, r=0.5):
     """The LeNet-style reference architecture used throughout this project.
 
     conv(6,5x5) -> pool2 -> conv(16,5x5) -> pool2 -> dense 120 -> dense 84
@@ -319,9 +316,8 @@ def lenet(precision, r=0.5, input_shape=(N_THERMO_CHANNELS, 32, 32), weights=Non
         Dense(84), Activation(hid, r),
         Dense(10), Activation("sigmoid_output"),
     ]
-    if weights is None:
-        weights = [None] * len(layers)
-    return NetworkDescription(precision, input_shape, layers, weights)
+    return NetworkDescription(precision, (N_THERMO_CHANNELS, 32, 32), layers,
+                              [None] * len(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,6 @@ class TernaryTensor:
     def size(self):
         return self.data.size
 
-    def ravel(self):
-        return TernaryTensor(self.data.ravel(), self.precision)
-
-    def reshape(self, shape):
-        return TernaryTensor(self.data.reshape(shape), self.precision)
-
     def __eq__(self, other):
         return (
             isinstance(other, TernaryTensor)

@@ -34,6 +34,7 @@ from .quant import act_binary, act_ternary  # noqa: F401
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_BATCH = 256  # images per forward pass in evaluate_loss
 
 
 @dataclass
@@ -54,6 +55,10 @@ class TrainConfig:
                 f"learning rate must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        # latent weights live in [-1, 1]: r >= 1 would quantize all to 0
+        if not 0.0 < self.weight_r < 1.0:
+            raise ConfigError(
+                f"weight r must lie in (0, 1), got {self.weight_r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val fraction must lie in [0, 1), got {self.val_fraction}")
@@ -238,19 +243,18 @@ class Trainer:
 
     # -- training loop ---------------------------------------------------------
 
-    def evaluate_loss(self, images, labels, batch_size=256):
+    def evaluate_loss(self, images, labels):
         total, count = 0.0, 0
-        for lo in range(0, images.shape[0], batch_size):
-            hi = min(lo + batch_size, images.shape[0])
+        for lo in range(0, images.shape[0], EVAL_BATCH):
+            hi = min(lo + EVAL_BATCH, images.shape[0])
             x = _encode_batch(images[lo:hi])
             loss, _ = self.loss_and_grads(x, labels[lo:hi])
             total += loss * (hi - lo)
             count += hi - lo
         return total / max(count, 1)
 
-    def fit(self, images, labels, epochs=None, log_fn=None):
+    def fit(self, images, labels, log_fn=None):
         cfg = self.cfg
-        epochs = cfg.epochs if epochs is None else epochs
         n = images.shape[0]
         n_val = int(round(n * cfg.val_fraction))
         order = self.rng.permutation(n)
@@ -260,7 +264,7 @@ class Trainer:
         result.initial_val_loss = self.evaluate_loss(images[val_ids],
                                                      labels[val_ids]) \
             if n_val else float("nan")
-        for epoch in range(1, epochs + 1):
+        for epoch in range(1, cfg.epochs + 1):
             perm = self.rng.permutation(train_ids.shape[0])
             ids = train_ids[perm]
             running, seen = 0.0, 0

@@ -5,8 +5,9 @@ import pytest
 from oxcim.data import synthetic_dataset
 from oxcim.device import default_device_config
 
-# Keep CSV/score comparisons meaningful: all BLAS pools pinned to one thread
-# (matches what the CLI does on startup).
+# All BLAS pools on one thread, as in benchmarks/run.py, so the float64
+# training matmuls reduce in one order.  Evaluation bits do not depend on
+# the pool size (test_cli.TestDeterminism checks it).
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

@@ -26,6 +26,7 @@ from oxcim.quant import Precision, popcount_oracle
 from oxcim.train import TrainConfig, train
 from oxcim.weightfile import dumps
 from conftest import real_dataset_dir
+from test_weightfile import weight_count
 
 TRITS = (-1, 0, 1)
 EVAL_IMAGES = 2000
@@ -302,7 +303,7 @@ def test_c8_bit_identical_outputs(tmp_path, dataset):
 def test_c9_weight_file_size(trained_bnn, trained_tnn):
     for net, factor in ((trained_bnn, 16.0), (trained_tnn, 8.0)):
         text = dumps(net)
-        float_bytes = 4 * net.total_weight_count()
+        float_bytes = 4 * weight_count(net)
         assert len(text.encode()) <= float_bytes / factor
     # the binary LeNet carries 62520 weights; spell the bound out once
-    assert trained_bnn.total_weight_count() == 62520
+    assert weight_count(trained_bnn) == 62520

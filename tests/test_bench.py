@@ -29,7 +29,7 @@ class TestConfusionMatrix:
     def test_perfect_classifier_is_diagonal(self):
         truth = np.repeat(np.arange(10), 5)
         cm = ConfusionMatrix.from_predictions(truth, truth)
-        assert cm.overall_accuracy == 100.0
+        assert 100.0 * np.trace(cm.counts) / cm.total == 100.0
         assert np.all(np.diag(cm.counts) == 5)
         assert cm.counts.sum() == np.trace(cm.counts)
 
@@ -48,21 +48,25 @@ class TestConfusionMatrix:
         pred = np.where(gen.random(300) < 0.7, truth,
                         gen.integers(0, 10, size=300))
         cm = ConfusionMatrix.from_predictions(truth, pred)
-        assert cm.overall_accuracy == pytest.approx(
-            100.0 * np.trace(cm.counts) / 300)
+        assert 100.0 * np.trace(cm.counts) / cm.total == pytest.approx(
+            100.0 * np.mean(truth == pred))
 
 
 class TestExperimentSpec:
-    def test_seed_list_derived_from_trials(self, hrs_config):
+    def test_seeds_default_to_config_seed(self, hrs_config):
         spec = ExperimentSpec(net=tiny_net(), config=hrs_config,
-                              mode="hardware", trials=3)
-        assert len(spec.seeds) == 3
-        assert len(set(spec.seeds)) == 3
+                              mode="hardware")
+        assert spec.seeds == [hrs_config.seed]
+
+    def test_empty_seed_list_rejected(self, hrs_config):
+        with pytest.raises(ConfigError, match="seeds"):
+            ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
+                           seeds=[])
 
     def test_duplicate_seeds_rejected(self, hrs_config):
         with pytest.raises(ConfigError):
             ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
-                           trials=2, seeds=[5, 5])
+                           seeds=[5, 5])
 
     def test_unknown_mode_rejected(self, hrs_config):
         with pytest.raises(ConfigError):
@@ -91,7 +95,7 @@ class TestRunAccuracy:
         from oxcim.train import Trainer
         net = Trainer(small_arch(), ).network()
         spec = ExperimentSpec(net=net, config=hrs_config, mode="ideal",
-                              trials=2, seeds=[1, 2], limit=40)
+                              seeds=[1, 2], limit=40)
         rep = run_accuracy(spec, imgs, labels)
         assert rep.accuracies[0] == rep.accuracies[1]
         assert rep.n_images == 40
@@ -104,7 +108,7 @@ class TestRunAccuracy:
         from oxcim.train import Trainer
         net = Trainer(small_arch()).network()
         spec = ExperimentSpec(net=net, config=hrs_config, mode="hardware",
-                              trials=1, seeds=[3], limit=25)
+                              seeds=[3], limit=25)
         a = run_accuracy(spec, dataset.test_images, dataset.test_labels)
         b = run_accuracy(spec, dataset.test_images, dataset.test_labels)
         assert a.accuracies == b.accuracies
@@ -119,7 +123,7 @@ class TestRunAccuracy:
         reps = []
         for seeds in ([101], [202]):
             spec = ExperimentSpec(net=trained_small_net, config=hrs_config,
-                                  mode="hardware", trials=1, seeds=seeds,
+                                  mode="hardware", seeds=seeds,
                                   limit=n)
             reps.append(run_accuracy(spec, dataset.test_images,
                                      dataset.test_labels))
@@ -132,9 +136,9 @@ class TestRunAccuracy:
         from oxcim.train import Trainer
         net = Trainer(small_arch()).network()
         base = ExperimentSpec(net=net, config=hrs_config, mode="hardware",
-                              trials=1, seeds=[3], limit=25, threads=1)
+                              seeds=[3], limit=25, threads=1)
         multi = ExperimentSpec(net=net, config=hrs_config, mode="hardware",
-                               trials=1, seeds=[3], limit=25, threads=4)
+                               seeds=[3], limit=25, threads=4)
         a = run_accuracy(base, dataset.test_images, dataset.test_labels)
         b = run_accuracy(multi, dataset.test_images, dataset.test_labels)
         assert a.accuracies == b.accuracies

@@ -31,6 +31,9 @@ def weights_path(tmp_path_factory):
     return str(path)
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
 # sha256 of sense.csv for sweep-sense --dims 3x3 --precision binary
 # --samples 200 --seed 11 on the packaged hrs config
 SWEEP_3X3_SHA256 = \
@@ -85,8 +88,11 @@ class TestUsageErrors:
         ("--val-fraction", "1.5", "val fraction must lie in [0, 1)"),
         ("--epochs", "0", "epochs must be >= 1"),
         ("--lr", "-1", "learning rate must be finite and >= 0"),
-        ("--lr", "nan", "learning rate must be finite and >= 0")],
-        ids=["batch", "val_fraction", "epochs", "lr", "lr_nan"])
+        ("--lr", "nan", "learning rate must be finite and >= 0"),
+        ("--weight-r", "1.5", "weight r must lie in (0, 1)"),
+        ("--weight-r", "0", "weight r must lie in (0, 1)")],
+        ids=["batch", "val_fraction", "epochs", "lr", "lr_nan", "weight_r",
+             "weight_r_zero"])
     def test_train_config_out_of_range_is_diagnosed(self, data_dir, tmp_path,
                                                     capsys, flag, value,
                                                     message):
@@ -96,6 +102,15 @@ class TestUsageErrors:
         assert code == 1
         assert f"oxcim: error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "weights.qnn").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sweep_samples_below_one_is_diagnosed(self, tmp_path, capsys,
+                                                  samples):
+        code = run_cli("sweep-sense", "--precision", "ternary", "--samples",
+                       samples, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "oxcim: error: samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sense.csv").exists()
 
     def test_eval_negative_threads_exits_2(self, data_dir, weights_path,
                                            tmp_path):
@@ -145,6 +160,16 @@ class TestEval:
         with open(tmp_path / "accuracy.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [r[0] for r in rows] == ["4", "9"]
+
+    def test_seed_list_derived_from_trials(self, data_dir, weights_path,
+                                           tmp_path):
+        code = run_cli("eval", "--mode", "hardware", "--config", "hrs",
+                       "--weights", weights_path, "--data", data_dir,
+                       "--limit", "4", "--trials", "3",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert "seeds = 1,2,3" in manifest.splitlines()
 
 
 class TestSweepAndHist:
@@ -205,6 +230,25 @@ class TestDeterminism:
                    "--out-dir", str(out_dir)]
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   cwd=os.path.dirname(weights_path))
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out_dir / "accuracy.csv").read_bytes()
+                        + (out_dir / "confusion.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_eval_outputs_bit_identical_across_blas_thread_counts(
+            self, data_dir, weights_path, tmp_path):
+        # no pin: READ sums are exact and trit products exact in float32,
+        # so the BLAS pool size cannot move a bit
+        outs = []
+        for blas in ("1", "2"):
+            out_dir = tmp_path / f"blas{blas}"
+            env = dict(os.environ, **{var: blas for var in BLAS_VARS})
+            cmd = [sys.executable, "-m", "oxcim.cli", "eval", "--mode",
+                   "hardware", "--config", "hrs", "--weights", weights_path,
+                   "--data", data_dir, "--limit", "12", "--seeds", "1,2",
+                   "--threads", "2", "--out-dir", str(out_dir)]
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  cwd=os.path.dirname(weights_path), env=env)
             assert proc.returncode == 0, proc.stderr
             outs.append((out_dir / "accuracy.csv").read_bytes()
                         + (out_dir / "confusion.csv").read_bytes())

@@ -87,6 +87,25 @@ class TestDatasetStore:
                          np.zeros((1, 28, 28), dtype=np.uint8),
                          np.zeros(1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("labels", [[2.5, 0.0, 9.0], [1.0, float("nan"),
+                                                          3.0]])
+    def test_non_integer_labels_rejected(self, labels):
+        imgs = np.zeros((3, 28, 28), dtype=np.uint8)
+        with pytest.raises(DomainError, match="integers"):
+            DatasetStore(imgs, np.array(labels), imgs,
+                         np.zeros(3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("code, dtype", [(0x0D, ">f4"), (0x0E, ">f8")])
+    def test_float_label_file_rejected(self, tmp_path, code, dtype):
+        write_dataset_dir(synthetic_dataset(n_train=3, n_test=3, seed=1),
+                          tmp_path)
+        labels = np.array([1.7, 3.2, 0.5], dtype=dtype)
+        with open(tmp_path / "t10k-labels-idx1-ubyte", "wb") as fh:
+            fh.write(struct.pack(">BBBBI", 0, 0, code, 1, labels.size))
+            fh.write(labels.tobytes())
+        with pytest.raises(DomainError, match="test labels must be integers"):
+            load_dataset_dir(tmp_path)
+
     def test_directory_roundtrip(self, tmp_path):
         store = synthetic_dataset(n_train=20, n_test=10, seed=1)
         write_dataset_dir(store, tmp_path)

@@ -8,8 +8,7 @@ import pytest
 from oxcim.device import (CLAMP_FLOOR_FRACTION, MEASURED_AMPLITUDE_V,
                           MEASURED_MIDPOINT_UA, DeviceConfig, MlcStateModel,
                           default_device_config, load_device_config,
-                          parse_device_config,
-                          sample_device_conductance_grid, save_device_config,
+                          parse_device_config, sample_device_conductance_grid,
                           sigmoid_ideal, sigmoid_neuron_voltage)
 from oxcim import rng
 from oxcim.crossbar import A_TO_UA, CrossbarTile
@@ -259,7 +258,7 @@ class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = default_device_config("hrs")
         path = tmp_path / "dev.cfg"
-        save_device_config(cfg, path)
+        path.write_text(cfg.canonical_text(), encoding="utf-8")
         again = load_device_config(path)
         assert again.states == cfg.states
         assert again.v_read == cfg.v_read

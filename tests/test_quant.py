@@ -136,8 +136,6 @@ class TestTernaryTensor:
     def test_shape_and_reshape(self):
         t = TernaryTensor(np.ones((2, 3), dtype=np.int8), Precision.BINARY)
         assert t.shape == (2, 3)
-        assert t.reshape((3, 2)).shape == (3, 2)
-        assert t.ravel().size == 6
 
 
 class TestQuantizeWeights:

@@ -64,6 +64,7 @@ def test_import_defers_scipy_special():
         import sys
         import numpy as np
         import oxcim
+        import oxcim.cli
         assert "scipy.special" not in sys.modules, "imported at import"
         from oxcim.crossbar import CrossbarTile
         from oxcim.device import default_device_config

@@ -42,6 +42,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="learning rate"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("weight_r", [0.0, -0.5, 1.0, 1.5, float("nan"),
+                                          float("inf")])
+    def test_weight_r_outside_open_unit_interval_rejected(self, weight_r):
+        with pytest.raises(ConfigError, match="weight r"):
+            TrainConfig(weight_r=weight_r)
+
 
 class TestTrainerMechanics:
     def test_zero_learning_rate_keeps_weights(self):
