@@ -121,13 +121,15 @@ def _predict_many(fn, n, threads):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, starts))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
 def run_accuracy(spec, images, labels):
     """Accuracy over trials; confusion matrix comes from the first seed."""
     spec.net.require_weights()
     n = images.shape[0] if spec.limit is None else min(spec.limit, images.shape[0])
+    if n == 0:
+        raise ShapeError("no images to evaluate")
     truth = np.asarray(labels[:n], dtype=np.int64)
     encoded = encode_images(images[:n])
     accuracies = []

@@ -39,18 +39,26 @@ gemv or gemm, at any BLAS thread count; a plain matmul of cell_g does not
 Cycle-to-cycle conductance noise is resampled per READ event, keyed by
 (config seed, array id, row, col, read id); device-to-device offsets are
 frozen when the tile is programmed.  Each (READ, gated cell) draws one
-normal, clamped so that the cell never reads below the mean/100 floor; the
-noise is summed per READ with np.add.reduceat, whose fresh accumulator per
-segment keeps it batch-independent, and added to the mean.  Reads keep no
-state on the tile: a read that clamps draws logs it, block by block, and
-moves on.
+normal, clamped so that the cell never reads below the mean/100 floor, and
+the noise is added to its READ's mean.  Reads keep no state on the tile: a
+read that clamps draws logs it, block by block, and moves on.
 
-A READ of P patterns walks them in blocks of READ_BLOCK_CELLS // (rows *
-cols) patterns, so its float gate block and per-cell noise arrays stay
-near 1 MB each however large the batch.  Blocking cannot move a bit: each
-pattern's mean is an exact sum, its noise is keyed by its own read id and
-summed from a fresh accumulator, and every cell of it is drawn and clamped
-once, in whichever block it falls.
+One pass serves both READs of a pair.  vmm_batch walks its P input
+vectors in blocks of READ_BLOCK_CELLS // (rows * cols) vectors and reads
+both phases of a block at once.  READ_BLOCK_CELLS counts cells, vectors x
+rows x cols; a row is gated in at most one phase, so a block draws at most
+READ_BLOCK_CELLS normals (about 0.5 MB of keys) however large the batch.
+The -1 means of a batch with no 0 input are the tile's column totals minus
+the +1 means: both are exact sums, so their difference is the exact sum
+over the -1 rows, and no second matmul is needed.  The noise of a block is
+one gather of its gated (phase, vector, row) cells, in which each READ's
+cells form one contiguous segment in row order, then one keyed draw, one
+clamp and one np.add.reduceat over the segments.  reduceat sums a segment
+as its first row plus a pairwise sum of the rest, whatever lies around the
+segment, so blocking and pairing cannot move a bit: each vector's mean is
+an exact sum, its noise is keyed by its own read ids and summed by
+segment, and every cell of it is drawn and clamped once, in whichever
+block it falls.
 """
 
 import enum
@@ -73,9 +81,9 @@ A_TO_UA = 1e6
 # clamps stay in the 1e-5 regime.
 CLAMP_WARN_FRACTION = 1e-3
 
-# Cells (patterns x rows x cols) per block of a READ; see the module
+# Cells (vectors x rows x cols) per block of a READ pair; see the module
 # docstring.
-READ_BLOCK_CELLS = 2**17
+READ_BLOCK_CELLS = 2**16
 
 
 class ActivationMode(enum.Enum):
@@ -88,7 +96,8 @@ class CrossbarTile:
     """A programmed rows x cols grid of 1T-1R cells.
 
     Immutable after programming: the per-cell device conductance (D2D draw)
-    and the noise key grid are fixed at construction.
+    and, on a tile with C2C noise, its noise key grid are fixed at
+    construction.
     """
 
     def __init__(self, config: DeviceConfig, cell_state, array_id=0):
@@ -103,14 +112,17 @@ class CrossbarTile:
         self._c2c_sigma = c2c
         self.cell_g = sample_device_conductance_grid(config, trits, self.array_id)
         self._split = _exact_split(self.cell_g, self.array_id)
-        # Lowest C2C offset per cell, rounded up so that cell_g + headroom
-        # (an exact sum, by Sterbenz) never lies below the floor.
-        head = floor - self.cell_g
-        self._headroom = np.where(self.cell_g + head < floor,
-                                  np.nextafter(head, np.inf), head)
-        self._c2c_keys = rng.c2c_cell_key_grid(config.seed, self.array_id,
-                                               self.rows, self.cols)
+        self._totals = self._split.sum(axis=0)  # exact: see _exact_split
         self._has_c2c = bool(np.any(c2c > 0.0))
+        self._headroom = self._c2c_keys = None
+        if self._has_c2c:
+            # Lowest C2C offset per cell, rounded up so that cell_g +
+            # headroom (an exact sum, by Sterbenz) never lies below the floor.
+            head = floor - self.cell_g
+            self._headroom = np.where(self.cell_g + head < floor,
+                                      np.nextafter(head, np.inf), head)
+            self._c2c_keys = rng.c2c_cell_key_grid(config.seed, self.array_id,
+                                                   self.rows, self.cols)
 
     def vmm_batch(self, x_batch, read_pairs):
         """Two-phase VMM for a batch of input vectors.
@@ -132,36 +144,45 @@ class CrossbarTile:
         pairs = np.asarray(read_pairs, dtype=np.uint64)
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
-        i_pos = self._read(xb, 1, 2 * pairs)
-        i_neg = self._read(xb, -1, 2 * pairs + np.uint64(1))
-        return i_pos, i_neg
-
-    def _read(self, xb, sign, read_ids):
-        """Currents of the READs that gate the rows where xb == sign."""
-        out = np.empty((xb.shape[0], self.cols))
+        gates = np.empty((2,) + xb.shape, dtype=bool)  # (phase, vector, row)
+        np.greater(xb, 0, out=gates[0])
+        np.less(xb, 0, out=gates[1])
+        dense = xb.all()  # no 0 input: the -1 sums are totals - the +1 sums
+        out = np.empty((2, xb.shape[0], self.cols))  # (phase, vector, col)
         step = max(1, READ_BLOCK_CELLS // (self.rows * self.cols))
         for a in range(0, xb.shape[0], step):
-            g = xb[a:a + step] == sign
+            g = gates[:, a:a + step]
             # Exact in any order (module docstring): one rounding, of hi + lo.
-            halves = g.astype(np.float64) @ self._split
-            blk = out[a:a + step]
-            np.add(halves[:, :self.cols], halves[:, self.cols:], out=blk)
+            pos = g[0].astype(np.float64) @ self._split
+            neg = (self._totals - pos if dense
+                   else g[1].astype(np.float64) @ self._split)
+            blk = out[:, a:a + step]
+            np.add(pos[:, :self.cols], pos[:, self.cols:], out=blk[0])
+            np.add(neg[:, :self.cols], neg[:, self.cols:], out=blk[1])
             if self._has_c2c:
-                self._add_c2c(blk, g, read_ids[a:a + step])
+                self._add_c2c(blk, g, pairs[a:a + step])
         out *= self.config.v_read * A_TO_UA
-        return out
+        return out[0], out[1]
 
-    def _add_c2c(self, out, gates, read_ids):
-        """Add the clamped C2C noise of every gated cell to its read's row."""
-        pat, rat = np.nonzero(gates)  # active (pattern, row) pairs, row-major
-        if pat.size == 0:
+    def _add_c2c(self, out, gates, pairs):
+        """Add the clamped C2C noise of every gated cell to its READ's row.
+
+        out is (2, p, cols) and gates (2, p, rows); phase 0 is READ
+        2 * pairs, phase 1 READ 2 * pairs + 1.
+        """
+        cells = np.flatnonzero(gates)  # gated (phase, vector, row), row-major
+        if cells.size == 0:
             return
-        # One keyed draw per (read event, gated cell); gated-off cells are
-        # never sampled, which leaves their stream untouched.
-        words = rng.read_event_words(read_ids)
-        z = rng.normals_consuming_keys(self._c2c_keys[rat, :] ^ words[pat, None])
-        z *= self._c2c_sigma[rat, :]
-        z, n = clamp_floor(z, self._headroom[rat, :])
+        seg, row = np.divmod(cells, self.rows)  # seg: phase * p + vector
+        # One keyed draw per (READ, gated cell); gated-off cells are never
+        # sampled, which leaves their stream untouched.
+        words = rng.read_event_words(
+            (2 * pairs + np.arange(2, dtype=np.uint64)[:, None]).ravel())
+        keys = np.take(self._c2c_keys, row, axis=0)
+        keys ^= np.take(words, seg)[:, None]
+        z = rng.normals_consuming_keys(keys)
+        z *= np.take(self._c2c_sigma, row, axis=0)
+        z, n = clamp_floor(z, np.take(self._headroom, row, axis=0))
         if n:
             log.debug("array %d: %d of %d read draws clamped",
                       self.array_id, n, z.size)
@@ -171,13 +192,12 @@ class CrossbarTile:
                     "draws to the mean/100 floor; states sit too close to "
                     "zero conductance for their sigmas", self.array_id, n,
                     z.size)
-        # Segment-sum the noise rows back onto their pattern index.  reduceat
-        # sums every segment from a fresh accumulator, so each pattern's
-        # noise is bit-identical whether it is read alone or in a batch.
-        counts = np.bincount(pat, minlength=gates.shape[0])
+        # Segment-sum the noise rows back onto their READ (module docstring).
+        counts = np.bincount(seg, minlength=words.size)
         nonempty = counts > 0
         starts = np.cumsum(counts) - counts
-        out[nonempty, :] += np.add.reduceat(z, starts[nonempty], axis=0)
+        out[nonempty.reshape(2, -1)] += np.add.reduceat(z, starts[nonempty],
+                                                        axis=0)
 
 
 def _exact_split(g, array_id):

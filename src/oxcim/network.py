@@ -364,11 +364,14 @@ def as_batch(net, x):
     """(int8 batch, one image?) for one (C, H, W) trit image or a batch.
 
     Raises DomainError for any value the net's precision does not allow,
-    so the exact and the analog pass refuse the same inputs.
+    and ShapeError for a batch of no images, so the exact and the analog
+    pass refuse the same inputs.
     """
     arr = np.asarray(x.data if isinstance(x, TernaryTensor) else x)
     if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
         raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
+    if arr.size == 0:
+        raise ShapeError("input batch holds no images")
     batch = _as_trits(arr, net.precision).reshape(-1, *net.input_shape)
     return batch, arr.ndim == 3
 

@@ -66,10 +66,6 @@ class TernaryTensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __eq__(self, other):
         return (
             isinstance(other, TernaryTensor)

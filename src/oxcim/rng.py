@@ -32,11 +32,12 @@ TAG_C2C = 0x2C2C
 
 def _mix64_inplace(h):
     """SplitMix64 finalizer, mutating its (fresh, uint64) argument."""
-    h ^= h >> np.uint64(30)
+    t = np.empty_like(h)  # one scratch buffer for the three shifts
+    h ^= np.right_shift(h, np.uint64(30), out=t)
     h *= _MUL1
-    h ^= h >> np.uint64(27)
+    h ^= np.right_shift(h, np.uint64(27), out=t)
     h *= _MUL2
-    h ^= h >> np.uint64(31)
+    h ^= np.right_shift(h, np.uint64(31), out=t)
     return h
 
 

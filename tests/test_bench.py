@@ -7,7 +7,7 @@ from oxcim.bench import (AccuracyReport, ConfusionMatrix, ExperimentSpec,
                          run_accuracy, sweep_sense_distribution,
                          weight_conductance_histogram, write_accuracy_csv,
                          write_confusion_csv, write_hist_csv, write_sense_csv)
-from oxcim.errors import ConfigError
+from oxcim.errors import ConfigError, ShapeError
 from oxcim.hardware import map_network_to_tiles, predict_hardware
 from oxcim.network import predict_ideal
 from oxcim.quant import Precision
@@ -102,6 +102,22 @@ class TestRunAccuracy:
         assert rep.confusion.total == 40
         # the ideal pass has no randomness, so it runs once for both trials
         assert sum(images_seen) == 40
+
+    @pytest.mark.parametrize("mode", ["ideal", "hardware"])
+    def test_no_images_rejected_before_mapping(self, hrs_config, dataset,
+                                               monkeypatch, mode):
+        from oxcim import bench
+        from test_train import small_arch
+        from oxcim.train import Trainer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tiles mapped for no images")
+        monkeypatch.setattr(bench, "map_network_to_tiles", refuse)
+        spec = ExperimentSpec(net=Trainer(small_arch()).network(),
+                              config=hrs_config, mode=mode)
+        with pytest.raises(ShapeError, match="no images"):
+            run_accuracy(spec, dataset.test_images[:0],
+                         dataset.test_labels[:0])
 
     def test_hardware_deterministic_per_seed(self, hrs_config, dataset):
         from test_train import small_arch

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import logging
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oxcim import rng
 from oxcim.crossbar import (A_TO_UA, READ_BLOCK_CELLS, ActivationMode,
                             CrossbarTile, sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
@@ -146,7 +148,7 @@ class TestBlockedRead:
     """A READ walks its patterns in READ_BLOCK_CELLS-sized blocks."""
 
     def test_blocked_batch_equals_one_call_per_pattern(self):
-        # 37 x 5 cells: blocks of 708 patterns, the last one partial
+        # 37 x 5 cells: blocks of 354 vectors, the last one partial
         gen = np.random.default_rng(12)
         tile = CrossbarTile(default_device_config("hrs"),
                             gen.integers(-1, 2, size=(37, 5)), array_id=5)
@@ -173,6 +175,105 @@ class TestBlockedRead:
         finally:
             tracemalloc.stop()
         assert peak <= i_pos.nbytes + i_neg.nbytes + 4 * 2**20
+
+
+# sha256 of i_pos and i_neg bytes for pinned_read(region, rows, zeros),
+# recorded before the two READs of a pair shared one pass; "hrs0" is the
+# HRS config at zero variability
+READ_PINS = {
+    ("hrs", 1, True): "c57b6eeaf899bc91392bf20a296512ad11cfa898348967eda2827b5e8f18c828",
+    ("hrs", 1, False): "8df77c91afa091fad8bf1f52ae16aa8a4cfb82225b888a040f4fd401f7b85885",
+    ("hrs", 8, True): "31bb23b5921d58f172c6359b23dd31390ff59aba087d6827539f86a830e7d3d3",
+    ("hrs", 8, False): "3b14ae1501835ac6efa1c32fc015c03b9512f0e0e86bc6e87907a7b299251b98",
+    ("hrs", 37, True): "b5cd54d4873120e7125082c3bf90df7ec57b449dc549145f26c740be09f0a848",
+    ("hrs", 37, False): "3d60e1e6ce3a96afbe025c6e048d56551c69fb954b1cd99a2b9686c98e183ee6",
+    ("hrs", 64, True): "a04a74ba489fc995d09b0f9dadc75dcab3dc611f8f313b6c6c93582c1a806bba",
+    ("hrs", 64, False): "42314afef3ca3742961c72a6279829b327ed9f2d95bda1c8c4e7506bd994ff58",
+    ("lrs", 1, True): "780c9634ad9af5e5e1cb74c9e905abbb53ad716ddee57e50de4e02c4430c01e4",
+    ("lrs", 1, False): "11735fad5fb68444c6e0a5d3adcadd32187b3a18fba414d7a66505df0958cd34",
+    ("lrs", 8, True): "8530c95bd0f3d8c2b09aa42a94a53e12335413a4bb6b528ef8d023bb51c05146",
+    ("lrs", 8, False): "c27d82ca620e5455ada99e145ebabbd234c61a315df98487b0c24c14037b7a42",
+    ("lrs", 37, True): "b55db1f72d4367742deb7897459133d6ee0767f864d8e42fa8ebc45c96509a2e",
+    ("lrs", 37, False): "b185e51580ab5488d53250d015028ce649812e8120a4210e279983942770ae73",
+    ("lrs", 64, True): "7138167934a82b17268c69b04f3123888ab7939c2fba77407bbed97a8385a834",
+    ("lrs", 64, False): "cec21515bd818c31baf3e56c401678359f67e2c39510ad5d212372f24d63c899",
+    ("hrs0", 1, True): "01d1c5f519e6d31147f95ef46812ea9cfdbb5e7af0076573cbdb6db4223e3a2f",
+    ("hrs0", 1, False): "c8ad9b81a82264c3207987064ca964ba8a4c4fb38f3aed01820390a290bebb5c",
+    ("hrs0", 8, True): "f3ed5af10903386c81f1d4702da4938c053492dc04cb86fbf377f13a8db9253a",
+    ("hrs0", 8, False): "fd44709fdd2d53e7e067e7c46d8f05280c39b04e8f46c6962e60df4a49097fa7",
+    ("hrs0", 37, True): "c17f431b328a038f0ed8e204e6595ffc9cc33345948b495d0c3d4d0c0d179d46",
+    ("hrs0", 37, False): "b080d57e58acc456b8b12d9b85fd9a317503f08e9e374961ec89a96825a7149a",
+    ("hrs0", 64, True): "f4582f1d9512ba12964ad1475feb12a917df241344364b095207a053b6d430e4",
+    ("hrs0", 64, False): "c777ea8d388bc714db8d7e34385b20b69928ed03e86c9b352f832a2c073b8aba",
+}
+
+
+def pinned_read(region, rows, zeros):
+    """One read of a batch that spans at least three 2**16-cell blocks."""
+    cfg = default_device_config(region.rstrip("0"))
+    if region == "hrs0":
+        cfg = cfg.with_zero_variability()
+    gen = np.random.default_rng(1000 * rows + 2 * zeros + len(region))
+    tile = CrossbarTile(cfg, gen.integers(-1, 2, size=(rows, 8)),
+                        array_id=rows + 3)
+    P = 3 * 2**16 // (rows * 8) + 17
+    x = gen.integers(-1 if zeros else 0, 2, size=(P, rows)).astype(np.int8)
+    if not zeros:
+        x[x == 0] = -1
+    return tile.vmm_batch(x, np.arange(P) + 5 * rows)
+
+
+class TestPinnedReads:
+    @pytest.mark.parametrize("region, rows, zeros", list(READ_PINS))
+    def test_currents_keep_their_bits(self, region, rows, zeros):
+        i_pos, i_neg = pinned_read(region, rows, zeros)
+        digest = hashlib.sha256(i_pos.tobytes() + i_neg.tobytes())
+        assert digest.hexdigest() == READ_PINS[region, rows, zeros]
+
+    def test_empty_batch_reads_empty_currents(self):
+        tile = CrossbarTile(default_device_config("hrs"),
+                            np.ones((4, 3), dtype=np.int8))
+        i_pos, i_neg = tile.vmm_batch(np.zeros((0, 4), dtype=np.int8), [])
+        assert i_pos.shape == i_neg.shape == (0, 3)
+
+
+class TestDrawCount:
+    """One keyed normal per (READ, gated cell); 0 rows draw none."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        sizes = []
+        inner = rng.normals_consuming_keys
+        monkeypatch.setattr(rng, "normals_consuming_keys",
+                            lambda keys: sizes.append(keys.size) or
+                            inner(keys))
+        return sizes
+
+    @pytest.mark.parametrize("rows, cols", [(1, 3), (37, 5), (64, 8)])
+    def test_one_normal_per_gated_cell_per_read(self, draws, rows, cols):
+        gen = np.random.default_rng(rows)
+        tile = CrossbarTile(default_device_config("hrs"),
+                            gen.integers(-1, 2, size=(rows, cols)))
+        P = 2 * READ_BLOCK_CELLS // (rows * cols) + 9
+        x = gen.integers(-1, 2, size=(P, rows)).astype(np.int8)
+        x[: P // 2, : rows // 2] = 0  # some vectors with many 0 rows
+        tile.vmm_batch(x, np.arange(P))
+        assert sum(draws) == np.count_nonzero(x) * cols
+        assert max(draws) <= READ_BLOCK_CELLS
+
+    def test_zero_inputs_draw_nothing(self, draws):
+        tile = CrossbarTile(default_device_config("hrs"),
+                            np.ones((8, 4), dtype=np.int8))
+        i_pos, i_neg = tile.vmm_batch(np.zeros((5, 8), dtype=np.int8),
+                                      np.arange(5))
+        assert sum(draws) == 0
+        assert not i_pos.any() and not i_neg.any()
+
+    def test_c2c_free_tiles_derive_no_noise_keys(self, monkeypatch):
+        monkeypatch.setattr(rng, "c2c_cell_key_grid", None)
+        cfg = default_device_config("hrs").with_zero_variability()
+        tile = CrossbarTile(cfg, np.ones((8, 4), dtype=np.int8))
+        tile.vmm_batch(np.ones((3, 8), dtype=np.int8), np.arange(3))
 
 
 class TestVmmTwoPhase:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oxcim.device import MlcStateModel, DeviceConfig
-from oxcim.errors import ConfigError, DomainError
+from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.hardware import (forward_hardware, map_network_to_tiles,
                             predict_hardware)
 from oxcim.network import forward_ideal, lenet
@@ -167,3 +167,14 @@ def test_both_passes_refuse_values_outside_the_precision(precision):
             forward_ideal(net, x)
         with pytest.raises(DomainError):
             forward_hardware(tiled, x)
+
+
+@pytest.mark.parametrize("precision", [Precision.BINARY, Precision.TERNARY])
+def test_both_passes_refuse_an_empty_batch(precision):
+    net = tiny_net(precision, seed=13)
+    tiled = map_network_to_tiles(net, affine_config())
+    x = np.zeros((0, 1, 4, 4), dtype=np.int8)
+    with pytest.raises(ShapeError, match="no images"):
+        forward_ideal(net, x)
+    with pytest.raises(ShapeError, match="no images"):
+        forward_hardware(tiled, x)

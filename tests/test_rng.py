@@ -53,6 +53,7 @@ def test_normal_moments():
 
 def test_consuming_variant_matches():
     keys = rng.cell_keys(rng.stream_key(4, 4), 32, 32)
+    keys[0, :4] = [0, 1, 2**63, 2**64 - 1]  # the ends of the key range
     a = rng.normals_from_keys(keys)
     b = rng.normals_consuming_keys(keys.copy())
     np.testing.assert_array_equal(a, b)

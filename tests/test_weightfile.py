@@ -22,7 +22,7 @@ def nets_equal(a, b):
 
 
 def weight_count(net):
-    return sum(net.weights[i].size for i in net.parametric_indices())
+    return sum(net.weights[i].data.size for i in net.parametric_indices())
 
 
 def weight_encodings(text):
