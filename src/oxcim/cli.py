@@ -112,13 +112,13 @@ def build_parser():
 def _load_config(spec_text, seed_override=None):
     if spec_text in ("hrs", "lrs"):
         cfg = device.default_device_config(spec_text)
-        digest = cfg.digest()
+        path = device.default_config_file(spec_text)
     else:
         cfg = device.load_device_config(spec_text)
-        digest = _file_digest(spec_text)
+        path = spec_text
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=seed_override)
-    return cfg, digest
+    return cfg, _file_digest(path)
 
 
 def _file_digest(path):
@@ -306,7 +306,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         print(f"oxcim: error: {exc}", file=sys.stderr)
         return 2
-    except (OxcimError, FileNotFoundError) as exc:
+    except (OxcimError, OSError) as exc:
         print(f"oxcim: error: {exc}", file=sys.stderr)
         return 1
 

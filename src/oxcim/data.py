@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
 
-MAGIC_IMAGES = 0x00000803
-MAGIC_LABELS = 0x00000801
-
 _IDX_DTYPES = {
     0x08: np.dtype(">u1"),
     0x09: np.dtype(">i1"),

@@ -13,12 +13,12 @@ Sampled conductances are clamped to a floor of mean/100; a clamp means the
 Gaussian tail went nonphysical and is logged, since with sane configs it
 should essentially never fire.
 
-Device constants live in config files (see parse rules in
-``parse_device_config``); two calibrated defaults ship with the package,
-one per resistance region ("hrs_default", "lrs_default").
+Device constants live in config files of ``key = value`` records, read by
+``errors.read_records`` (see ``parse_device_config`` for the keys); two
+calibrated defaults ship with the package, one per resistance region
+("hrs_default", "lrs_default").
 """
 
-import hashlib
 import logging
 from dataclasses import dataclass
 from importlib import resources
@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, read_records
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +62,6 @@ class DeviceConfig:
     region: str
     states: dict  # trit (-1/0/+1) -> MlcStateModel
     v_read: float = 0.2
-    v_gate_on: float = 1.2
-    v_gate_off: float = 0.0
     seed: int = 0
     name: str = "unnamed"
 
@@ -120,27 +118,6 @@ class DeviceConfig:
             c2c[sel] = st.c2c_sigma_S
         return mean, d2d, c2c, mean * CLAMP_FLOOR_FRACTION
 
-    def canonical_text(self):
-        """The config-file text; digest() hashes it."""
-        lines = [
-            "# oxcim device config",
-            f"region = {self.region}",
-            f"seed = {self.seed}",
-            f"v_read_V = {self.v_read!r}",
-            f"v_gate_on_V = {self.v_gate_on!r}",
-            f"v_gate_off_V = {self.v_gate_off!r}",
-        ]
-        for trit in sorted(self.states):
-            st = self.states[trit]
-            key = f"state.{trit:+d}" if trit else "state.0"
-            lines.append(f"{key}.mean_S = {st.mean_S!r}")
-            lines.append(f"{key}.d2d_sigma_S = {st.d2d_sigma_S!r}")
-            lines.append(f"{key}.c2c_sigma_S = {st.c2c_sigma_S!r}")
-        return "\n".join(lines) + "\n"
-
-    def digest(self):
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
     def with_zero_variability(self):
         """Copy of this config with all sigmas forced to zero."""
         states = {
@@ -148,8 +125,7 @@ class DeviceConfig:
             for t, s in self.states.items()
         }
         return DeviceConfig(
-            self.region, states, self.v_read, self.v_gate_on, self.v_gate_off,
-            self.seed, self.name + "+novar",
+            self.region, states, self.v_read, self.seed, self.name + "+novar",
         )
 
 
@@ -219,94 +195,63 @@ def sigmoid_neuron_voltage(i_input_uA):
 # Config file format
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "region": str,
-    "seed": int,
-    "v_read_V": float,
-    "v_gate_on_V": float,
-    "v_gate_off_V": float,
-}
 _STATE_FIELDS = ("mean_S", "d2d_sigma_S", "c2c_sigma_S")
-_STATE_TOKENS = {"-1": -1, "0": 0, "+1": 1, "1": 1}
+_STATE_TRITS = {"-1": -1, "0": 0, "+1": 1}
+_KEYS = {"region": str, "seed": int, "v_read_V": float,
+         **{f"state.{t}.{f}": float
+            for t in _STATE_TRITS for f in _STATE_FIELDS}}
 
 
-def parse_device_config(text, name="<string>"):
-    """Parse the flat key/value device-config format.
+def parse_device_config(data, name="<string>"):
+    """Parse a device config from its bytes or text.
 
-    Rules (bit-exact): one ``key = value`` pair per line; '#' starts a
-    comment; blank lines ignored; keys are case-sensitive and unknown keys
-    are rejected; floats go through Python float(), integers through int().
-    Required: region, all three fields for states -1 and +1 (state 0 is
-    optional and only needed for ternary networks).
+    The record rules are those of ``errors.read_records``.  Keys are
+    case-sensitive and unknown keys are rejected; floats go through Python
+    float(), integers through int().  Required: region, all three fields
+    for states -1 and +1 (state 0 is optional and only needed for ternary
+    networks).  v_read_V defaults to 0.2 and seed to 0.
     """
-    scalars = {}
-    state_vals = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}",
-                             path=name, line=lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _SCALAR_KEYS:
-            if key in scalars:
-                raise ParseError(f"duplicate key {key!r}", path=name, line=lineno)
-            try:
-                scalars[key] = _SCALAR_KEYS[key](value)
-            except ValueError:
-                raise ParseError(f"bad value for {key!r}: {value!r}",
-                                 path=name, line=lineno) from None
-        elif key.startswith("state."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[1] not in _STATE_TOKENS \
-                    or parts[2] not in _STATE_FIELDS:
-                raise ParseError(f"unknown key {key!r}", path=name, line=lineno)
-            trit = _STATE_TOKENS[parts[1]]
-            try:
-                state_vals.setdefault(trit, {})[parts[2]] = float(value)
-            except ValueError:
-                raise ParseError(f"bad value for {key!r}: {value!r}",
-                                 path=name, line=lineno) from None
-        else:
-            raise ParseError(f"unknown key {key!r}", path=name, line=lineno)
+    fields = {}
 
-    if "region" not in scalars:
+    def record(key, value):
+        if key not in _KEYS:
+            raise ParseError("unknown key")
+        fields[key] = _KEYS[key](value)
+
+    read_records(data, record, name)
+    if "region" not in fields:
         raise ParseError("missing required key 'region'", path=name)
-    for trit, vals in state_vals.items():
-        missing = [f for f in _STATE_FIELDS if f not in vals]
-        if missing:
-            raise ParseError(
-                f"state {trit:+d} missing fields {missing}", path=name)
     try:
-        states = {trit: MlcStateModel(f"{scalars['region']}_{trit:+d}",
-                                      vals["mean_S"], vals["d2d_sigma_S"],
-                                      vals["c2c_sigma_S"])
-                  for trit, vals in state_vals.items()}
-        return DeviceConfig(
-            region=scalars["region"],
-            states=states,
-            v_read=scalars.get("v_read_V", 0.2),
-            v_gate_on=scalars.get("v_gate_on_V", 1.2),
-            v_gate_off=scalars.get("v_gate_off_V", 0.0),
-            seed=scalars.get("seed", 0),
-            name=name,
-        )
+        states = {}
+        for token, trit in _STATE_TRITS.items():
+            keys = [f"state.{token}.{f}" for f in _STATE_FIELDS]
+            missing = [k for k in keys if k not in fields]
+            if len(missing) < len(keys):
+                if missing:
+                    raise ConfigError(f"state {token} missing {missing}")
+                states[trit] = MlcStateModel(f"{fields['region']}_{trit:+d}",
+                                             *(fields[k] for k in keys))
+        return DeviceConfig(region=fields["region"], states=states,
+                            v_read=fields.get("v_read_V", 0.2),
+                            seed=fields.get("seed", 0), name=name)
     except ConfigError as exc:
         raise ParseError(str(exc), path=name) from exc
 
 
 def load_device_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_device_config(fh.read(), name=str(path))
+
+
+def default_config_file(which):
+    """The packaged default config file: 'hrs' or 'lrs'."""
+    key = which.lower()
+    if key not in ("hrs", "lrs"):
+        raise ConfigError(f"no default config named {which!r}")
+    return resources.files(__package__).joinpath("configs", f"{key}_default.cfg")
 
 
 def default_device_config(which):
     """Load a packaged default config: 'hrs' or 'lrs'."""
-    key = which.lower()
-    if key not in ("hrs", "lrs"):
-        raise ConfigError(f"no default config named {which!r}")
-    ref = resources.files(__package__).joinpath("configs", f"{key}_default.cfg")
-    return parse_device_config(ref.read_text(encoding="utf-8"),
-                               name=f"{key}_default")
+    return parse_device_config(default_config_file(which).read_bytes(),
+                               name=f"{which.lower()}_default")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the record reader of its
+two text formats (device configs and weight files)."""
 
 
 class OxcimError(Exception):
@@ -38,3 +39,40 @@ class ParseError(OxcimError, ValueError):
 
 class TrainingDiverged(OxcimError, RuntimeError):
     """Training loss became non-finite; aborting instead of continuing blindly."""
+
+
+def read_records(data, record, path=None, frame=None):
+    """Feed each ``key = value`` line of a UTF-8 text to record(key, value).
+
+    data is the file's bytes or its decoded text; a byte that is not UTF-8
+    is a ParseError naming its offset.  '#' starts a comment, blank lines
+    are skipped, and key and value are stripped of surrounding space.  A
+    line without '=' and a key given twice are ParseErrors naming the line,
+    and so is any ValueError or KeyError that record raises (ConfigError
+    and ParseError included).  frame, if given, checks a format's own
+    framing lines and returns the range of line indices that hold records.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}", path=path,
+                             offset=exc.start) from None
+    lines = data.splitlines()
+    seen = set()
+    for i in frame(lines) if frame else range(len(lines)):
+        line = lines[i].split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ParseError(f"expected 'key = value', got {line!r}",
+                             path=path, line=i + 1)
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}", path=path, line=i + 1)
+        seen.add(key)
+        try:
+            record(key, value)
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad {key!r} record: {exc}", path=path,
+                             line=i + 1) from None

@@ -89,21 +89,34 @@ def thermometric_trits(images):
 # ---------------------------------------------------------------------------
 
 
+def _check_sizes(layer):
+    small = {k: v for k, v in vars(layer).items() if not v >= 1}
+    if small:
+        raise ConfigError(f"{type(layer).__name__} sizes must be >= 1, "
+                          f"got {small}")
+
+
 @dataclass(frozen=True)
 class Conv2D:
     out_channels: int
     kernel: int
     stride: int = 1
 
+    __post_init__ = _check_sizes
+
 
 @dataclass(frozen=True)
 class MaxPool2D:
     size: int
 
+    __post_init__ = _check_sizes
+
 
 @dataclass(frozen=True)
 class Dense:
     out_units: int
+
+    __post_init__ = _check_sizes
 
 
 @dataclass(frozen=True)
@@ -196,7 +209,7 @@ def compile_plan(precision, input_shape, layers, weights):
     Checks shapes, weights and activation order; raises if anything is
     inconsistent.
     """
-    shape = tuple(input_shape)
+    shape = check_input_shape(input_shape)
     plan = []
     param = None  # the conv/dense op still waiting for its activation
     for i, (layer, w) in enumerate(zip(layers, weights)):
@@ -222,8 +235,6 @@ def compile_plan(precision, input_shape, layers, weights):
             if param is None:
                 raise ConfigError(f"layer {i}: activation without a preceding "
                                   "conv/dense")
-            if w is not None:
-                raise ConfigError(f"layer {i}: activation carries no weights")
             if layer.kind == "binary" and precision is not Precision.BINARY:
                 raise ConfigError(f"layer {i}: binary activation in a "
                                   f"{precision.value} net")
@@ -246,6 +257,9 @@ def compile_plan(precision, input_shape, layers, weights):
             raise ConfigError(f"layer {i}: unknown layer {layer!r}")
         if op.weight_shape is not None:
             _check_weights(i, w, precision, op.weight_shape)
+        elif w is not None:
+            raise ConfigError(f"layer {i}: {type(layer).__name__} carries "
+                              "no weights")
         plan.append(op)
         shape = op.out_shape
     if param is not None:
@@ -256,6 +270,14 @@ def compile_plan(precision, input_shape, layers, weights):
     if len(shape) != 1:
         raise ShapeError(f"network output must be a vector, got {shape}")
     return tuple(plan)
+
+
+def check_input_shape(dims):
+    """The input dimensions as a tuple; ShapeError unless each is >= 1."""
+    shape = tuple(dims)
+    if not shape or min(shape) < 1:
+        raise ShapeError(f"input dimensions must be >= 1, got {shape}")
+    return shape
 
 
 def _scale(fan_in):

@@ -20,16 +20,21 @@ little-endian within the byte).  A binary tensor costs ~1.33 bits per
 weight on disk, which is what gives the format its large edge over 32-bit
 floats.
 
-Round-trips are identity; the parser rejects anything malformed, an
-unknown encoding included, with a ParseError carrying the line number.
+The records between the header and ``end`` follow the rules of
+``errors.read_records``, so a repeated key, a malformed record or an
+unknown encoding is a ParseError naming its line.  Weight records are
+decoded as they are read: ``dumps`` always writes ``precision`` first, and
+a weight record before it is an error.  Round-trips are identity.
 """
 
 import base64
+import math
 
 import numpy as np
 
-from .errors import ParseError
-from .network import Activation, Conv2D, Dense, MaxPool2D, NetworkDescription
+from .errors import ParseError, read_records
+from .network import (Activation, Conv2D, Dense, MaxPool2D, NetworkDescription,
+                      check_input_shape)
 from .quant import Precision, TernaryTensor
 
 MAGIC = "oxcim-qnn"
@@ -52,10 +57,7 @@ def _pack_payload(tensor):
 
 
 def _unpack_payload(b64, n, precision):
-    try:
-        raw = np.frombuffer(base64.b64decode(b64, validate=True), dtype=np.uint8)
-    except Exception as exc:
-        raise ParseError(f"bad base64 payload: {exc}") from None
+    raw = np.frombuffer(base64.b64decode(b64, validate=True), dtype=np.uint8)
     if precision is Precision.BINARY:
         if raw.size != (n + 7) // 8:
             raise ParseError(f"payload holds {raw.size * 8} bits, need {n}")
@@ -84,39 +86,36 @@ def _layer_record(layer):
     raise ParseError(f"cannot serialize layer {layer!r}")
 
 
-def _parse_kv(fields, lineno, path):
-    out = {}
-    for f in fields:
-        if "=" not in f:
-            raise ParseError(f"expected key=value, got {f!r}", path=path, line=lineno)
-        k, _, v = f.partition("=")
-        out[k] = v
-    return out
-
-
-def _parse_layer(record, lineno, path):
-    parts = record.split()
-    kind, kv = parts[0], _parse_kv(parts[1:], lineno, path)
-    try:
-        if kind == "conv2d":
-            layer = Conv2D(int(kv.pop("out_ch")), int(kv.pop("kernel")),
-                           int(kv.pop("stride", 1)))
-        elif kind == "maxpool":
-            layer = MaxPool2D(int(kv.pop("size")))
-        elif kind == "dense":
-            layer = Dense(int(kv.pop("out")))
-        elif kind == "activation":
-            layer = Activation(kv.pop("kind"), float(kv.pop("r", 0.5)))
-        else:
-            raise ParseError(f"unknown layer kind {kind!r}",
-                             path=path, line=lineno)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad layer record {record!r}: {exc}",
-                         path=path, line=lineno) from None
+def _parse_layer(record):
+    kind, *fields = record.split()
+    kv = dict(f.split("=", 1) for f in fields)
+    if len(kv) != len(fields):
+        raise ParseError("layer field given twice")
+    if kind == "conv2d":
+        layer = Conv2D(int(kv.pop("out_ch")), int(kv.pop("kernel")),
+                       int(kv.pop("stride", 1)))
+    elif kind == "maxpool":
+        layer = MaxPool2D(int(kv.pop("size")))
+    elif kind == "dense":
+        layer = Dense(int(kv.pop("out")))
+    elif kind == "activation":
+        layer = Activation(kv.pop("kind"), float(kv.pop("r", 0.5)))
+    else:
+        raise ParseError(f"unknown layer kind {kind!r}")
     if kv:
-        raise ParseError(f"unknown layer fields {sorted(kv)}",
-                         path=path, line=lineno)
+        raise ParseError(f"unknown layer fields {sorted(kv)}")
     return layer
+
+
+def _parse_weights(record, precision):
+    if precision is None:
+        raise ParseError("weight record before the precision record")
+    encoding, shape, payload = record.split(None, 2)
+    if encoding != "pack64":
+        raise ParseError(f"unknown weight encoding {encoding!r}")
+    shape = tuple(int(t) for t in shape.split(","))
+    flat = _unpack_payload(payload.encode("ascii"), math.prod(shape), precision)
+    return TernaryTensor(flat.reshape(shape), precision)
 
 
 def dumps(net):
@@ -135,97 +134,46 @@ def dumps(net):
     return "\n".join(lines) + "\n"
 
 
-def loads(text, name="<string>"):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(MAGIC):
-        raise ParseError(f"missing {MAGIC!r} header", path=name, line=1)
-    try:
-        version = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("malformed header line", path=name, line=1) from None
-    if version != VERSION:
-        raise ParseError(f"unsupported version {version}", path=name, line=1)
+def loads(data, name="<string>"):
+    """Parse a weight file from its bytes or text."""
+    recs = {}
 
-    precision = None
-    input_shape = None
-    layer_recs = {}
-    weight_recs = {}
-    ended = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if ended:
-            raise ParseError("content after 'end'", path=name, line=lineno)
-        if line == "end":
-            ended = True
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}",
-                             path=name, line=lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    def frame(lines):
+        if not lines or lines[0].split() != [MAGIC, str(VERSION)]:
+            raise ParseError(f"expected the header '{MAGIC} {VERSION}'",
+                             path=name, line=1)
+        end = len(lines)
+        while end > 1 and not lines[end - 1].strip():
+            end -= 1
+        if lines[end - 1].strip() != "end":
+            raise ParseError("missing 'end' terminator", path=name, line=end)
+        return range(1, end - 1)
+
+    def record(key, value):
         if key == "precision":
-            try:
-                precision = Precision(value)
-            except ValueError:
-                raise ParseError(f"unknown precision {value!r}",
-                                 path=name, line=lineno) from None
+            recs[key] = Precision(value)
         elif key == "input":
-            try:
-                input_shape = tuple(int(t) for t in value.split(","))
-            except ValueError:
-                raise ParseError(f"bad input shape {value!r}",
-                                 path=name, line=lineno) from None
+            recs[key] = check_input_shape(int(t) for t in value.split(","))
         elif key.startswith("layer."):
-            try:
-                idx = int(key.split(".", 1)[1])
-            except ValueError:
-                raise ParseError(f"bad layer index in {key!r}",
-                                 path=name, line=lineno) from None
-            layer_recs[idx] = _parse_layer(value, lineno, name)
+            recs[key] = _parse_layer(value)
         elif key.startswith("weights."):
-            try:
-                idx = int(key.split(".", 1)[1])
-            except ValueError:
-                raise ParseError(f"bad weight index in {key!r}",
-                                 path=name, line=lineno) from None
-            weight_recs[idx] = (value, lineno)
+            recs[key] = _parse_weights(value, recs.get("precision"))
         else:
-            raise ParseError(f"unknown key {key!r}", path=name, line=lineno)
-    if not ended:
-        raise ParseError("missing 'end' terminator", path=name, line=len(lines))
-    if precision is None or input_shape is None:
-        raise ParseError("missing precision/input records", path=name)
-    if sorted(layer_recs) != list(range(len(layer_recs))):
-        raise ParseError("layer indices must be 0..n-1 without gaps", path=name)
+            raise ParseError("unknown key")
 
-    layers = [layer_recs[i] for i in range(len(layer_recs))]
-    weights = [None] * len(layers)
-    for idx, (value, lineno) in weight_recs.items():
-        if idx >= len(layers):
-            raise ParseError(f"weights.{idx} has no matching layer",
-                             path=name, line=lineno)
-        parts = value.split(None, 2)
-        if len(parts) != 3:
-            raise ParseError("weight record needs 'encoding shape payload'",
-                             path=name, line=lineno)
-        encoding, shape_s, payload = parts
-        try:
-            shape = tuple(int(t) for t in shape_s.split(","))
-        except ValueError:
-            raise ParseError(f"bad weight shape {shape_s!r}",
-                             path=name, line=lineno) from None
-        if encoding != "pack64":
-            raise ParseError(f"unknown weight encoding {encoding!r}",
-                             path=name, line=lineno)
-        n = int(np.prod(shape))
-        try:
-            flat = _unpack_payload(payload.encode("ascii"), n, precision)
-        except ParseError as exc:
-            raise ParseError(str(exc), path=name, line=lineno) from None
-        weights[idx] = TernaryTensor(flat.reshape(shape), precision)
-    return NetworkDescription(precision, input_shape, layers, weights)
+    read_records(data, record, name, frame)
+    if "precision" not in recs or "input" not in recs:
+        raise ParseError("missing precision/input records", path=name)
+    n = sum(key.startswith("layer.") for key in recs)
+    layers = [recs.pop(f"layer.{i}", None) for i in range(n)]
+    if None in layers:
+        raise ParseError("layer indices must be 0..n-1 without gaps", path=name)
+    weights = [recs.pop(f"weights.{i}", None) for i in range(n)]
+    orphans = sorted(key for key in recs if key.startswith("weights."))
+    if orphans:
+        raise ParseError(f"weight records without a layer: {orphans}",
+                         path=name)
+    return NetworkDescription(recs["precision"], recs["input"], layers, weights)
 
 
 def save_network(net, path):
@@ -235,5 +183,5 @@ def save_network(net, path):
 
 
 def load_network(path):
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return loads(fh.read(), name=str(path))

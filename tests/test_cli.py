@@ -12,6 +12,7 @@ import scipy
 from oxcim import weightfile
 from oxcim.cli import main
 from oxcim.data import synthetic_dataset, write_dataset_dir
+from oxcim.device import default_config_file
 from oxcim.quant import Precision
 from oxcim.train import Trainer
 from test_train import small_arch
@@ -65,6 +66,20 @@ class TestUsageErrors:
                        "--data", str(tmp_path), "--out-dir", str(tmp_path))
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_weights_are_diagnosed(self, tmp_path, capsys, kind):
+        path = tmp_path / "w.qnn"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"oxcim-qnn 1\nprecision = \xff\nend\n")
+        code = run_cli("hist", "--weights", str(path),
+                       "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "oxcim: error:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_eval_limit_below_one_is_diagnosed(self, data_dir, weights_path,
@@ -216,6 +231,18 @@ class TestTrainCommand:
         assert (tmp_path / "loss.csv").exists()
         net = weightfile.load_network(tmp_path / "weights.qnn")
         assert net.precision is Precision.TERNARY
+
+
+class TestManifest:
+    @pytest.mark.parametrize("name", ["hrs", "lrs"])
+    def test_packaged_config_sha_hashes_the_file(self, tmp_path, name):
+        code = run_cli("sweep-sense", "--config", name, "--precision",
+                       "binary", "--samples", "5", "--out-dir", str(tmp_path))
+        assert code == 0
+        entries = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "manifest.txt").read_text().splitlines())
+        data = default_config_file(name).read_bytes()
+        assert entries["config_sha"] == hashlib.sha256(data).hexdigest()[:16]
 
 
 class TestDeterminism:

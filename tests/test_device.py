@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -7,9 +8,10 @@ import pytest
 
 from oxcim.device import (CLAMP_FLOOR_FRACTION, MEASURED_AMPLITUDE_V,
                           MEASURED_MIDPOINT_UA, DeviceConfig, MlcStateModel,
-                          default_device_config, load_device_config,
-                          parse_device_config, sample_device_conductance_grid,
-                          sigmoid_ideal, sigmoid_neuron_voltage)
+                          default_config_file, default_device_config,
+                          load_device_config, parse_device_config,
+                          sample_device_conductance_grid, sigmoid_ideal,
+                          sigmoid_neuron_voltage)
 from oxcim import rng
 from oxcim.crossbar import A_TO_UA, CrossbarTile
 from oxcim.errors import ConfigError, DomainError, ParseError
@@ -35,7 +37,7 @@ class TestStateAndConfigValidation:
         ("v_read_V", "inf")])
     def test_nonfinite_constants_rejected(self, key, value):
         # a NaN sigma would compare False against 0 and drop its noise
-        lines = default_device_config("hrs").canonical_text().splitlines()
+        lines = default_config_file("hrs").read_text().splitlines()
         text = "\n".join(f"{key} = {value}" if line.startswith(key + " ")
                          else line for line in lines)
         assert f"{key} = {value}" in text
@@ -223,8 +225,6 @@ class TestDefaults:
         for name in ("hrs", "lrs"):
             cfg = default_device_config(name)
             assert cfg.v_read == 0.2
-            assert cfg.v_gate_on == 1.2
-            assert cfg.v_gate_off == 0.0
 
     def test_hrs_separates_at_three_sigma(self):
         cfg = default_device_config("hrs")
@@ -258,12 +258,12 @@ class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = default_device_config("hrs")
         path = tmp_path / "dev.cfg"
-        path.write_text(cfg.canonical_text(), encoding="utf-8")
+        path.write_bytes(default_config_file("hrs").read_bytes())
         again = load_device_config(path)
         assert again.states == cfg.states
         assert again.v_read == cfg.v_read
         assert again.seed == cfg.seed
-        assert again.digest() == cfg.digest()
+        assert again == dataclasses.replace(cfg, name=str(path))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
@@ -285,6 +285,31 @@ class TestConfigFile:
         with pytest.raises(ParseError) as err:
             parse_device_config(text)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "seed = 4", "state.+1.mean_S = 30e-6"])
+    def test_repeated_key_names_line(self, line):
+        lines = default_config_file("hrs").read_text().splitlines()
+        text = "\n".join(lines + [line]) + "\n"
+        with pytest.raises(ParseError, match="duplicate key") as err:
+            parse_device_config(text)
+        assert err.value.line == len(lines) + 1
+
+    @pytest.mark.parametrize("line", [
+        "state.1.mean_S = 20e-6", "v_gate_on_V = 1.2", "v_gate_off_V = 0.0"])
+    def test_retired_keys_rejected(self, line):
+        text = default_config_file("hrs").read_text() + line + "\n"
+        with pytest.raises(ParseError, match="unknown key"):
+            parse_device_config(text)
+
+    def test_non_utf8_byte_names_offset(self, tmp_path):
+        data = default_config_file("hrs").read_bytes()
+        at = data.index(b"HRS\n")
+        path = tmp_path / "dev.cfg"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ParseError) as err:
+            load_device_config(path)
+        assert err.value.offset == at
 
     def test_comments_and_blanks_ok(self):
         text = ("# hello\n\nregion = HRS\n"

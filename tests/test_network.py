@@ -7,7 +7,7 @@ from oxcim.bench import encode_images
 from oxcim.data import pad_to_32
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import (DEFAULT_THERMO_THRESHOLDS, Activation, Conv2D,
-                           Dense, NetworkDescription,
+                           Dense, MaxPool2D, NetworkDescription,
                            conv_weight_matrix, encode_thermometric,
                            forward_ideal, im2col, lenet, maxpool,
                            predict_ideal, thermometric_trits)
@@ -245,6 +245,16 @@ class TestNetworkDescription:
         with pytest.raises(ConfigError):
             NetworkDescription(Precision.BINARY, net.input_shape, net.layers,
                                net.weights)
+
+    @pytest.mark.parametrize("at, layer", [(1, Activation("ternary")),
+                                           (2, MaxPool2D(1))])
+    def test_weights_on_a_layer_without_weights_rejected(self, at, layer):
+        net = tiny_net(Precision.TERNARY)
+        with pytest.raises(ConfigError, match="carries no weights"):
+            NetworkDescription(net.precision, net.input_shape,
+                               net.layers[:at] + [layer] + net.layers[at:],
+                               net.weights[:at] + net.weights[:1]
+                               + net.weights[at:])
 
     def test_missing_weights_gate(self):
         arch = lenet(Precision.BINARY)  # no weights attached

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from oxcim.errors import ParseError
@@ -104,6 +106,63 @@ class TestFormatErrors:
         text = dumps(tiny_net()).replace("layer.1", "layer.9")
         with pytest.raises(ParseError):
             loads(text)
+
+
+def replace_line(text, prefix, new):
+    """text with its line that starts with prefix replaced; and that line's number."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = new
+    return "\n".join(lines) + "\n", i + 1
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("prefix, new", [
+        ("layer.0", "layer.0 = conv2d out_ch=3 kernel=3 stride=0"),
+        ("layer.0", "layer.0 = conv2d out_ch=3 kernel=-1 stride=1"),
+        ("layer.2", "layer.2 = maxpool size=0"),
+        ("layer.2", "layer.2 = dense out=0"),
+        ("input", "input = -8,4,4"),
+        ("input", "input = 1,0,4")],
+        ids=["stride0", "kernel-1", "maxpool0", "dense0", "input-8", "input0"])
+    def test_sizes_below_one_fail_at_their_line(self, prefix, new):
+        text, line = replace_line(dumps(tiny_net()), prefix, new)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=">= 1") as err:
+                loads(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("prefix", ["precision", "layer.0", "weights.0"])
+    def test_repeated_key_names_line(self, prefix):
+        lines = dumps(tiny_net()).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines.insert(i + 1, lines[i])
+        with pytest.raises(ParseError, match="duplicate key") as err:
+            loads("\n".join(lines) + "\n")
+        assert err.value.line == i + 2
+
+    def test_weights_before_precision_rejected(self):
+        lines = dumps(tiny_net()).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("weights."))
+        lines[1], lines[i] = lines[i], lines[1]
+        with pytest.raises(ParseError, match="before the precision") as err:
+            loads("\n".join(lines) + "\n")
+        assert err.value.line == 2
+
+    def test_non_utf8_byte_names_offset(self, tmp_path):
+        data = dumps(tiny_net()).encode()
+        at = data.index(b"ternary")
+        path = tmp_path / "w.qnn"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ParseError) as err:
+            load_network(path)
+        assert err.value.offset == at
+
+    def test_comments_and_blank_lines_skipped(self):
+        net = tiny_net()
+        text = dumps(net).replace("\nlayer.0", "\n\n# layers\nlayer.0")
+        assert nets_equal(loads(text + "\n\n"), net)
 
 
 class TestFootprint:
