@@ -9,7 +9,7 @@ popcount the hardware is supposed to compute.
 from .quant import (Precision, TernaryTensor, act_binary, act_ternary,
                     popcount_oracle, quantize_weights)
 from .device import (DeviceConfig, MlcStateModel, default_device_config,
-                     load_device_config, parse_device_config, sigmoid_ideal,
+                     parse_device_config, sigmoid_ideal,
                      sigmoid_neuron_voltage)
 from .crossbar import ActivationMode, CrossbarTile, sense_to_activation
 from .network import (Activation, Conv2D, Dense, MaxPool2D,

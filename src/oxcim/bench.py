@@ -1,12 +1,6 @@
-"""Monte-Carlo experiment runner and report emission.
-
-Reports are CSV files plus a compact text summary; plotting stays outside
-the package.  Column schemas:
-
-    accuracy.csv   seed, mode, accuracy          (accuracy in percent)
-    confusion.csv  true, pred, count             (first seed / single run)
-    sense.csv      popcount, n_pos, n_neg, delta_uA, v_neuron
-    hist.csv       trit, bin_lo_S, bin_hi_S, count
+"""Monte-Carlo experiment runner: accuracy trials, the sense sweep and the
+conductance histogram.  The rows it returns are written out by the cli,
+which holds the file schemas; plotting stays outside the package.
 
 Trials are independent Monte-Carlo draws: each seed re-programs the tiles
 (fresh device-to-device offsets) and re-keys the read noise.  Ideal-mode
@@ -19,9 +13,7 @@ of one pass per image; with exact column sums, neither CHUNK nor the
 thread count moves a bit.
 """
 
-import csv
 import dataclasses
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +21,7 @@ import numpy as np
 
 from .crossbar import CrossbarTile
 from .data import pad_to_32
-from .device import sigmoid_neuron_voltage
+from .device import check_seed, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError
 from .hardware import map_network_to_tiles, predict_hardware
 from .network import predict_ideal, thermometric_trits
@@ -83,6 +75,8 @@ class ExperimentSpec:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        for seed in self.seeds:
+            check_seed(seed)
 
 
 @dataclass
@@ -167,6 +161,8 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     rows_n, cols_n = tile_dims
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"sweep seed must be >= 0, got {seed}")
     if rows_n > 8 or cols_n > 8 or rows_n < 1 or cols_n < 1:
         raise ConfigError(f"sweep tiles must be between 1x1 and 8x8, got {tile_dims}")
     config.require_states(precision)
@@ -224,40 +220,3 @@ def weight_conductance_histogram(tiled):
         gaps.append(gap / spread if spread > 0 else float("inf"))
     stats["separability"] = min(gaps) if gaps else float("inf")
     return rows, stats
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-
-def _write_csv(path, header, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, path)  # atomic: no partially written outputs
-
-
-def write_accuracy_csv(path, report):
-    _write_csv(path, ["seed", "mode", "accuracy"],
-               [(s, report.mode, repr(a))
-                for s, a in zip(report.seeds, report.accuracies)])
-
-
-def write_confusion_csv(path, confusion):
-    rows = [(t, p, int(confusion.counts[t, p]))
-            for t in range(N_CLASSES) for p in range(N_CLASSES)]
-    _write_csv(path, ["true", "pred", "count"], rows)
-
-
-def write_sense_csv(path, rows):
-    _write_csv(path, ["popcount", "n_pos", "n_neg", "delta_uA", "v_neuron"],
-               [(pc, npos, nneg, repr(d), repr(v))
-                for pc, npos, nneg, d, v in rows])
-
-
-def write_hist_csv(path, rows):
-    _write_csv(path, ["trit", "bin_lo_S", "bin_hi_S", "count"],
-               [(t, repr(lo), repr(hi), c) for t, lo, hi, c in rows])

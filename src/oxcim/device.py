@@ -81,6 +81,7 @@ class DeviceConfig:
             )
         if not (0.0 < self.v_read < np.inf):
             raise ConfigError("v_read must be finite and > 0")
+        check_seed(self.seed)
 
     def state_for(self, trit):
         try:
@@ -127,6 +128,14 @@ class DeviceConfig:
         return DeviceConfig(
             self.region, states, self.v_read, self.seed, self.name + "+novar",
         )
+
+
+def check_seed(seed):
+    """seed, or a ConfigError unless it fits the one 64-bit word (signed or
+    not) that rng.stream_key folds it into."""
+    if not -2 ** 63 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [-2**63, 2**64), got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,8 @@ def sigmoid_neuron_voltage(i_input_uA):
 
 _STATE_FIELDS = ("mean_S", "d2d_sigma_S", "c2c_sigma_S")
 _STATE_TRITS = {"-1": -1, "0": 0, "+1": 1}
-_KEYS = {"region": str, "seed": int, "v_read_V": float,
+_KEYS = {"region": str, "v_read_V": float,
+         "seed": lambda text: check_seed(int(text)),
          **{f"state.{t}.{f}": float
             for t in _STATE_TRITS for f in _STATE_FIELDS}}
 
@@ -207,9 +217,9 @@ def parse_device_config(data, name="<string>"):
 
     The record rules are those of ``errors.read_records``.  Keys are
     case-sensitive and unknown keys are rejected; floats go through Python
-    float(), integers through int().  Required: region, all three fields
-    for states -1 and +1 (state 0 is optional and only needed for ternary
-    networks).  v_read_V defaults to 0.2 and seed to 0.
+    float() and the seed through int() and check_seed.  Required: region,
+    all three fields for states -1 and +1 (state 0 is optional and only
+    needed for ternary networks).  v_read_V defaults to 0.2 and seed to 0.
     """
     fields = {}
 
@@ -236,11 +246,6 @@ def parse_device_config(data, name="<string>"):
                             seed=fields.get("seed", 0), name=name)
     except ConfigError as exc:
         raise ParseError(str(exc), path=name) from exc
-
-
-def load_device_config(path):
-    with open(path, "rb") as fh:
-        return parse_device_config(fh.read(), name=str(path))
 
 
 def default_config_file(which):

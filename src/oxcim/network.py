@@ -35,6 +35,7 @@ is set iff the pixel meets threshold k, giving 8 monotone binary channels
 that map to +/-1 activations (0 -> -1) downstream.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,9 @@ from .quant import Precision, TernaryTensor, _as_trits, act_binary, \
 N_THERMO_CHANNELS = 8
 # keeps integer popcounts strictly off the ternary dead-band boundary
 SCALE_NUDGE = 1.0 + 2.0 ** -20
+# Largest input size and conv gather (output positions x fan-in) a plan may
+# hold: 4 Mi int64 offsets take 32 MiB, and LeNet's conv1 needs 28*28*200.
+MAX_PLAN_CELLS = 2 ** 22
 # Equally spaced at 32 except the top level, which saturates at 255 so the
 # brightest pixel activates every channel.
 DEFAULT_THERMO_THRESHOLDS = (32, 64, 96, 128, 160, 192, 224, 255)
@@ -219,8 +223,11 @@ def compile_plan(precision, input_shape, layers, weights):
             if param is not None:
                 raise ConfigError(f"layer {i}: missing activation before conv")
             out = conv_output_shape(shape, layer)
-            ids = np.arange(int(np.prod(shape))).reshape(shape)
             fan_in = shape[0] * layer.kernel * layer.kernel
+            if out[1] * out[2] * fan_in > MAX_PLAN_CELLS:
+                raise ShapeError(f"layer {i}: conv gathers {out[1]}*{out[2]}"
+                                 f"*{fan_in} inputs, over {MAX_PLAN_CELLS}")
+            ids = np.arange(int(np.prod(shape))).reshape(shape)
             op = param = LayerOp(
                 i, layer, shape, out, fan_in, _scale(fan_in),
                 (layer.out_channels, shape[0], layer.kernel, layer.kernel),
@@ -273,10 +280,13 @@ def compile_plan(precision, input_shape, layers, weights):
 
 
 def check_input_shape(dims):
-    """The input dimensions as a tuple; ShapeError unless each is >= 1."""
+    """The input dimensions as a tuple; ShapeError unless each is >= 1 and
+    their product at most MAX_PLAN_CELLS."""
     shape = tuple(dims)
     if not shape or min(shape) < 1:
         raise ShapeError(f"input dimensions must be >= 1, got {shape}")
+    if math.prod(shape) > MAX_PLAN_CELLS:
+        raise ShapeError(f"input {shape} holds over {MAX_PLAN_CELLS} values")
     return shape
 
 

@@ -17,7 +17,6 @@ from one seeded generator, and all reductions are plain numpy sums, so a
 run is reproducible end to end.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256  # images per forward pass in evaluate_loss
+# patch rows per float32 forward product: a float32 copy of a whole conv1
+# patch matrix (40 MB at 64 images) raised the peak RSS of a training run
+FORWARD_ROWS = 4096
 
 
 @dataclass
@@ -62,6 +64,8 @@ class TrainConfig:
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val fraction must lie in [0, 1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"training seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -69,14 +73,6 @@ class TrainResult:
     net: object
     loss_curve: list = field(default_factory=list)  # (epoch, train, val)
     initial_val_loss: float = float("nan")
-
-    def write_loss_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "train_loss", "val_loss"])
-            w.writerow([0, "", repr(self.initial_val_loss)])
-            for epoch, tr, va in self.loss_curve:
-                w.writerow([epoch, repr(tr), repr(va)])
 
 
 def _encode_batch(images):
@@ -175,9 +171,16 @@ class Trainer:
             k = self.net.parametric_indices().index(op.index)
             wq = self._quant_weight(self.params[k], surrogate)
             wmat = wq if op.gather is None else wq.reshape(wq.shape[0], -1).T
-            patches = np.asarray(patches, dtype=np.float64)
             stack.append((op, k, patches, wmat))
-            return (patches @ wmat) / op.scale
+            if surrogate:
+                return np.asarray(patches, dtype=np.float64) @ wmat / op.scale
+            # trit products: exact in float32, as in forward_ideal
+            w32 = wmat.astype(np.float32)
+            pc = np.empty((len(patches), w32.shape[1]))
+            for lo in range(0, len(patches), FORWARD_ROWS):
+                pc[lo:lo + FORWARD_ROWS] = \
+                    patches[lo:lo + FORWARD_ROWS].astype(np.float32) @ w32
+            return pc / op.scale
 
         def ste_activate(op, u):
             a = np.clip(u, -1.0, 1.0) if surrogate else activate(op, u)
@@ -204,8 +207,8 @@ class Trainer:
     def _backward(self, stack, dpre):
         """Latent-weight gradients from the records of one forward walk.
 
-        Conv/dense records hold (op, param index, float64 input, weight
-        matrix); activation records hold (op, STE mask, activations).  Only
+        Conv/dense records hold (op, param index, input, weight matrix);
+        activation records hold (op, STE mask, activations).  Only
         pools can sit between an activation and the next conv/dense, and
         their ties share the gradient evenly.
         """
@@ -222,7 +225,7 @@ class Trainer:
             _, k, inputs, wmat = rec
             if dpre.ndim == 4:  # (B, O, oh, ow) -> (B*P, O), patch order
                 dpre = dpre.transpose(0, 2, 3, 1).reshape(-1, dpre.shape[1])
-            gw = inputs.T @ dpre
+            gw = np.asarray(inputs, dtype=np.float64).T @ dpre
             grads[k] = gw if op.gather is None \
                 else gw.T.reshape(self.params[k].shape)
             if rec is stack[0]:

@@ -24,7 +24,9 @@ The records between the header and ``end`` follow the rules of
 ``errors.read_records``, so a repeated key, a malformed record or an
 unknown encoding is a ParseError naming its line.  Weight records are
 decoded as they are read: ``dumps`` always writes ``precision`` first, and
-a weight record before it is an error.  Round-trips are identity.
+a weight record before it is an error.  A layer chain that does not
+compile (see ``network.compile_plan``) is a ParseError of the file.
+Round-trips are identity.
 """
 
 import base64
@@ -173,7 +175,11 @@ def loads(data, name="<string>"):
     if orphans:
         raise ParseError(f"weight records without a layer: {orphans}",
                          path=name)
-    return NetworkDescription(recs["precision"], recs["input"], layers, weights)
+    try:
+        return NetworkDescription(recs["precision"], recs["input"], layers,
+                                  weights)
+    except ValueError as exc:  # the layer chain does not compile
+        raise ParseError(str(exc), path=name) from exc
 
 
 def save_network(net, path):

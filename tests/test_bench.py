@@ -1,12 +1,9 @@
-import csv
-
 import numpy as np
 import pytest
 
-from oxcim.bench import (AccuracyReport, ConfusionMatrix, ExperimentSpec,
-                         run_accuracy, sweep_sense_distribution,
-                         weight_conductance_histogram, write_accuracy_csv,
-                         write_confusion_csv, write_hist_csv, write_sense_csv)
+from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
+                         sweep_sense_distribution,
+                         weight_conductance_histogram)
 from oxcim.errors import ConfigError, ShapeError
 from oxcim.hardware import map_network_to_tiles, predict_hardware
 from oxcim.network import predict_ideal
@@ -71,6 +68,12 @@ class TestExperimentSpec:
     def test_unknown_mode_rejected(self, hrs_config):
         with pytest.raises(ConfigError):
             ExperimentSpec(net=tiny_net(), config=hrs_config, mode="magic")
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
+    def test_seed_outside_64_bits_rejected(self, hrs_config, seed):
+        with pytest.raises(ConfigError, match="seed must lie in"):
+            ExperimentSpec(net=tiny_net(), config=hrs_config,
+                           mode="hardware", seeds=[1, seed])
 
     @pytest.mark.parametrize("threads", [0, -1, -3])
     def test_threads_below_one_rejected(self, hrs_config, threads):
@@ -283,34 +286,3 @@ class TestHistogram:
             map_network_to_tiles(net, lrs_config))
         assert hrs_stats["separability"] > lrs_stats["separability"]
 
-
-class TestCsvEmission:
-    def test_schemas(self, tmp_path, hrs_config):
-        rep = AccuracyReport("ideal", [1, 2], [90.0, 90.0],
-                             ConfusionMatrix(np.eye(10, dtype=int) * 2), 20)
-        write_accuracy_csv(tmp_path / "accuracy.csv", rep)
-        write_confusion_csv(tmp_path / "confusion.csv", rep.confusion)
-        rows = sweep_sense_distribution((2, 2), Precision.BINARY, hrs_config,
-                                        samples=5, seed=0)
-        write_sense_csv(tmp_path / "sense.csv", rows)
-        net = tiny_net(Precision.TERNARY, seed=8)
-        hist_rows, _ = weight_conductance_histogram(
-            map_network_to_tiles(net, hrs_config))
-        write_hist_csv(tmp_path / "hist.csv", hist_rows)
-
-        def header(name):
-            with open(tmp_path / name) as fh:
-                return next(csv.reader(fh))
-
-        assert header("accuracy.csv") == ["seed", "mode", "accuracy"]
-        assert header("confusion.csv") == ["true", "pred", "count"]
-        assert header("sense.csv") == ["popcount", "n_pos", "n_neg",
-                                       "delta_uA", "v_neuron"]
-        assert header("hist.csv") == ["trit", "bin_lo_S", "bin_hi_S", "count"]
-
-    def test_confusion_csv_covers_all_pairs(self, tmp_path):
-        cm = ConfusionMatrix(np.zeros((10, 10), dtype=int))
-        write_confusion_csv(tmp_path / "confusion.csv", cm)
-        with open(tmp_path / "confusion.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 100

@@ -9,7 +9,7 @@ import pytest
 from oxcim.device import (CLAMP_FLOOR_FRACTION, MEASURED_AMPLITUDE_V,
                           MEASURED_MIDPOINT_UA, DeviceConfig, MlcStateModel,
                           default_config_file, default_device_config,
-                          load_device_config, parse_device_config,
+                          parse_device_config,
                           sample_device_conductance_grid, sigmoid_ideal,
                           sigmoid_neuron_voltage)
 from oxcim import rng
@@ -43,6 +43,22 @@ class TestStateAndConfigValidation:
         assert f"{key} = {value}" in text
         with pytest.raises(ParseError, match="finite"):
             parse_device_config(text)
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
+    def test_seed_outside_64_bits_fails_at_its_line(self, seed):
+        # 2**64 used to parse and then overflow in rng.stream_key
+        text = default_config_file("hrs").read_text()
+        text = "\n".join(f"seed = {seed}" if line.startswith("seed ")
+                         else line for line in text.splitlines())
+        with pytest.raises(ParseError, match=r"seed must lie in") as err:
+            parse_device_config(text)
+        assert err.value.line is not None
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, -2 ** 63])
+    def test_seed_at_either_end_of_64_bits_draws(self, seed):
+        cfg = dataclasses.replace(default_device_config("hrs"), seed=seed)
+        tile = CrossbarTile(cfg, np.array([[1, -1], [0, 1]]), array_id=1)
+        assert np.all(np.isfinite(tile.cell_g))
 
     def test_monotone_state_ordering(self):
         with pytest.raises(ConfigError):
@@ -259,7 +275,7 @@ class TestConfigFile:
         cfg = default_device_config("hrs")
         path = tmp_path / "dev.cfg"
         path.write_bytes(default_config_file("hrs").read_bytes())
-        again = load_device_config(path)
+        again = parse_device_config(path.read_bytes(), name=str(path))
         assert again.states == cfg.states
         assert again.v_read == cfg.v_read
         assert again.seed == cfg.seed
@@ -308,7 +324,7 @@ class TestConfigFile:
         path = tmp_path / "dev.cfg"
         path.write_bytes(data[:at] + b"\xff" + data[at:])
         with pytest.raises(ParseError) as err:
-            load_device_config(path)
+            parse_device_config(path.read_bytes(), name=str(path))
         assert err.value.offset == at
 
     def test_comments_and_blanks_ok(self):

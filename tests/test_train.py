@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from oxcim.data import synthetic_dataset
 from oxcim.errors import ConfigError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
-                           NetworkDescription, forward_ideal)
+                           NetworkDescription, forward_ideal, walk)
 from oxcim.quant import Precision
 from oxcim.train import TrainConfig, Trainer, train, _encode_batch
 
@@ -48,6 +50,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="weight r"):
             TrainConfig(weight_r=weight_r)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator takes no negative seed
+        with pytest.raises(ConfigError, match="training seed"):
+            TrainConfig(seed=-1)
+
 
 class TestTrainerMechanics:
     def test_zero_learning_rate_keeps_weights(self):
@@ -78,16 +85,31 @@ class TestTrainerMechanics:
                 np.testing.assert_array_equal(a.data, b.data)
         assert r1.loss_curve == r2.loss_curve
 
-    def test_loss_csv_roundtrip(self, tmp_path):
-        store = synthetic_dataset(n_train=64, n_test=10, seed=1)
-        cfg = TrainConfig(epochs=2, batch_size=32, seed=3)
-        result = train(small_arch(), store.train_images, store.train_labels,
-                       cfg)
-        path = tmp_path / "loss.csv"
-        result.write_loss_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss"
-        assert len(lines) == 4  # header + initial + 2 epochs
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_forward_preactivations_are_exact_popcounts(self, precision,
+                                                        monkeypatch):
+        # the float32 forward products must give float64 popcounts bit for bit
+        trainer = Trainer(small_arch(precision), TrainConfig(seed=3))
+        store = synthetic_dataset(n_train=16, n_test=1, seed=2)
+        seen = []
+
+        def spy_walk(net, x, preact, output, activate):
+            def exact_preact(op, patches):
+                u = preact(op, patches)
+                k = net.parametric_indices().index(op.index)
+                w = trainer.quantized_weights()[k].data.astype(np.int64)
+                wmat = w if op.gather is None else w.reshape(len(w), -1).T
+                pc = np.asarray(patches).astype(np.int64) @ wmat
+                seen.append(u.dtype == np.float64
+                            and np.array_equal(u, pc / op.scale))
+                return u
+            return walk(net, x, exact_preact, output, activate)
+
+        # sys.modules: the package's own name `train` is the function
+        monkeypatch.setattr(sys.modules["oxcim.train"], "walk", spy_walk)
+        trainer.loss_and_grads(_encode_batch(store.train_images),
+                               store.train_labels)
+        assert seen == [True] * len(trainer.params)
 
     def test_quantized_weights_are_valid_trits(self):
         trainer = Trainer(small_arch(Precision.BINARY))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import pytest
@@ -149,6 +150,29 @@ class TestRecordChecks:
         with pytest.raises(ParseError, match="before the precision") as err:
             loads("\n".join(lines) + "\n")
         assert err.value.line == 2
+
+    def test_oversized_conv_gather_fails_before_allocating(self):
+        # this short file used to make compile_plan allocate 74 MB
+        text = "\n".join([
+            "oxcim-qnn 1", "precision = binary", "input = 1,600,600",
+            "layer.0 = conv2d out_ch=1 kernel=5 stride=1",
+            "layer.1 = activation kind=binary", "layer.2 = dense out=10",
+            "layer.3 = activation kind=sigmoid_output", "end", ""])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="conv gathers 596\\*596\\*25"):
+                loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oversized_input_fails_at_its_line(self):
+        text, line = replace_line(dumps(tiny_net()), "input",
+                                  "input = 1,65536,65536")
+        with pytest.raises(ParseError, match="over 4194304 values") as err:
+            loads(text)
+        assert err.value.line == line
 
     def test_non_utf8_byte_names_offset(self, tmp_path):
         data = dumps(tiny_net()).encode()
