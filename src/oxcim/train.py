@@ -14,7 +14,9 @@ usual probability-input cross entropy; no softmax anywhere).
 
 Optimizer: Adam, defaults lr 1e-3, batch 64.  Minibatch order and init come
 from one seeded generator, and all reductions are plain numpy sums, so a
-run is reproducible end to end.
+run is reproducible end to end.  The validation loss runs the forward pass
+only: the same forward and loss code as a training step, with no backward
+records, STE masks or gradients.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pad_to_32
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from .network import Activation, activate, maxpool, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
@@ -49,6 +51,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, what in (("epochs", "epochs"), ("batch_size", "batch size"),
+                           ("seed", "training seed")):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{what} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         # lr = 0 is allowed: it keeps the weights where they are
@@ -88,11 +95,12 @@ def _unpool(a, sizes, dval):
     for x, pooled, s in reversed(list(zip(inputs, inputs[1:], sizes))):
         b, c, h, w = x.shape
         x6 = x.reshape(b, c, h // s, s, w // s, s)
-        ties = (x6 == pooled.reshape(b, c, h // s, 1, w // s, 1)) \
-            .astype(np.float64)
-        ties /= ties.sum(axis=(3, 5), keepdims=True)
-        dval = (ties * dval.reshape(b, c, h // s, 1, w // s, 1)) \
-            .reshape(b, c * h * w)
+        ties = x6 == pooled.reshape(b, c, h // s, 1, w // s, 1)
+        # one division per window: each tie gets fl(fl(1 / count) * dval)
+        # and every other cell a zero signed like dval
+        share = 1.0 / ties.sum(axis=(3, 5), keepdims=True)
+        share *= dval.reshape(b, c, h // s, 1, w // s, 1)
+        dval = (ties * share).reshape(b, c * h * w)
     return dval
 
 
@@ -143,6 +151,22 @@ class Trainer:
         return type(self.net)(self.precision, self.net.input_shape,
                               list(self.net.layers), weights)
 
+    def _check_labels(self, labels, n):
+        """labels as an array: integers below the output width, one for each
+        of n >= 1 images."""
+        width = self.net.plan[-1].out_shape[0]
+        y = np.asarray(labels)
+        if n < 1:
+            raise ShapeError("no images to compute a loss on")
+        if y.shape != (n,):
+            raise ShapeError(f"labels of shape {y.shape} for {n} images; "
+                             f"give one label per image")
+        if y.dtype.kind not in "iu":
+            raise DomainError(f"labels must be integers, got {y.dtype}")
+        if y.min() < 0 or y.max() >= width:
+            raise DomainError(f"labels must lie in 0..{width - 1}")
+        return y
+
     # -- forward / backward ----------------------------------------------------
 
     def _quant_weight(self, p, surrogate):
@@ -159,19 +183,28 @@ class Trainer:
         network whose analytic gradients can be checked against finite
         differences.
         """
+        return self._pass(x_trits, labels, surrogate, backward=True)
+
+    def _pass(self, x_trits, labels, surrogate=False, backward=False):
+        """Mean loss of one encoded batch, and with backward the gradients.
+
+        Without backward the walk keeps no records and computes no STE
+        masks: the loss comes from the same forward and loss code alone.
+        """
         for k, p in enumerate(self.params):
             if not np.all(np.isfinite(p)):
                 raise TrainingDiverged(
                     f"latent weights of parametric layer {k} became non-finite")
         B = x_trits.shape[0]
-        y = np.asarray(labels)
+        y = self._check_labels(labels, B)
         stack = []  # what _backward needs, in forward order
 
         def preact(op, patches):
             k = self.net.parametric_indices().index(op.index)
             wq = self._quant_weight(self.params[k], surrogate)
             wmat = wq if op.gather is None else wq.reshape(wq.shape[0], -1).T
-            stack.append((op, k, patches, wmat))
+            if backward:
+                stack.append((op, k, patches, wmat))
             if surrogate:
                 return np.asarray(patches, dtype=np.float64) @ wmat / op.scale
             # trit products: exact in float32, as in forward_ideal
@@ -184,7 +217,8 @@ class Trainer:
 
         def ste_activate(op, u):
             a = np.clip(u, -1.0, 1.0) if surrogate else activate(op, u)
-            stack.append((op, (np.abs(u) <= 1.0).astype(np.float64), a))
+            if backward:
+                stack.append((op, np.abs(u) <= 1.0, a))
             return a
 
         def output(op, z):
@@ -196,6 +230,8 @@ class Trainer:
             loss = float(losses.mean())
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss}")
+            if not backward:
+                return loss
             # d loss / d z for the normalized-sigmoid cross entropy
             dz = p * (1.0 - p) / s
             dz[np.arange(B), y] -= (1.0 - p[np.arange(B), y])
@@ -208,7 +244,7 @@ class Trainer:
         """Latent-weight gradients from the records of one forward walk.
 
         Conv/dense records hold (op, param index, input, weight matrix);
-        activation records hold (op, STE mask, activations).  Only
+        activation records hold (op, bool STE mask, activations).  Only
         pools can sit between an activation and the next conv/dense, and
         their ties share the gradient evenly.
         """
@@ -247,19 +283,21 @@ class Trainer:
     # -- training loop ---------------------------------------------------------
 
     def evaluate_loss(self, images, labels):
-        total, count = 0.0, 0
+        total = 0.0
         for lo in range(0, images.shape[0], EVAL_BATCH):
             hi = min(lo + EVAL_BATCH, images.shape[0])
             x = _encode_batch(images[lo:hi])
-            loss, _ = self.loss_and_grads(x, labels[lo:hi])
-            total += loss * (hi - lo)
-            count += hi - lo
-        return total / max(count, 1)
+            total += self._pass(x, labels[lo:hi]) * (hi - lo)
+        return total / max(images.shape[0], 1)
 
     def fit(self, images, labels, log_fn=None):
         cfg = self.cfg
         n = images.shape[0]
+        labels = self._check_labels(labels, n)
         n_val = int(round(n * cfg.val_fraction))
+        if n - n_val < 1:
+            raise ShapeError(f"{n} images leave none to train on after "
+                             f"holding out {n_val} for validation")
         order = self.rng.permutation(n)
         val_ids = order[:n_val]
         train_ids = order[n_val:]
@@ -270,18 +308,14 @@ class Trainer:
         for epoch in range(1, cfg.epochs + 1):
             perm = self.rng.permutation(train_ids.shape[0])
             ids = train_ids[perm]
-            running, seen = 0.0, 0
+            running = 0.0
             for lo in range(0, ids.shape[0], cfg.batch_size):
                 batch = ids[lo:lo + cfg.batch_size]
                 x = _encode_batch(images[batch])
                 loss, grads = self.loss_and_grads(x, labels[batch])
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"epoch {epoch}, batch at {lo}: loss={loss}")
                 self.opt.step(self.params, grads)
                 running += loss * batch.shape[0]
-                seen += batch.shape[0]
-            train_loss = running / max(seen, 1)
+            train_loss = running / ids.shape[0]
             val_loss = self.evaluate_loss(images[val_ids], labels[val_ids]) \
                 if n_val else float("nan")
             result.loss_curve.append((epoch, train_loss, val_loss))

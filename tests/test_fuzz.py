@@ -7,6 +7,7 @@ repeatable and its time bounded.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from oxcim.data import synthetic_dataset, write_dataset_dir
 from oxcim.device import default_config_file, parse_device_config
 from oxcim.errors import OxcimError
 from oxcim.quant import Precision
-from oxcim.train import Trainer
+from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
 from test_cli import COMMAND_FLAGS
 from test_network import tiny_net
@@ -71,6 +72,55 @@ class TestTextFormats:
     def test_device_config(self, data):
         parses_or_raises_oxcim_error(parse_device_config, data)
 
+
+
+# Training: labels of a fuzzed dtype, up to three of them replaced by values
+# in -1..11, the count often one off the image count, and up to three
+# TrainConfig fields drawn from pools of valid and invalid values.
+TRAIN_IMAGES = 12
+LABEL_DTYPES = [np.int64, np.uint8, np.int8, np.float64, np.bool_]
+TRAIN_CONFIG_VALUES = {
+    "epochs": [1, 2, 0, -1, 1.0, 0.5, float("nan")],
+    "batch_size": [1, 5, 11, 12, 64, 0, -1, 2.0, float("inf")],
+    "lr": [0, 1e-3, 2e-2, 1e300, -1.0, float("nan"), float("inf")],
+    "weight_r": [0.5, 0.999, 1e-9, 0.0, 1.0, -0.5, float("nan")],
+    "val_fraction": [0.0, 0.1, 0.5, 0.95, 0.99, 1.0, -0.1, float("nan")],
+    "seed": [0, 1, 2 ** 64, -1, 1.5, float("nan")],
+}
+TRAIN_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                      database=None)
+
+
+@pytest.fixture(scope="module")
+def train_corpus():
+    store = synthetic_dataset(n_train=TRAIN_IMAGES, n_test=1, seed=4)
+    return store.train_images, store.train_labels
+
+
+@st.composite
+def train_call(draw):
+    length = TRAIN_IMAGES + draw(st.sampled_from([0, 0, -1, 1]))
+    labels = [i % 10 for i in range(length)]
+    for _ in range(draw(st.integers(0, 3))):
+        labels[draw(st.integers(0, length - 1))] = draw(st.integers(-1, 11))
+    dtype = draw(st.sampled_from(LABEL_DTYPES))
+    fields = {}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(TRAIN_CONFIG_VALUES)))
+        fields[name] = draw(st.sampled_from(TRAIN_CONFIG_VALUES[name]))
+    return np.array(labels).astype(dtype), fields
+
+
+class TestTraining:
+    @TRAIN_FUZZ
+    @given(train_call())
+    def test_train(self, train_corpus, call):
+        images, _ = train_corpus
+        labels, fields = call
+        try:
+            train(small_arch(), images, labels, TrainConfig(**fields))
+        except OxcimError:
+            pass
 
 
 # CLI argv: a valid command line, then up to five flags, mostly the

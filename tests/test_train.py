@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oxcim.data import synthetic_dataset
-from oxcim.errors import ConfigError, TrainingDiverged
+from oxcim.errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
-                           NetworkDescription, forward_ideal, walk)
+                           NetworkDescription, forward_ideal, maxpool, walk)
 from oxcim.quant import Precision
-from oxcim.train import TrainConfig, Trainer, train, _encode_batch
+from oxcim.train import (EVAL_BATCH, TrainConfig, Trainer, train,
+                         _encode_batch, _unpool)
 
 
 def small_arch(precision=Precision.TERNARY, r=0.5):
@@ -54,6 +55,81 @@ class TestTrainConfig:
         # numpy's generator takes no negative seed
         with pytest.raises(ConfigError, match="training seed"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, what", [("epochs", "epochs"),
+                                             ("batch_size", "batch size"),
+                                             ("seed", "training seed")])
+    @pytest.mark.parametrize("value", [1.0, 2.5, float("nan")])
+    def test_non_integer_counts_rejected(self, field, what, value):
+        # a float would reach range() or the generator as a TypeError
+        with pytest.raises(ConfigError, match=f"{what} must be an integer"):
+            TrainConfig(**{field: value})
+
+
+class TestLabelChecks:
+    """Labels are integers in [0, output width), one per image."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return synthetic_dataset(n_train=24, n_test=4, seed=2)
+
+    def test_negative_label_rejected_by_loss_and_grads(self, store):
+        # -1 would index the last output and be read as class 9
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        x = _encode_batch(store.train_images[:4])
+        with pytest.raises(DomainError, match="0..9"):
+            trainer.loss_and_grads(x, [-1, 0, 1, 2])
+
+    @pytest.mark.parametrize("bad", [10, 255])
+    def test_label_past_output_width_rejected_by_train(self, store, bad):
+        labels = store.train_labels.copy()
+        labels[5] = bad  # would end in an IndexError
+        with pytest.raises(DomainError, match="0..9"):
+            train(small_arch(), store.train_images, labels,
+                  TrainConfig(epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_labels_rejected_by_train(self, store, dtype):
+        with pytest.raises(DomainError, match="integers"):
+            train(small_arch(), store.train_images,
+                  store.train_labels.astype(dtype),
+                  TrainConfig(epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_label_count_off_by_one_rejected_by_train(self, store, extra):
+        n = len(store.train_images)
+        labels = np.resize(store.train_labels, n + extra)
+        with pytest.raises(ShapeError, match="one label per image"):
+            train(small_arch(), store.train_images, labels,
+                  TrainConfig(epochs=1, batch_size=8))
+
+    def test_label_count_off_by_one_rejected_by_loss_and_grads(self, store):
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        x = _encode_batch(store.train_images[:4])
+        with pytest.raises(ShapeError, match="one label per image"):
+            trainer.loss_and_grads(x, store.train_labels[:3])
+
+    def test_label_list_accepted_by_train(self, store):
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
+        as_array = train(small_arch(), store.train_images,
+                         store.train_labels, cfg)
+        as_list = train(small_arch(), store.train_images,
+                        [int(v) for v in store.train_labels], cfg)
+        assert as_list.loss_curve == as_array.loss_curve
+
+    def test_empty_batch_rejected_by_loss_and_grads(self, store):
+        # the walk would end in numpy's ValueError from a reshape
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        x = _encode_batch(store.train_images[:0])
+        with pytest.raises(ShapeError, match="no images"):
+            trainer.loss_and_grads(x, store.train_labels[:0])
+
+    def test_no_training_images_left_rejected(self, store):
+        # 4 images at val fraction 0.9 hold out all 4: no batch would run
+        with pytest.raises(ShapeError, match="none to train on"):
+            train(small_arch(), store.train_images[:4],
+                  store.train_labels[:4],
+                  TrainConfig(epochs=1, batch_size=8, val_fraction=0.9))
 
 
 class TestTrainerMechanics:
@@ -205,6 +281,103 @@ class TestGradients:
         x = _encode_batch(store.train_images[:8])
         _, grads = trainer.loss_and_grads(x, store.train_labels[:8])
         np.testing.assert_array_equal(grads[0], np.zeros_like(grads[0]))
+
+
+class TestForwardOnlyValidation:
+    def test_backward_runs_once_per_training_batch_only(self, monkeypatch):
+        store = synthetic_dataset(n_train=90, n_test=4, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=16, val_fraction=0.2, seed=4)
+        calls = {"loss_and_grads": 0, "backward": 0, "evaluate_loss": 0,
+                 "backward_in_evaluate_loss": 0}
+        inside_eval = []
+        real = {name: getattr(Trainer, name)
+                for name in ("loss_and_grads", "_backward", "evaluate_loss")}
+
+        def loss_and_grads(self, *args, **kwargs):
+            calls["loss_and_grads"] += 1
+            return real["loss_and_grads"](self, *args, **kwargs)
+
+        def backward(self, *args):
+            calls["backward"] += 1
+            calls["backward_in_evaluate_loss"] += bool(inside_eval)
+            return real["_backward"](self, *args)
+
+        def evaluate_loss(self, *args):
+            calls["evaluate_loss"] += 1
+            inside_eval.append(True)
+            try:
+                return real["evaluate_loss"](self, *args)
+            finally:
+                inside_eval.pop()
+
+        monkeypatch.setattr(Trainer, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(Trainer, "_backward", backward)
+        monkeypatch.setattr(Trainer, "evaluate_loss", evaluate_loss)
+        train(small_arch(), store.train_images, store.train_labels, cfg)
+        # 72 training images in batches of 16: 5 batches per epoch
+        assert calls == {"loss_and_grads": 10, "backward": 10,
+                         "evaluate_loss": 3, "backward_in_evaluate_loss": 0}
+
+    def test_validation_loss_is_weighted_mean_of_training_losses(self):
+        store = synthetic_dataset(n_train=EVAL_BATCH + 45, n_test=4, seed=5)
+        images, labels = store.train_images, store.train_labels
+        assert len(images) % EVAL_BATCH
+        trainer = Trainer(small_arch(), TrainConfig(seed=6))
+        total = 0.0
+        for lo in range(0, len(images), EVAL_BATCH):
+            x = _encode_batch(images[lo:lo + EVAL_BATCH])
+            loss, _ = trainer.loss_and_grads(x, labels[lo:lo + EVAL_BATCH])
+            total += loss * len(x)
+        expect = total / len(images)
+        assert trainer.evaluate_loss(images, labels).hex() == expect.hex()
+
+
+def unpool_reference(a, sizes, dval):
+    """Each tie of a window takes (1.0 / tie count, as float64) * dval."""
+    inputs = [a]
+    for size in sizes:
+        inputs.append(maxpool(inputs[-1], size))
+    for x, pooled, s in reversed(list(zip(inputs, inputs[1:], sizes))):
+        b, c, h, w = x.shape
+        ties = (x.reshape(b, c, h // s, s, w // s, s)
+                == pooled.reshape(b, c, h // s, 1, w // s, 1)) \
+            .astype(np.float64)
+        ties /= ties.sum(axis=(3, 5), keepdims=True)
+        dval = (ties * dval.reshape(b, c, h // s, 1, w // s, 1)) \
+            .reshape(b, c * h * w)
+    return dval
+
+
+class TestUnpool:
+    @pytest.fixture(scope="class")
+    def activations(self):
+        # trits: most 2x2 windows tie; 2-, 3- and 4-way ties all occur
+        gen = np.random.default_rng(11)
+        a = gen.choice([-1.0, 0.0, 1.0], size=(3, 2, 12, 12))
+        windows = a.reshape(3, 2, 6, 2, 6, 2)
+        counts = (windows == maxpool(a, 2).reshape(3, 2, 6, 1, 6, 1)) \
+            .sum(axis=(3, 5))
+        assert {2, 3, 4} <= set(np.unique(counts))
+        return a
+
+    @pytest.mark.parametrize("sizes", [[2], [3], [2, 2], [3, 2], [2, 3]])
+    def test_matches_float64_ties_bit_for_bit(self, activations, sizes):
+        b, c, h, w = activations.shape
+        n_out = c * (h // int(np.prod(sizes))) * (w // int(np.prod(sizes)))
+        gen = np.random.default_rng(len(sizes) * 10 + sizes[0])
+        dval = gen.standard_normal((b, n_out))
+        # signed zeros, and subnormals whose share rounds to a signed zero
+        dval.flat[::7] = 0.0
+        dval.flat[1::7] = -0.0
+        dval.flat[2::7] = -5e-324
+        dval.flat[3::7] = 5e-324
+        assert (dval < 0).any()
+        got = _unpool(activations, sizes, dval)
+        expect = unpool_reference(activations, sizes, dval)
+        assert got.dtype == np.float64 and got.shape == expect.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expect.view(np.uint64))
+        assert np.signbit(got).any() and (got == 0).any()
 
 
 class TestTrainInferConsistency:
