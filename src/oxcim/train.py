@@ -17,6 +17,12 @@ from one seeded generator, and all reductions are plain numpy sums, so a
 run is reproducible end to end.  The validation loss runs the forward pass
 only: the same forward and loss code as a training step, with no backward
 records, STE masks or gradients.
+
+A step casts its layer inputs to float one block at a time, each within
+BLOCK_BYTES: row blocks to float32 for the forward products, column blocks
+to float64 for the weight gradients.  Neither moves a bit: the forward
+products are exact trit sums, and each gradient element keeps its one
+float64 sum over the batch.
 """
 
 from dataclasses import dataclass, field
@@ -36,9 +42,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256  # images per forward pass in evaluate_loss
-# patch rows per float32 forward product: a float32 copy of a whole conv1
-# patch matrix (40 MB at 64 images) raised the peak RSS of a training run
-FORWARD_ROWS = 4096
+# Bytes of the float copy of one block of an input matrix in a training
+# step: the forward casts row blocks to float32, the backward column blocks
+# to float64.  A float64 copy of a whole conv1 patch matrix (80 MB at 64
+# images) set the peak RSS of a training run; 16 MiB blocks ran fastest.
+BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -85,6 +93,33 @@ class TrainResult:
 def _encode_batch(images):
     """uint8 images -> (B, C, 32, 32) +/-1 trits."""
     return thermometric_trits(pad_to_32(images))
+
+
+def _blocks(n, nbytes, unit=1):
+    """Slices of range(n) starting on multiples of unit, near-equal in whole
+    units: as few as keep each one's share of nbytes within BLOCK_BYTES,
+    but at most n // unit of them."""
+    units = -(-n // unit)
+    k = max(1, min(-(-nbytes // BLOCK_BYTES), n // unit))
+    edges = [min(n, unit * (units * i // k)) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _weight_gradient(inputs, dpre):
+    """inputs.T @ dpre in float64, cast and multiplied in blocks of inputs'
+    columns that each fit in BLOCK_BYTES.
+
+    A block owns whole rows of the result, so each element keeps its one
+    sum over all of inputs' rows.  At one BLAS thread it keeps its bits too
+    while each block runs the whole product's OpenBLAS (0.3.31) kernel:
+    blocks start on multiples of 4 columns, the groups a one-column gemv
+    sums, and hold at least a third of BLOCK_BYTES, which keeps two or more
+    columns of dpre above the small-matrix GEMM (M*N*K <= 10**6).
+    """
+    gw = np.empty((inputs.shape[1], dpre.shape[1]))
+    for s in _blocks(inputs.shape[1], inputs.size * 8, unit=4):
+        gw[s] = np.asarray(inputs[:, s], dtype=np.float64).T @ dpre
+    return gw
 
 
 def _unpool(a, sizes, dval):
@@ -210,9 +245,8 @@ class Trainer:
             # trit products: exact in float32, as in forward_ideal
             w32 = wmat.astype(np.float32)
             pc = np.empty((len(patches), w32.shape[1]))
-            for lo in range(0, len(patches), FORWARD_ROWS):
-                pc[lo:lo + FORWARD_ROWS] = \
-                    patches[lo:lo + FORWARD_ROWS].astype(np.float32) @ w32
+            for s in _blocks(len(patches), patches.size * 4):
+                pc[s] = patches[s].astype(np.float32) @ w32
             return pc / op.scale
 
         def ste_activate(op, u):
@@ -261,7 +295,7 @@ class Trainer:
             _, k, inputs, wmat = rec
             if dpre.ndim == 4:  # (B, O, oh, ow) -> (B*P, O), patch order
                 dpre = dpre.transpose(0, 2, 3, 1).reshape(-1, dpre.shape[1])
-            gw = np.asarray(inputs, dtype=np.float64).T @ dpre
+            gw = _weight_gradient(inputs, dpre)
             grads[k] = gw if op.gather is None \
                 else gw.T.reshape(self.params[k].shape)
             if rec is stack[0]:
@@ -283,12 +317,14 @@ class Trainer:
     # -- training loop ---------------------------------------------------------
 
     def evaluate_loss(self, images, labels):
+        n = images.shape[0]
+        labels = self._check_labels(labels, n)
         total = 0.0
-        for lo in range(0, images.shape[0], EVAL_BATCH):
-            hi = min(lo + EVAL_BATCH, images.shape[0])
+        for lo in range(0, n, EVAL_BATCH):
+            hi = min(lo + EVAL_BATCH, n)
             x = _encode_batch(images[lo:hi])
             total += self._pass(x, labels[lo:hi]) * (hi - lo)
-        return total / max(images.shape[0], 1)
+        return total / n
 
     def fit(self, images, labels, log_fn=None):
         cfg = self.cfg

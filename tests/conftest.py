@@ -1,16 +1,17 @@
 import os
 
-import pytest
-
-from oxcim.data import synthetic_dataset
-from oxcim.device import default_device_config
-
 # All BLAS pools on one thread, as in benchmarks/run.py, so the float64
 # training matmuls reduce in one order.  Evaluation bits do not depend on
-# the pool size (test_cli.TestDeterminism checks it).
+# the pool size (test_cli.TestDeterminism checks it).  OpenBLAS reads these
+# once, when numpy loads it, so they are set before anything imports numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from oxcim.data import synthetic_dataset  # noqa: E402
+from oxcim.device import default_device_config  # noqa: E402
 
 # CLI tests start child interpreters, some from a temporary cwd; a relative
 # PYTHONPATH entry (e.g. `PYTHONPATH=src` from a checkout) would point the

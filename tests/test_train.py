@@ -1,4 +1,6 @@
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from oxcim.data import synthetic_dataset
 from oxcim.errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
-                           NetworkDescription, forward_ideal, maxpool, walk)
+                           NetworkDescription, forward_ideal, lenet, maxpool,
+                           walk)
 from oxcim.quant import Precision
-from oxcim.train import (EVAL_BATCH, TrainConfig, Trainer, train,
-                         _encode_batch, _unpool)
+from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
+                         _blocks, _encode_batch, _unpool, _weight_gradient)
+from test_golden import GOLDEN_TRAIN_RUN
 
 
 def small_arch(precision=Precision.TERNARY, r=0.5):
@@ -123,6 +127,23 @@ class TestLabelChecks:
         x = _encode_batch(store.train_images[:0])
         with pytest.raises(ShapeError, match="no images"):
             trainer.loss_and_grads(x, store.train_labels[:0])
+
+    def test_empty_validation_set_rejected_by_evaluate_loss(self, store):
+        # a mean over no images used to come back as 0.0
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        with pytest.raises(ShapeError, match="no images"):
+            trainer.evaluate_loss(store.train_images[:0],
+                                  store.train_labels[:0])
+
+    def test_label_count_checked_against_all_images_by_evaluate_loss(self):
+        # checked per chunk, 257 labels for 300 images were reported as
+        # "labels of shape (1,) for 44 images"
+        store = synthetic_dataset(n_train=300, n_test=4, seed=2)
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        with pytest.raises(ShapeError,
+                           match=r"labels of shape \(257,\) for 300 images"):
+            trainer.evaluate_loss(store.train_images,
+                                  store.train_labels[:257])
 
     def test_no_training_images_left_rejected(self, store):
         # 4 images at val fraction 0.9 hold out all 4: no batch would run
@@ -330,6 +351,97 @@ class TestForwardOnlyValidation:
             total += loss * len(x)
         expect = total / len(images)
         assert trainer.evaluate_loss(images, labels).hex() == expect.hex()
+
+
+LENET_CONV1 = lenet(Precision.TERNARY).plan[0]
+
+
+def conv1_patch_bytes(batch, itemsize):
+    """Bytes of a LeNet conv1 patch matrix of batch images."""
+    return batch * LENET_CONV1.gather.shape[0] * LENET_CONV1.fan_in * itemsize
+
+
+class TestBlockedWeightGradient:
+    """The backward casts and multiplies column blocks of a layer's inputs
+    that fit in BLOCK_BYTES; the gradient keeps the one-call bits."""
+
+    @staticmethod
+    def conv1_case(batch, seed=0):
+        rng = np.random.default_rng(seed)
+        rows = batch * LENET_CONV1.gather.shape[0]
+        inputs = rng.integers(-1, 2, size=(rows, LENET_CONV1.fan_in),
+                              dtype=np.int8)
+        dpre = rng.standard_normal((rows, LENET_CONV1.out_shape[0])) * 1e-3
+        return inputs, dpre
+
+    @pytest.mark.parametrize("batch", [1, 13, 14, 33, 41, 61, 64, 70])
+    def test_blocks_match_one_float64_product_bit_for_bit(self, batch):
+        # 1 and 13 images fit the budget: one product
+        inputs, dpre = self.conv1_case(batch)
+        spans = _blocks(inputs.shape[1], inputs.size * 8, unit=4)
+        assert (len(spans) > 1) == (inputs.size * 8 > BLOCK_BYTES)
+        assert all(s.start % 4 == 0 and s.stop - s.start >= 4 for s in spans)
+        got = _weight_gradient(inputs, dpre)
+        expect = np.asarray(inputs, np.float64).T @ dpre
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expect.view(np.uint64))
+
+    def test_uneven_blocks_are_tested(self):
+        widths = {s.stop - s.start for batch in (33, 70)
+                  for s in _blocks(LENET_CONV1.fan_in,
+                                   conv1_patch_bytes(batch, 8), unit=4)}
+        assert len(widths) > 1
+
+    def test_float64_inputs_above_the_budget(self):
+        # conv2's patches are float64 activations; at 150 images they pass
+        # the budget too
+        rng = np.random.default_rng(1)
+        inputs = rng.choice([-1.0, 0.0, 1.0], size=(150 * 100, 150))
+        dpre = rng.standard_normal((150 * 100, 16))
+        assert inputs.nbytes > BLOCK_BYTES
+        np.testing.assert_array_equal(
+            _weight_gradient(inputs, dpre).view(np.uint64),
+            (inputs.T @ dpre).view(np.uint64))
+
+    def test_one_output_column_keeps_its_gemv_groups(self):
+        # a one-column dpre goes to gemv, which sums 4 columns at a time:
+        # two blocks of 75 columns changed bits, blocks of 76 and 74 do not
+        rng = np.random.default_rng(2)
+        inputs = rng.integers(-1, 2, size=(15000, 150), dtype=np.int8)
+        dpre = rng.standard_normal((15000, 1))
+        spans = _blocks(inputs.shape[1], inputs.size * 8, unit=4)
+        assert [s.stop - s.start for s in spans] == [76, 74]
+        np.testing.assert_array_equal(
+            _weight_gradient(inputs, dpre).view(np.uint64),
+            (np.asarray(inputs, np.float64).T @ dpre).view(np.uint64))
+
+    def test_blocks_are_at_least_one_unit_long(self):
+        assert [s.stop - s.start for s in _blocks(9, 10**12, 4)] == [4, 5]
+        assert _blocks(3, 10**12, 4) == [slice(0, 3)]
+
+    def test_golden_training_batch_crosses_the_budget(self):
+        # the golden run's pin then covers the blocked path
+        batch = int(re.search(r"batch_size=(\d+)", GOLDEN_TRAIN_RUN)[1])
+        assert conv1_patch_bytes(batch, 8) > BLOCK_BYTES
+
+    def test_training_step_working_set_is_bounded(self):
+        # one 64-image LeNet-TNN step holds the int8 conv1 patch matrix and
+        # one float copy of a block of it at a time; the margin covers the
+        # float64 layer outputs and gradients of the walk (2.4 MB each for
+        # conv1).  A float64 copy of the whole patch matrix took 99 MiB.
+        batch = 64
+        store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
+        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
+        x = _encode_batch(store.train_images)
+        trainer.loss_and_grads(x, store.train_labels)  # warm caches
+        tracemalloc.start()
+        try:
+            trainer.loss_and_grads(x, store.train_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        margin = 16 * 2**20
+        assert peak <= conv1_patch_bytes(batch, 1) + BLOCK_BYTES + margin
 
 
 def unpool_reference(a, sizes, dval):
