@@ -22,8 +22,8 @@ import numpy as np
 from .crossbar import CrossbarTile
 from .data import pad_to_32
 from .device import check_seed, sigmoid_neuron_voltage
-from .errors import ConfigError, ShapeError
-from .hardware import map_network_to_tiles, predict_hardware
+from .errors import ConfigError, ShapeError, check_integer
+from .hardware import check_max_tile, map_network_to_tiles, predict_hardware
 from .network import predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
@@ -40,10 +40,6 @@ class ConfusionMatrix:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
             raise ShapeError("confusion matrix must be 10x10")
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
 
     @classmethod
     def from_predictions(cls, truth, pred):
@@ -65,10 +61,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("ideal", "hardware"):
             raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
-        if self.threads < 1:
+        if check_integer(self.threads, "threads") < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.limit is not None and self.limit < 1:
+        if self.limit is not None and check_integer(self.limit, "limit") < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
+        check_max_tile(self.max_tile)
         if self.seeds is None:
             self.seeds = [self.config.seed]
         if not self.seeds:

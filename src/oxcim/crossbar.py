@@ -121,8 +121,8 @@ class CrossbarTile:
             head = floor - self.cell_g
             self._headroom = np.where(self.cell_g + head < floor,
                                       np.nextafter(head, np.inf), head)
-            self._c2c_keys = rng.c2c_cell_key_grid(config.seed, self.array_id,
-                                                   self.rows, self.cols)
+            self._c2c_keys = rng.cell_key_grid(config.seed, rng.TAG_C2C,
+                                               self.array_id, *trits.shape)
 
     def vmm_batch(self, x_batch, read_pairs):
         """Two-phase VMM for a batch of input vectors.

@@ -26,7 +26,9 @@ from importlib import resources
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, ParseError, read_records
+from .errors import ConfigError, DomainError, ParseError, check_integer, \
+    read_records
+from .quant import Precision, _as_trits
 
 log = logging.getLogger(__name__)
 
@@ -83,18 +85,9 @@ class DeviceConfig:
             raise ConfigError("v_read must be finite and > 0")
         check_seed(self.seed)
 
-    def state_for(self, trit):
-        try:
-            return self.states[int(trit)]
-        except KeyError:
-            raise ConfigError(
-                f"config {self.name!r} has no state for weight {trit}"
-            ) from None
-
     def require_states(self, precision):
         """Check the trit -> state map covers the given precision."""
-        need = (-1, 1) if precision.value == "binary" else (-1, 0, 1)
-        missing = [t for t in need if t not in self.states]
+        missing = [t for t in precision.allowed_values if t not in self.states]
         if missing:
             raise ConfigError(
                 f"config {self.name!r} lacks states for trits {missing} "
@@ -106,17 +99,23 @@ class DeviceConfig:
         return 0.5 * (self.states[1].mean_S - self.states[-1].mean_S)
 
     def grids_for(self, state_grid):
-        """Per-cell (mean, d2d_sigma, c2c_sigma, floor) grids for a trit grid."""
-        trits = np.asarray(state_grid)
-        mean = np.empty(trits.shape, dtype=np.float64)
-        d2d = np.empty_like(mean)
-        c2c = np.empty_like(mean)
-        for t in np.unique(trits):
-            st = self.state_for(t)
-            sel = trits == t
-            mean[sel] = st.mean_S
-            d2d[sel] = st.d2d_sigma_S
-            c2c[sel] = st.c2c_sigma_S
+        """Per-cell (mean, d2d_sigma, c2c_sigma, floor) grids for a trit grid.
+
+        One np.take per parameter from a table indexed by trit + 1.  Each
+        grid is an array of its own, so a tile that keeps one grid keeps no
+        other alive.
+        """
+        # the config defines states -1 and +1, and 0 if it is ternary
+        precision = Precision.TERNARY if 0 in self.states else Precision.BINARY
+        try:
+            idx = _as_trits(state_grid, precision) + 1
+        except DomainError as exc:
+            raise ConfigError(f"config {self.name!r} has no state for a "
+                              f"weight: {exc}") from None
+        table = np.zeros((3, 3))  # (mean, d2d, c2c) x (trit + 1)
+        for t, s in self.states.items():
+            table[:, t + 1] = s.mean_S, s.d2d_sigma_S, s.c2c_sigma_S
+        mean, d2d, c2c = (np.take(row, idx) for row in table)
         return mean, d2d, c2c, mean * CLAMP_FLOOR_FRACTION
 
     def with_zero_variability(self):
@@ -131,8 +130,9 @@ class DeviceConfig:
 
 
 def check_seed(seed):
-    """seed, or a ConfigError unless it fits the one 64-bit word (signed or
-    not) that rng.stream_key folds it into."""
+    """seed, or a ConfigError unless it is an integer that fits the one
+    64-bit word (signed or not) that rng.stream_key folds it into."""
+    check_integer(seed, "seed")
     if not -2 ** 63 <= seed < 2 ** 64:
         raise ConfigError(f"seed must lie in [-2**63, 2**64), got {seed}")
     return seed

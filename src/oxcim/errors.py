@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the record reader of its
-two text formats (device configs and weight files)."""
+"""Exception types shared across the package, the integer check of its
+inputs, and the record reader of its two text formats (device configs and
+weight files)."""
+
+import numbers
 
 
 class OxcimError(Exception):
@@ -39,6 +42,13 @@ class ParseError(OxcimError, ValueError):
 
 class TrainingDiverged(OxcimError, RuntimeError):
     """Training loss became non-finite; aborting instead of continuing blindly."""
+
+
+def check_integer(value, what):
+    """value, or a ConfigError unless it is an integer (Python or numpy)."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def read_records(data, record, path=None, frame=None):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .crossbar import CrossbarTile
 from .device import sigmoid_neuron_voltage
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_integer
 from .network import Conv2D, as_batch, conv_weight_matrix, \
     predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
@@ -94,6 +94,18 @@ class TiledNetwork:
                        p.tile.cell_g[:, :p.n_data_cols])
 
 
+def check_max_tile(max_tile):
+    """max_tile as (rows, cols), or a ConfigError unless it is two integers
+    with room for a data row and a data column plus two reference columns."""
+    if np.shape(max_tile) != (2,):
+        raise ConfigError(f"max tile must be (rows, cols), got {max_tile!r}")
+    max_r, max_c = (check_integer(n, "max tile size") for n in max_tile)
+    if max_r < 1 or max_c < 3:
+        raise ConfigError(f"max tile {max_tile} cannot hold data plus 2 "
+                          f"reference columns")
+    return max_r, max_c
+
+
 def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     """Program every lowered weight matrix onto crossbar tiles.
 
@@ -103,11 +115,8 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     extra reference columns; physical tile widths still respect max_tile.
     """
     config.require_states(net.precision)
-    max_r, max_c = max_tile
+    max_r, max_c = check_max_tile(max_tile)
     n_ref = 2
-    if max_r < 1 or max_c < 1 + n_ref:
-        raise ConfigError(f"max tile {max_tile} cannot hold data plus "
-                          f"{n_ref} reference columns")
     net.require_weights()
     a = config.conductance_slope()
     mappings = {}

@@ -7,10 +7,12 @@ generator, so results do not depend on evaluation order, batching, or thread
 count: querying one cell in isolation returns the same value as querying it
 as part of a full-array sweep.
 
-Keys are folded together with the SplitMix64 finalizer, which is a cheap
-bijective avalanche mix; standard normals are produced from the mixed 64-bit
-word via the inverse Gaussian CDF on its top 53 bits.  The statistical
-quality is far beyond what Gaussian-moment Monte Carlo needs.
+Keys are folded together with the SplitMix64 finalizer, a cheap bijective
+avalanche mix.  The one sampler mixes a key once more and maps the top 53
+bits of the word to a standard normal via the inverse Gaussian CDF.  D2D
+draws call it as _normals; the crossbar's C2C draws call it as
+normals_consuming_keys, the name to patch to count C2C draws alone.  The
+statistical quality is far beyond what Gaussian-moment Monte Carlo needs.
 
 That inverse CDF is scipy.special.ndtri, resolved at the first keyed draw
 rather than at import: loading scipy.special (and the numpy.testing,
@@ -32,6 +34,7 @@ TAG_C2C = 0x2C2C
 
 def _mix64_inplace(h):
     """SplitMix64 finalizer, mutating its (fresh, uint64) argument."""
+    h = np.asarray(h)  # a scalar uint64 multiply would warn on overflow
     t = np.empty_like(h)  # one scratch buffer for the three shifts
     h ^= np.right_shift(h, np.uint64(30), out=t)
     h *= _MUL1
@@ -41,15 +44,10 @@ def _mix64_inplace(h):
     return h
 
 
-def mix64(h):
-    """SplitMix64 finalizer over uint64 scalars or arrays (vectorized)."""
-    return _mix64_inplace(np.asarray(h, dtype=np.uint64).copy())
-
-
 def fold(h, word):
     """Absorb one key word into state ``h``; broadcasting applies."""
     w = np.asarray(word, dtype=np.uint64)
-    return mix64(np.asarray(h, dtype=np.uint64) ^ (w + _GOLDEN))
+    return _mix64_inplace(np.asarray(h, dtype=np.uint64) ^ (w + _GOLDEN))
 
 
 def stream_key(seed, *words):
@@ -60,53 +58,32 @@ def stream_key(seed, *words):
     return h[()] if np.ndim(h) == 0 else h
 
 
-def cell_keys(base_key, rows, cols):
-    """Per-cell keys for an rows x cols grid, derived from one stream key."""
+def cell_key_grid(seed, tag, array_id, rows, cols):
+    """Per-cell keys of one array's stream ``tag``, a rows x cols grid."""
     r = np.arange(rows, dtype=np.uint64)[:, None]
     c = np.arange(cols, dtype=np.uint64)[None, :]
-    idx = (r << np.uint64(32)) | c
-    return fold(np.uint64(base_key), idx)
+    return fold(stream_key(seed, tag, array_id), (r << np.uint64(32)) | c)
 
 
-def uniforms_from_keys(keys):
-    """Map keys to float64 uniforms strictly inside (0, 1)."""
-    bits = mix64(keys)
-    # Top 53 bits -> [0,1) on the representable grid, then offset off zero.
+def _normals(keys):
+    """Standard normals from uint64 keys, clobbering the keys."""
+    from scipy.special import ndtri  # deferred: see the module docstring
+    bits = _mix64_inplace(keys)
     bits >>= np.uint64(11)
     u = bits.astype(np.float64)
-    u *= 2.0**-53
-    u += 2.0**-54
-    return u
-
-
-def normals_from_keys(keys):
-    """Map keys to standard normal draws via the inverse Gaussian CDF."""
-    from scipy.special import ndtri  # deferred: see the module docstring
-    return ndtri(uniforms_from_keys(keys))
-
-
-def normals_consuming_keys(keys):
-    """Like normals_from_keys but allowed to clobber its argument (hot path)."""
-    from scipy.special import ndtri  # deferred: see the module docstring
-    _mix64_inplace(keys)
-    keys >>= np.uint64(11)
-    u = keys.astype(np.float64)
     u *= 2.0**-53
     u += 2.0**-54
     return ndtri(u, out=u)
 
 
+normals_consuming_keys = _normals  # C2C draws: see the module docstring
+
+
 def d2d_normals(seed, array_id, rows, cols):
     """Device-to-device standard normals, fixed per (seed, array, cell)."""
-    base = stream_key(seed, TAG_D2D, array_id)
-    return normals_from_keys(cell_keys(base, rows, cols))
+    return _normals(cell_key_grid(seed, TAG_D2D, array_id, rows, cols))
 
 
 def read_event_words(read_ids):
     """Mixed 64-bit words identifying READ events; XOR them into cell keys."""
-    return mix64(np.asarray(read_ids, dtype=np.uint64) + _GOLDEN)
-
-
-def c2c_cell_key_grid(seed, array_id, rows, cols):
-    """Per-cell base keys for the cycle-to-cycle stream of one array."""
-    return cell_keys(stream_key(seed, TAG_C2C, array_id), rows, cols)
+    return _mix64_inplace(np.asarray(read_ids, dtype=np.uint64) + _GOLDEN)

@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pad_to_32
-from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
-from .network import Activation, activate, maxpool, thermometric_trits, walk
+from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged, \
+    check_integer
+from .network import Activation, activate, conv_weight_matrix, maxpool, \
+    thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .quant import act_binary, act_ternary  # noqa: F401
@@ -61,9 +63,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, what in (("epochs", "epochs"), ("batch_size", "batch size"),
                            ("seed", "training seed")):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{what} must be an integer, got {value!r}")
+            check_integer(getattr(self, name), what)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         # lr = 0 is allowed: it keeps the weights where they are
@@ -237,7 +237,7 @@ class Trainer:
         def preact(op, patches):
             k = self.net.parametric_indices().index(op.index)
             wq = self._quant_weight(self.params[k], surrogate)
-            wmat = wq if op.gather is None else wq.reshape(wq.shape[0], -1).T
+            wmat = wq if op.gather is None else conv_weight_matrix(wq)
             if backward:
                 stack.append((op, k, patches, wmat))
             if surrogate:

@@ -26,7 +26,7 @@ class TestConfusionMatrix:
     def test_perfect_classifier_is_diagonal(self):
         truth = np.repeat(np.arange(10), 5)
         cm = ConfusionMatrix.from_predictions(truth, truth)
-        assert 100.0 * np.trace(cm.counts) / cm.total == 100.0
+        assert 100.0 * np.trace(cm.counts) / cm.counts.sum() == 100.0
         assert np.all(np.diag(cm.counts) == 5)
         assert cm.counts.sum() == np.trace(cm.counts)
 
@@ -37,7 +37,7 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix.from_predictions(truth, pred)
         np.testing.assert_array_equal(cm.counts.sum(axis=1),
                                       np.bincount(truth, minlength=10))
-        assert cm.total == 200
+        assert cm.counts.sum() == 200
 
     def test_overall_is_trace_over_total(self):
         gen = np.random.default_rng(1)
@@ -45,7 +45,7 @@ class TestConfusionMatrix:
         pred = np.where(gen.random(300) < 0.7, truth,
                         gen.integers(0, 10, size=300))
         cm = ConfusionMatrix.from_predictions(truth, pred)
-        assert 100.0 * np.trace(cm.counts) / cm.total == pytest.approx(
+        assert 100.0 * np.trace(cm.counts) / cm.counts.sum() == pytest.approx(
             100.0 * np.mean(truth == pred))
 
 
@@ -75,6 +75,21 @@ class TestExperimentSpec:
             ExperimentSpec(net=tiny_net(), config=hrs_config,
                            mode="hardware", seeds=[1, seed])
 
+    def test_non_integer_seed_rejected(self, hrs_config):
+        # 1.5 used to pass as distinct from 1 and draw seed 1's streams
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentSpec(net=tiny_net(), config=hrs_config,
+                           mode="hardware", seeds=[1, 1.5])
+
+    @pytest.mark.parametrize("field, value", [
+        ("limit", 2.5), ("limit", 2.0), ("threads", 1.5), ("threads", "2"),
+        ("max_tile", (64.5, 64)), ("max_tile", (64, 3.0))])
+    def test_non_integer_counts_rejected(self, hrs_config, field, value):
+        # limit=2.5 and max_tile=(64.5, 64) used to end in a TypeError
+        with pytest.raises(ConfigError, match=field.replace("_", " ")):
+            ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
+                           **{field: value})
+
     @pytest.mark.parametrize("threads", [0, -1, -3])
     def test_threads_below_one_rejected(self, hrs_config, threads):
         with pytest.raises(ConfigError, match="threads"):
@@ -102,7 +117,7 @@ class TestRunAccuracy:
         rep = run_accuracy(spec, imgs, labels)
         assert rep.accuracies[0] == rep.accuracies[1]
         assert rep.n_images == 40
-        assert rep.confusion.total == 40
+        assert rep.confusion.counts.sum() == 40
         # the ideal pass has no randomness, so it runs once for both trials
         assert sum(images_seen) == 40
 

@@ -18,6 +18,9 @@ from oxcim.quant import popcount_oracle
 
 TRITS = (-1, 0, 1)
 
+# a uint64 scalar multiply warns on overflow; the mixer must not hit one
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def affine_config(a=9e-6, b=11e-6, v_read=0.2, d2d=0.0, c2c=0.0, seed=0):
     """States G(w) = a*w + b, the affine trit -> conductance map."""
@@ -270,7 +273,7 @@ class TestDrawCount:
         assert not i_pos.any() and not i_neg.any()
 
     def test_c2c_free_tiles_derive_no_noise_keys(self, monkeypatch):
-        monkeypatch.setattr(rng, "c2c_cell_key_grid", None)
+        monkeypatch.setattr(rng, "cell_key_grid", None)
         cfg = default_device_config("hrs").with_zero_variability()
         tile = CrossbarTile(cfg, np.ones((8, 4), dtype=np.int8))
         tile.vmm_batch(np.ones((3, 8), dtype=np.int8), np.arange(3))

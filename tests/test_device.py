@@ -18,6 +18,10 @@ from oxcim.errors import ConfigError, DomainError, ParseError
 from oxcim.quant import Precision
 
 
+# a uint64 scalar multiply warns on overflow; the mixer must not hit one
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def _state(mean, d2d=0.0, c2c=0.0):
     return MlcStateModel("s", mean, d2d, c2c)
 
@@ -60,6 +64,12 @@ class TestStateAndConfigValidation:
         tile = CrossbarTile(cfg, np.array([[1, -1], [0, 1]]), array_id=1)
         assert np.all(np.isfinite(tile.cell_g))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 used to draw exactly seed 1's streams
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            dataclasses.replace(default_device_config("hrs"), seed=seed)
+
     def test_monotone_state_ordering(self):
         with pytest.raises(ConfigError):
             DeviceConfig("HRS", {-1: _state(5e-6), 1: _state(2e-6)})
@@ -73,7 +83,7 @@ class TestStateAndConfigValidation:
 
 def sample_device_conductance(state, seed, array_id, row, col):
     """Scalar reference of the D2D draw: one keyed cell, clamped to the floor."""
-    z = rng.normals_from_keys(
+    z = rng.normals_consuming_keys(
         rng.fold(rng.stream_key(seed, rng.TAG_D2D, array_id),
                  (np.uint64(row) << np.uint64(32)) | np.uint64(col)))
     return max(state.mean_S + state.d2d_sigma_S * float(z),
@@ -105,8 +115,33 @@ class TestDeviceSampling:
         grid = sample_device_conductance_grid(cfg, trits, array_id=3)
         for r in range(2):
             for c in range(2):
-                st = cfg.state_for(trits[r, c])
+                st = cfg.states[trits[r, c]]
                 assert grid[r, c] == sample_device_conductance(st, 5, 3, r, c)
+
+    @pytest.mark.parametrize("trit", [-2, 2, 1.5, np.nan])
+    def test_value_without_a_state_rejected(self, trit):
+        # np.take alone would wrap -2 onto the +1 state
+        cfg = default_device_config("hrs")
+        with pytest.raises(ConfigError, match="no state for a weight"):
+            cfg.grids_for(np.array([[1, trit], [0, -1]]))
+
+    def test_zero_on_a_binary_config_rejected(self):
+        cfg = DeviceConfig("HRS", {-1: _state(1e-6), 1: _state(2e-6)})
+        with pytest.raises(ConfigError, match=r"no state .* \[0\]"):
+            cfg.grids_for(np.array([[1, 0], [-1, 1]], dtype=np.int8))
+
+    def test_float_trit_grids_look_up_their_states(self):
+        cfg = default_device_config("hrs")
+        trits = np.array([[1, 0], [-1, 1]], dtype=np.int8)
+        for got, want in zip(cfg.grids_for(trits.astype(np.float64)),
+                             cfg.grids_for(trits)):
+            np.testing.assert_array_equal(got, want)
+        mean, d2d, c2c, floor = cfg.grids_for(trits)
+        for (r, c), t in np.ndenumerate(trits):
+            st = cfg.states[t]
+            assert (mean[r, c], d2d[r, c], c2c[r, c], floor[r, c]) == (
+                st.mean_S, st.d2d_sigma_S, st.c2c_sigma_S,
+                st.mean_S * CLAMP_FLOOR_FRACTION)
 
     def test_law_of_large_numbers(self):
         # 1e5 keyed draws: sample mean within 0.1 uS, sample sigma within 0.2 uS
@@ -162,8 +197,8 @@ class TestReadSampling:
         tile = _one_cell_tile(c2c=50e-6)
         n = 20_000
         i_pos, _ = tile.vmm_batch(np.ones((n, 1), dtype=np.int8), np.arange(n))
-        z = rng.normals_from_keys(
-            rng.c2c_cell_key_grid(0, 1, 1, 1)[0, 0]
+        z = rng.normals_consuming_keys(
+            rng.cell_key_grid(0, rng.TAG_C2C, 1, 1, 1)[0, 0]
             ^ rng.read_event_words(2 * np.arange(n)))
         g, floor = tile.cell_g[0, 0], 50e-6 * CLAMP_FLOOR_FRACTION
         scale = tile.config.v_read * A_TO_UA

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxcim import weightfile
+from oxcim.bench import ExperimentSpec, run_accuracy
 from oxcim.cli import main
 from oxcim.data import synthetic_dataset, write_dataset_dir
-from oxcim.device import default_config_file, parse_device_config
+from oxcim.device import (DeviceConfig, default_config_file,
+                          default_device_config, parse_device_config)
 from oxcim.errors import OxcimError
 from oxcim.quant import Precision
 from oxcim.train import TrainConfig, Trainer, train
@@ -121,6 +123,55 @@ class TestTraining:
             train(small_arch(), images, labels, TrainConfig(**fields))
         except OxcimError:
             pass
+
+
+# ExperimentSpec: up to four fields drawn from pools of valid and invalid
+# values, then one accuracy run over a 4-image corpus.
+SPEC_VALUES = {
+    "mode": ["ideal", "hardware", "x"],
+    "config": ["hrs", "lrs", "binary"],
+    "seeds": [None, [0], [1, 2], [], [1, 1], [1, 1.5], [2 ** 64], [-1]],
+    "limit": [None, 1, 4, 5, 0, -1, 2.5, 2.0],
+    "max_tile": [(64, 64), (16, 8), (2, 3), (64.5, 64), (0, 64), (8, 2),
+                 (64,)],
+    "threads": [1, 2, 0, -1, 1.5, 2.0],
+}
+SPEC_FUZZ = settings(derandomize=True, max_examples=200, deadline=None,
+                     database=None)
+
+
+@pytest.fixture(scope="module")
+def spec_corpus():
+    store = synthetic_dataset(n_train=1, n_test=4, seed=3)
+    binary = DeviceConfig("HRS", {t: default_device_config("hrs").states[t]
+                                  for t in (-1, 1)})
+    configs = {"hrs": default_device_config("hrs"),
+               "lrs": default_device_config("lrs"), "binary": binary}
+    return (Trainer(small_arch()).network(), configs, store.test_images,
+            store.test_labels)
+
+
+@st.composite
+def spec_fields(draw):
+    fields = {"mode": "hardware", "config": "hrs"}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(SPEC_VALUES)))
+        fields[name] = draw(st.sampled_from(SPEC_VALUES[name]))
+    return fields
+
+
+class TestExperimentSpec:
+    @SPEC_FUZZ
+    @given(spec_fields())
+    def test_run_accuracy(self, spec_corpus, fields):
+        net, configs, images, labels = spec_corpus
+        fields = dict(fields, config=configs[fields["config"]])
+        try:
+            report = run_accuracy(ExperimentSpec(net=net, **fields), images,
+                                  labels)
+        except OxcimError:
+            return
+        assert len(report.accuracies) == len(report.seeds)
 
 
 # CLI argv: a valid command line, then up to five flags, mostly the

@@ -75,6 +75,13 @@ class TestMapping:
         with pytest.raises(ConfigError):
             map_network_to_tiles(tiny_net(Precision.TERNARY), cfg)
 
+    @pytest.mark.parametrize("max_tile", [(64.5, 64), (64, 64.0), (2, 2),
+                                          (0, 64), (64,), 64])
+    def test_bad_max_tile_rejected(self, max_tile):
+        # (64.5, 64) used to end in a TypeError from range()
+        with pytest.raises(ConfigError, match="max tile"):
+            map_network_to_tiles(tiny_net(), affine_config(), max_tile)
+
 
 class TestForwardHardware:
     def test_deterministic_given_seed_and_ordinal(self):

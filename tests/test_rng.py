@@ -1,8 +1,11 @@
+import hashlib
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
 from oxcim import rng
 from oxcim.crossbar import CrossbarTile
@@ -11,11 +14,17 @@ from oxcim.device import default_device_config
 # A noisy 4x4 HRS tile and one READ pair of two input patterns.
 TILE_TRITS = [[1, -1, 0, 1], [0, 1, -1, -1], [-1, 0, 1, 0], [1, 1, -1, 0]]
 READ_INPUT = [[1, -1, 0, 1], [-1, 1, 1, 0]]
+EDGE_KEYS = [0, 1, 2**63, 2**64 - 1]
+# sha256 of d2d_normals(seed=1, array_id=3, rows=64, cols=64)
+D2D_PIN = "d58b75d0d8c7282dd9a1460cbeb5005463a3f4cf13998cccf9cb22d199f1e1b8"
+
+# a uint64 scalar multiply warns on overflow; the mixer must not hit one
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_same_key_same_value():
     k = rng.stream_key(42, 1, 2)
-    assert rng.normals_from_keys(k) == rng.normals_from_keys(k)
+    assert rng.normals_consuming_keys(k) == rng.normals_consuming_keys(k)
 
 
 def test_distinct_fields_change_streams():
@@ -33,16 +42,23 @@ def test_cell_lattice_is_stable_under_shape():
     np.testing.assert_array_equal(big[:8, :8], small)
 
 
+def test_d2d_normals_keep_their_bits():
+    z = rng.d2d_normals(seed=1, array_id=3, rows=64, cols=64)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == D2D_PIN
+
+
 def test_uniforms_open_interval():
-    keys = rng.cell_keys(rng.stream_key(0, 1), 200, 200)
-    u = rng.uniforms_from_keys(keys)
-    assert u.min() > 0.0
-    assert u.max() < 1.0
+    # these keys' uniforms lie strictly inside (0, 1), so their normals are
+    # finite and no further out than the one of u = 2**-54
+    keys = rng.cell_key_grid(0, 1, 0, 200, 200)
+    keys[0, :4] = EDGE_KEYS
+    z = rng.normals_consuming_keys(keys)
+    assert np.all(np.isfinite(z))
+    assert np.abs(z).max() <= -ndtri(2.0**-54)
 
 
 def test_normal_moments():
-    keys = rng.cell_keys(rng.stream_key(123, 1), 500, 400)
-    z = rng.normals_from_keys(keys)
+    z = rng.normals_consuming_keys(rng.cell_key_grid(123, 1, 0, 500, 400))
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.std() - 1.0) < 4.0 / np.sqrt(2 * n)
@@ -51,12 +67,28 @@ def test_normal_moments():
     assert 0.5 * 0.0027 < frac < 2.0 * 0.0027
 
 
+def splitmix_normal(key):
+    """Scalar reference of the sampler in Python integers: the SplitMix64
+    finalizer, the top 53 bits offset by half a step, the inverse CDF."""
+    h = key
+    h ^= h >> 30
+    h = h * 0xBF58476D1CE4E5B9 & (2**64 - 1)
+    h ^= h >> 27
+    h = h * 0x94D049BB133111EB & (2**64 - 1)
+    h ^= h >> 31
+    return ndtri((h >> 11) * 2.0**-53 + 2.0**-54)
+
+
 def test_consuming_variant_matches():
-    keys = rng.cell_keys(rng.stream_key(4, 4), 32, 32)
-    keys[0, :4] = [0, 1, 2**63, 2**64 - 1]  # the ends of the key range
-    a = rng.normals_from_keys(keys)
-    b = rng.normals_consuming_keys(keys.copy())
-    np.testing.assert_array_equal(a, b)
+    # the one sampler, C2C and D2D alike, against the scalar reference
+    keys = rng.cell_key_grid(4, 4, 0, 32, 32)
+    keys[0, :4] = EDGE_KEYS  # the ends of the key range
+    want = [splitmix_normal(int(k)) for k in keys.ravel()]
+    z = rng.normals_consuming_keys(keys.copy())
+    np.testing.assert_array_equal(z.ravel(), want)
+    d2d = rng.cell_key_grid(4, rng.TAG_D2D, 0, 32, 32)
+    want = [splitmix_normal(int(k)) for k in d2d.ravel()]
+    np.testing.assert_array_equal(rng.d2d_normals(4, 0, 32, 32).ravel(), want)
 
 
 def test_import_defers_scipy_special():
