@@ -13,13 +13,13 @@ from .device import (DeviceConfig, MlcStateModel, default_device_config,
                      sigmoid_neuron_voltage)
 from .crossbar import ActivationMode, CrossbarTile, sense_to_activation
 from .network import (Activation, Conv2D, Dense, MaxPool2D,
-                      NetworkDescription, encode_thermometric, forward_ideal,
-                      im2col, lenet, predict_ideal, thermometric_trits)
+                      NetworkDescription, forward_ideal, im2col, lenet,
+                      predict_ideal, thermometric_trits)
 from .hardware import (TiledNetwork, forward_hardware, map_network_to_tiles,
                        predict_hardware)
 from .weightfile import load_network, save_network
 from .data import (DatasetStore, load_dataset_dir, load_idx, pad_to_32,
-                   save_idx, synthetic_dataset, write_dataset_dir)
+                   synthetic_dataset)
 from .train import TrainConfig, Trainer, TrainResult, train
 from .bench import (AccuracyReport, ConfusionMatrix, ExperimentSpec,
                     run_accuracy, sweep_sense_distribution,

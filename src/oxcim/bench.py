@@ -23,7 +23,8 @@ from .crossbar import CrossbarTile
 from .data import pad_to_32
 from .device import check_seed, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer
-from .hardware import check_max_tile, map_network_to_tiles, predict_hardware
+from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
+    map_network_to_tiles, predict_hardware
 from .network import predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
@@ -55,7 +56,7 @@ class ExperimentSpec:
     mode: str                     # 'ideal' | 'hardware'
     seeds: list = None            # one trial per seed; default [config.seed]
     limit: int = None             # test-set slice: first N images
-    max_tile: tuple = (64, 64)
+    max_tile: tuple = DEFAULT_MAX_TILE
     threads: int = 1
 
     def __post_init__(self):

@@ -1,14 +1,13 @@
 """Command-line entry point, and the one writer of run outputs.
 
-Subcommands: train, eval, sweep-sense, hist, encode-preview; each takes
-only the flags it reads.  A command reads each config and weight file
-once, and the manifest hashes the bytes that were parsed.  Every file a
-command makes goes through ``_write`` (a temporary file, then
-os.replace, so no output is ever half written), with ``manifest.txt``
-last: the manifest (key = value text) records the exact command line,
-seeds, sha-256 prefixes of the config and weight files and the python,
-numpy and scipy versions, so any result can be reproduced from the
-manifest alone.
+Subcommands: train, eval, sweep-sense, hist; each takes only the flags
+it reads.  A command reads each config and weight file once, and the
+manifest hashes the bytes that were parsed.  Every file a command makes
+goes through ``_write`` (a temporary file, then os.replace, so no output
+is ever half written), with ``manifest.txt`` last: the manifest (key =
+value text) records the exact command line, seeds, sha-256 prefixes of
+the config and weight files and the python, numpy and scipy versions, so
+any result can be reproduced from the manifest alone.
 
 Output files; the CSVs end their lines with \\r\\n and write floats as
 their repr:
@@ -45,10 +44,10 @@ import scipy
 from . import device, weightfile
 from .bench import (ExperimentSpec, run_accuracy, sweep_sense_distribution,
                     weight_conductance_histogram)
-from .data import load_dataset_dir, pad_to_32
+from .data import load_dataset_dir
 from .errors import OxcimError
-from .hardware import map_network_to_tiles
-from .network import encode_thermometric, lenet
+from .hardware import DEFAULT_MAX_TILE, map_network_to_tiles
+from .network import lenet
 from .quant import Precision
 from .train import TrainConfig, train
 
@@ -97,26 +96,26 @@ def build_parser():
                 "--weights", "--seed")
     p.add_argument("--data", required=True, help="dataset directory (IDX files)")
     p.add_argument("--precision", required=True, choices=["binary", "ternary"])
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--r", type=float, default=0.5,
                    help="ternary activation dead band")
-    p.add_argument("--weight-r", type=float, default=0.5,
+    p.add_argument("--weight-r", type=float, default=TrainConfig.weight_r,
                    help="ternary weight quantization dead band")
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--val-fraction", type=float,
+                   default=TrainConfig.val_fraction)
     p.add_argument("--limit", type=int, default=None,
                    help="train on the first N images only")
 
     p = command("eval", "evaluate a weight file in ideal or hardware mode",
-                "--config", "--weights", "--seed", "--threads")
+                "--config", "--weights", "--threads")
     p.add_argument("--mode", required=True, choices=["ideal", "hardware"])
     p.add_argument("--data", required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1,
-                   help="without --seeds, run seeds seed .. seed+N-1")
-    p.add_argument("--seeds", type=_parse_seeds, default=None)
-    p.add_argument("--max-tile", type=_parse_dims, default=(64, 64))
+    p.add_argument("--seeds", type=_parse_seeds, default=None,
+                   help="one trial per seed (default: the config's seed)")
+    p.add_argument("--max-tile", type=_parse_dims, default=DEFAULT_MAX_TILE)
 
     p = command("sweep-sense",
                 "sense-output vs popcount distribution on a small tile",
@@ -127,12 +126,6 @@ def build_parser():
 
     command("hist", "weight-to-conductance histogram for a mapped network",
             "--config", "--weights", "--seed")
-
-    p = command("encode-preview",
-                "show the thermometric encoding of one dataset image")
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--index", type=int, default=0)
     return top
 
 
@@ -205,7 +198,8 @@ def _cmd_train(args):
         raise SystemExit2(f"--limit must be >= 1, got {args.limit}")
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                       weight_r=args.weight_r, val_fraction=args.val_fraction,
-                      seed=args.seed if args.seed is not None else 0)
+                      seed=TrainConfig.seed if args.seed is None
+                      else args.seed)
     store = load_dataset_dir(args.data)
     images, labels = store.train_images, store.train_labels
     if args.limit is not None:
@@ -236,14 +230,11 @@ def _cmd_eval(args):
     if not args.weights:
         raise SystemExit2("eval requires --weights")
     threads = _threads(args)
-    cfg, cfg_digest = _load_config(args.config, args.seed)
+    cfg, cfg_digest = _load_config(args.config)
     net, weights_digest = _load_weights(args.weights)
     store = load_dataset_dir(args.data)
-    seeds = args.seeds
-    if seeds is None:
-        seeds = [cfg.seed + i for i in range(args.trials)]
     spec = ExperimentSpec(net=net, config=cfg, mode=args.mode,
-                          seeds=seeds, limit=args.limit,
+                          seeds=args.seeds, limit=args.limit,
                           max_tile=args.max_tile, threads=threads)
     report = run_accuracy(spec, store.test_images, store.test_labels)
     summary = report.summary()
@@ -308,33 +299,11 @@ def _cmd_hist(args):
        f"cells per trit: {stats['count']}")
 
 
-def _cmd_encode_preview(args):
-    store = load_dataset_dir(args.data)
-    images = store.test_images if args.split == "test" else store.train_images
-    labels = store.test_labels if args.split == "test" else store.train_labels
-    if not (0 <= args.index < images.shape[0]):
-        raise SystemExit2(f"--index out of range (0..{images.shape[0] - 1})")
-    channels = encode_thermometric(pad_to_32(images[args.index]))
-    mid = channels.shape[0] // 2
-    lines = [f"{args.split}[{args.index}] label={labels[args.index]}"]
-    lines += [f"channel {c}: {100.0 * channels[c].mean():5.1f}% on"
-              for c in range(channels.shape[0])]
-    lines.append(f"channel {mid} bitmap:")
-    lines += ["".join("#" if v else "." for v in row) for row in channels[mid]]
-    return [], [
-        ("subcommand", "encode-preview"),
-        ("data", args.data),
-        ("split", args.split),
-        ("index", args.index),
-    ], "\n".join(lines)
-
-
 _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "sweep-sense": _cmd_sweep,
     "hist": _cmd_hist,
-    "encode-preview": _cmd_encode_preview,
 }
 
 

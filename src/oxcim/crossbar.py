@@ -69,7 +69,7 @@ import numpy as np
 from . import rng
 from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
     sample_device_conductance_grid
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_integer
 from .quant import _as_trits, act_binary, act_ternary
 
 log = logging.getLogger(__name__)
@@ -104,6 +104,9 @@ class CrossbarTile:
         trits = _as_trits(cell_state)
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
+        if not 0 <= check_integer(array_id, "array id") < 2**64:
+            raise ConfigError(f"array id must lie in [0, 2**64), got "
+                              f"{array_id}")
         self.config = config
         self.array_id = int(array_id)
         self.cell_state = trits
@@ -128,7 +131,8 @@ class CrossbarTile:
         """Two-phase VMM for a batch of input vectors.
 
         x_batch    : (P, rows) trit matrix
-        read_pairs : (P,) integer read-pair ids; READ ids are 2p and 2p+1
+        read_pairs : (P,) integer read-pair ids in [0, 2**63); READ ids are
+                     2p and 2p+1, which must not wrap in uint64
 
         Returns (i_pos, i_neg), each (P, cols) in uA.  +1 rows are gated on
         during READ 2p, -1 rows during READ 2p+1, 0 rows never.  Each row's
@@ -141,9 +145,14 @@ class CrossbarTile:
         if xb.shape[1] != self.rows:
             raise ShapeError(f"input length {xb.shape[1]} != tile rows "
                              f"{self.rows}")
-        pairs = np.asarray(read_pairs, dtype=np.uint64)
+        pairs = np.asarray(read_pairs)
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
+        if pairs.size and (pairs.dtype.kind not in "iu" or pairs.min() < 0
+                           or pairs.max() >= 2**63):
+            raise DomainError(f"read pair ids ({pairs.dtype}) must be "
+                              "integers in [0, 2**63)")
+        pairs = pairs.astype(np.uint64, copy=False)
         gates = np.empty((2,) + xb.shape, dtype=bool)  # (phase, vector, row)
         np.greater(xb, 0, out=gates[0])
         np.less(xb, 0, out=gates[1])

@@ -81,15 +81,6 @@ def load_idx(path):
     return data.reshape(dims).astype(dtype.newbyteorder("="))
 
 
-def save_idx(path, array):
-    """Write an ndarray as an IDX file (ubyte payloads only)."""
-    arr = np.ascontiguousarray(array, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">BBBB", 0, 0, 0x08, arr.ndim))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
-
-
 @dataclass
 class DatasetStore:
     """Train/test images and labels with the usual validity checks."""
@@ -220,11 +211,3 @@ def synthetic_dataset(n_train=8000, n_test=2000, seed=7):
     te_i, te_l = synthetic_images(n_test, seed, start_index=10_000_000)
     return DatasetStore(tr_i, tr_l, te_i, te_l)
 
-
-def write_dataset_dir(store, path):
-    """Write a DatasetStore as the four standard IDX files."""
-    os.makedirs(path, exist_ok=True)
-    save_idx(os.path.join(path, STANDARD_FILES["train_images"]), store.train_images)
-    save_idx(os.path.join(path, STANDARD_FILES["train_labels"]), store.train_labels)
-    save_idx(os.path.join(path, STANDARD_FILES["test_images"]), store.test_images)
-    save_idx(os.path.join(path, STANDARD_FILES["test_labels"]), store.test_labels)

@@ -179,11 +179,19 @@ def forward_hardware(tiled, x, image_ordinal=0):
     with a leading axis (one row of voltages per image).  image_ordinal
     namespaces the READ ids so distinct images never share cycle-to-cycle
     noise; the images of a batch take consecutive ordinals from it, so a
-    batch gives the same bits as one call per image.
+    batch gives the same bits as one call per image.  The ordinal is an
+    integer >= 0 that leaves every READ-pair id of the batch below 2**63.
     """
     batch, single = as_batch(tiled.net, x)
-    ordinals = np.uint64(image_ordinal) \
-        + np.arange(batch.shape[0], dtype=np.uint64)
+    n = batch.shape[0]
+    # READ-pair ids are ordinal * patches + patch, below (ordinal + n) * most
+    most = max((op.gather.shape[0] for op in tiled.net.plan
+                if op.gather is not None), default=1)
+    if check_integer(image_ordinal, "image ordinal") < 0 \
+            or (int(image_ordinal) + n) * most > 2**63:
+        raise ConfigError(f"image ordinal must be >= 0 with (ordinal + {n}) "
+                          f"* {most} <= 2**63, got {image_ordinal}")
+    ordinals = np.uint64(image_ordinal) + np.arange(n, dtype=np.uint64)
 
     def preact(op, patches):
         m = tiled.mappings[op.index]

@@ -57,11 +57,14 @@ MAX_PLAN_CELLS = 2 ** 22
 DEFAULT_THERMO_THRESHOLDS = (32, 64, 96, 128, 160, 192, 224, 255)
 
 
-def encode_thermometric(images):
-    """Grayscale (..., H, W) images (0..255) -> (..., channels, H, W) bits.
+def thermometric_trits(images):
+    """Grayscale (..., H, W) images (0..255) -> (..., channels, H, W) int8
+    trit activations.
 
-    out[..., c, i, j] = 1 iff image[..., i, j] >= DEFAULT_THERMO_THRESHOLDS[c];
-    per pixel the code is monotone in c (a thermometer).
+    out[..., c, i, j] = +1 iff image[..., i, j] meets threshold c of
+    DEFAULT_THERMO_THRESHOLDS, else -1; per pixel the code is monotone in c
+    (a thermometer).  The bits are written into the output and mapped to
+    trits in place, so a batch costs no temporary of the output's size.
     """
     img = np.asarray(images)
     if img.ndim < 2:
@@ -70,19 +73,9 @@ def encode_thermometric(images):
                      or img.min() < 0 or img.max() > 255):
         raise DomainError("pixel values must lie in [0, 255]")
     out = np.empty(img.shape[:-2] + (N_THERMO_CHANNELS,) + img.shape[-2:],
-                   dtype=np.uint8)
+                   dtype=np.int8)
     for c, t in enumerate(DEFAULT_THERMO_THRESHOLDS):
         np.greater_equal(img, t, out=out[..., c, :, :], casting="unsafe")
-    return out
-
-
-def thermometric_trits(images):
-    """Thermometric encoding mapped to +/-1 int8 trit activations (0 -> -1).
-
-    Maps the bits in place, so a batch costs no temporary of the output's
-    size.
-    """
-    out = encode_thermometric(images).view(np.int8)
     out *= 2
     out -= 1
     return out

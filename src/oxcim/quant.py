@@ -31,14 +31,16 @@ class Precision(enum.Enum):
 def _as_trits(values, precision=Precision.TERNARY):
     """values as an int8 array; DomainError unless each is allowed at precision.
 
-    Tile reads sit on the hot path, so a numeric array is accepted after a
+    Only numeric dtypes can hold trits; strings and objects are refused.
+    Tile reads sit on the hot path, so an array is accepted after a
     min/max range test (NaN fails it), an equality test against its cast
     for non-integer dtypes and a no-zeros test for binary.  Anything else
     goes through np.isin, which also names the offending values.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind in "biuf" and arr.size \
-            and arr.min() >= -1 and arr.max() <= 1:
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"trits must be numbers, got {arr.dtype} values")
+    if arr.size and arr.min() >= -1 and arr.max() <= 1:
         trits = arr.astype(TRIT_DTYPE, copy=False)
         if (arr.dtype.kind != "f" or np.array_equal(trits, arr)) and (
                 precision is Precision.TERNARY

@@ -70,9 +70,11 @@ def _normals(keys):
     from scipy.special import ndtri  # deferred: see the module docstring
     bits = _mix64_inplace(keys)
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u *= 2.0**-53
+    # out= keeps a 0-d key's u an array, for the in-place minimum below
+    u = np.multiply(bits, 2.0**-53, out=np.empty(bits.shape))
     u += 2.0**-54
+    # top bits 2**53 - 1 round half to even up to 1.0, where ndtri is +inf
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
 
 

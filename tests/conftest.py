@@ -1,4 +1,5 @@
 import os
+import struct
 
 # All BLAS pools on one thread, as in benchmarks/run.py, so the float64
 # training matmuls reduce in one order.  Evaluation bits do not depend on
@@ -8,9 +9,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from oxcim.data import synthetic_dataset  # noqa: E402
+from oxcim.data import STANDARD_FILES, synthetic_dataset  # noqa: E402
 from oxcim.device import default_device_config  # noqa: E402
 
 # CLI tests start child interpreters, some from a temporary cwd; a relative
@@ -85,6 +87,22 @@ def pytest_terminal_summary(terminalreporter):
         label = _ACCEPTANCE_LABELS.get(key, key)
         terminalreporter.write_line(
             f"criterion {key:<4} {_ACCEPTANCE_RESULTS[key]:<5} {label}")
+
+
+def save_idx(path, array):
+    """Write an ndarray as an IDX file (ubyte payloads only)."""
+    arr = np.ascontiguousarray(array, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">BBBB", 0, 0, 0x08, arr.ndim))
+        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
+        fh.write(arr.tobytes())
+
+
+def write_dataset_dir(store, path):
+    """Write a DatasetStore as the four standard IDX files."""
+    os.makedirs(path, exist_ok=True)
+    for key, name in STANDARD_FILES.items():
+        save_idx(os.path.join(path, name), getattr(store, key))
 
 
 def real_dataset_dir():

@@ -25,7 +25,7 @@ from oxcim.network import forward_ideal, lenet
 from oxcim.quant import Precision, popcount_oracle
 from oxcim.train import TrainConfig, train
 from oxcim.weightfile import dumps
-from conftest import real_dataset_dir
+from conftest import real_dataset_dir, write_dataset_dir
 from test_weightfile import weight_count
 
 TRITS = (-1, 0, 1)
@@ -273,7 +273,6 @@ def test_c7_separability_and_conservation(trained_tnn):
 
 
 def test_c8_bit_identical_outputs(tmp_path, dataset):
-    from oxcim.data import write_dataset_dir
     from oxcim.data import DatasetStore
     data_dir = tmp_path / "data"
     small = DatasetStore(dataset.train_images[:10], dataset.train_labels[:10],
@@ -286,7 +285,7 @@ def test_c8_bit_identical_outputs(tmp_path, dataset):
         out_dir = tmp_path / f"t{threads}"
         cmd = [sys.executable, "-m", "oxcim.cli", "eval", "--mode",
                "hardware", "--weights", weights, "--data", str(data_dir),
-               "--limit", "30", "--seed", "17", "--threads", threads,
+               "--limit", "30", "--seeds", "17", "--threads", threads,
                "--out-dir", str(out_dir)]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

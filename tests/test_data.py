@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oxcim.data import (DatasetStore, load_dataset_dir, load_idx, pad_to_32,
-                        save_idx, synthetic_dataset, write_dataset_dir)
+                        synthetic_dataset)
 from oxcim.errors import DomainError, ParseError, ShapeError
+from conftest import save_idx, write_dataset_dir
 
 
 class TestIdx:

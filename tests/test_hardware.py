@@ -98,6 +98,36 @@ class TestForwardHardware:
         c = forward_hardware(tiled, x, image_ordinal=4)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("ordinal, n", [
+        (-1, 1), (1.5, 1), (2 ** 64, 1), (2 ** 61, 1), (2 ** 61 - 1, 2),
+        (np.uint64(2 ** 63), 1), ("3", 1)])
+    def test_image_ordinal_checked(self, ordinal, n):
+        # tiny_net's conv reads 4 patches per image, so the READ-pair ids of
+        # n images from ordinal a stay below 2**63 iff (a + n) * 4 <= 2**63.
+        # -1 and 2**64 used to end in an OverflowError, 1.5 drew image 1's
+        # noise, and larger ordinals wrapped their READ ids in uint64
+        tiled = map_network_to_tiles(tiny_net(), affine_config(c2c=1e-6))
+        x = np.ones((n, 1, 4, 4), dtype=np.int8)
+        with pytest.raises(ConfigError, match="image ordinal"):
+            forward_hardware(tiled, x, image_ordinal=ordinal)
+
+    def test_largest_image_ordinal_reads(self):
+        tiled = map_network_to_tiles(tiny_net(), affine_config(c2c=1e-6))
+        x = np.ones((2, 1, 4, 4), dtype=np.int8)
+        last = forward_hardware(tiled, x, image_ordinal=2 ** 61 - 2)
+        np.testing.assert_array_equal(
+            last[1], forward_hardware(tiled, x[1], image_ordinal=2 ** 61 - 1))
+        assert not np.array_equal(last[1], forward_hardware(tiled, x[1]))
+
+    def test_non_numeric_input_rejected(self):
+        # an object array used to end in a TypeError inside the trit check
+        net = tiny_net()
+        x = np.full((1, 4, 4), None)
+        with pytest.raises(DomainError, match="must be numbers"):
+            forward_hardware(map_network_to_tiles(net, affine_config()), x)
+        with pytest.raises(DomainError, match="must be numbers"):
+            forward_ideal(net, x)
+
     def test_zero_input_all_neuron_voltages_equal(self):
         net = tiny_net(Precision.TERNARY)
         tiled = map_network_to_tiles(net, affine_config())

@@ -8,9 +8,8 @@ from oxcim.data import pad_to_32
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import (DEFAULT_THERMO_THRESHOLDS, Activation, Conv2D,
                            Dense, MaxPool2D, NetworkDescription,
-                           conv_weight_matrix, encode_thermometric,
-                           forward_ideal, im2col, lenet, maxpool,
-                           predict_ideal, thermometric_trits)
+                           conv_weight_matrix, forward_ideal, im2col, lenet,
+                           maxpool, predict_ideal, thermometric_trits)
 from oxcim.quant import Precision, TernaryTensor
 from oxcim.device import sigmoid_ideal
 from oxcim.quant import popcount_oracle
@@ -38,34 +37,39 @@ def direct_conv2d(x, w, stride=1):
     return out
 
 
+def thermometric_bits(images):
+    """The encoder's channel bits: a +1 trit reads as a set bit."""
+    return thermometric_trits(images) == 1
+
+
 class TestThermometric:
     def test_bright_pixel_sets_all_channels(self):
         img = np.full((2, 2), 255, dtype=np.uint8)
-        bits = encode_thermometric(img)
+        bits = thermometric_bits(img)
         assert bits.shape == (8, 2, 2)
         assert bits.all()
 
     def test_dark_pixel_sets_none(self):
         img = np.zeros((2, 2), dtype=np.uint8)
-        assert not encode_thermometric(img).any()
+        assert not thermometric_bits(img).any()
 
     def test_mid_gray_sets_four_channels(self):
         img = np.full((1, 1), 128, dtype=np.uint8)
-        bits = encode_thermometric(img)
+        bits = thermometric_bits(img)
         assert bits[:, 0, 0].sum() == 4  # thresholds 32, 64, 96, 128
 
     def test_code_is_monotone_per_pixel(self):
         gen = np.random.default_rng(0)
         img = gen.integers(0, 256, size=(16, 16)).astype(np.uint8)
-        bits = encode_thermometric(img)
+        bits = thermometric_bits(img)
         diffs = np.diff(bits.astype(np.int8), axis=0)
         assert np.all(diffs <= 0)  # once a channel is off, higher stay off
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            encode_thermometric(np.full((2, 2), 300))
+            thermometric_trits(np.full((2, 2), 300))
         with pytest.raises(DomainError):
-            encode_thermometric(np.full((2, 2), -1))
+            thermometric_trits(np.full((2, 2), -1))
 
     def test_trits_map_zero_to_minus_one(self):
         img = np.array([[0, 255]], dtype=np.uint8)
@@ -80,14 +84,12 @@ class TestBatchEncoder:
     def test_batch_equals_per_image_loop(self, n):
         gen = np.random.default_rng(n)
         images = gen.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-        bits = encode_thermometric(images)
         trits = thermometric_trits(images)
         padded = [encode(images) for encode in (encode_images, _encode_batch)]
-        assert bits.shape == trits.shape == (n, 8, 28, 28)
-        assert bits.dtype == np.uint8 and trits.dtype == np.int8
+        assert trits.shape == (n, 8, 28, 28)
+        assert trits.dtype == np.int8
         thr = np.reshape(DEFAULT_THERMO_THRESHOLDS, (-1, 1, 1))
         for i, img in enumerate(images):
-            np.testing.assert_array_equal(bits[i], encode_thermometric(img))
             np.testing.assert_array_equal(trits[i], thermometric_trits(img))
             np.testing.assert_array_equal(trits[i], (img >= thr) * 2 - 1)
             for enc in padded:
@@ -96,7 +98,6 @@ class TestBatchEncoder:
 
     def test_single_image_keeps_its_shape(self):
         img = np.arange(35, dtype=np.uint8).reshape(5, 7) * 7
-        assert encode_thermometric(img).shape == (8, 5, 7)
         assert thermometric_trits(img).shape == (8, 5, 7)
 
     @pytest.mark.parametrize("value", [256, -1, np.nan])
@@ -108,7 +109,7 @@ class TestBatchEncoder:
 
     def test_vector_rejected(self):
         with pytest.raises(ShapeError):
-            encode_thermometric(np.zeros(4))
+            thermometric_trits(np.zeros(4))
 
     @pytest.mark.parametrize("encode", [encode_images, _encode_batch])
     def test_allocates_little_beyond_the_output(self, encode):

