@@ -62,10 +62,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("ideal", "hardware"):
             raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
-        if check_integer(self.threads, "threads") < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.limit is not None and check_integer(self.limit, "limit") < 1:
-            raise ConfigError(f"limit must be >= 1, got {self.limit}")
+        check_integer(self.threads, "threads", lo=1)
+        if self.limit is not None:
+            check_integer(self.limit, "limit", lo=1)
         check_max_tile(self.max_tile)
         if self.seeds is None:
             self.seeds = [self.config.seed]
@@ -156,13 +155,12 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     the simulated differential current and neuron voltage.  The neuron gain
     maps one popcount unit of differential current to 1 uA.
     """
-    rows_n, cols_n = tile_dims
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ConfigError(f"sweep seed must be >= 0, got {seed}")
-    if rows_n > 8 or cols_n > 8 or rows_n < 1 or cols_n < 1:
-        raise ConfigError(f"sweep tiles must be between 1x1 and 8x8, got {tile_dims}")
+    if np.asarray(tile_dims, dtype=object).shape != (2,):
+        raise ConfigError(f"sweep tile must be (rows, cols), got {tile_dims!r}")
+    rows_n, cols_n = (check_integer(n, "sweep tile size", 1, 9)
+                      for n in tile_dims)
+    check_integer(samples, "samples", lo=1)
+    check_integer(seed, "sweep seed", lo=0)  # numpy takes no seed < 0
     config.require_states(precision)
     trit_pool = np.asarray(precision.allowed_values, dtype=np.int8)
     gen = np.random.default_rng(seed)

@@ -1,7 +1,9 @@
 """Command-line entry point, and the one writer of run outputs.
 
 Subcommands: train, eval, sweep-sense, hist; each takes only the flags
-it reads.  A command reads each config and weight file once, and the
+it reads, spelled in full (a prefix is no flag).  argparse reports usage
+errors (exit 2); a value out of its range is the library's OxcimError
+(exit 1).  A command reads each config and weight file once, and the
 manifest hashes the bytes that were parsed.  Every file a command makes
 goes through ``_write`` (a temporary file, then os.replace, so no output
 is ever half written), with ``manifest.txt`` last: the manifest (key =
@@ -45,7 +47,7 @@ from . import device, weightfile
 from .bench import (ExperimentSpec, run_accuracy, sweep_sense_distribution,
                     weight_conductance_histogram)
 from .data import load_dataset_dir
-from .errors import OxcimError
+from .errors import OxcimError, check_integer
 from .hardware import DEFAULT_MAX_TILE, map_network_to_tiles
 from .network import lenet
 from .quant import Precision
@@ -67,33 +69,26 @@ def _parse_seeds(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
-# Flags that more than one command takes; each command lists its own.
-_SHARED_FLAGS = {
-    "--config": dict(default="hrs",
-                     help="device config: path to a .cfg file, or "
-                          "'hrs'/'lrs' for the packaged defaults"),
-    "--weights": dict(help="network/weight file (.qnn)"),
-    "--seed": dict(type=int, default=None, help="override the base seed"),
-    "--threads": dict(type=int, default=0,
-                      help="worker threads (0 = available parallelism)"),
-}
-
-
 def build_parser():
     top = argparse.ArgumentParser(
         prog="oxcim",
         description="Quantized neural networks on simulated OxRAM crossbars")
     sub = top.add_subparsers(dest="command", required=True)
+    config = dict(default="hrs",
+                  help="device config: path to a .cfg file, or 'hrs'/'lrs' "
+                       "for the packaged defaults")
+    out_dir = dict(default=".", help="output directory")
 
-    def command(name, help, *shared):
-        p = sub.add_parser(name, help=help)
-        for flag in shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        p.add_argument("--out-dir", default=".", help="output directory")
-        return p
+    def command(name, help):
+        # a flag has one spelling: no prefix of it is read as the flag
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    p = command("train", "train a quantized network and emit a weight file",
-                "--weights", "--seed")
+    p = command("train", "train a quantized network and emit a weight file")
+    p.add_argument("--weights", help="path of the weight file to write "
+                                     "(default: out-dir/weights.qnn)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="training seed: weight init and minibatch order")
+    p.add_argument("--out-dir", **out_dir)
     p.add_argument("--data", required=True, help="dataset directory (IDX files)")
     p.add_argument("--precision", required=True, choices=["binary", "ternary"])
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -108,8 +103,12 @@ def build_parser():
     p.add_argument("--limit", type=int, default=None,
                    help="train on the first N images only")
 
-    p = command("eval", "evaluate a weight file in ideal or hardware mode",
-                "--config", "--weights", "--threads")
+    p = command("eval", "evaluate a weight file in ideal or hardware mode")
+    p.add_argument("--config", **config)
+    p.add_argument("--weights", required=True, help="weight file (.qnn)")
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker threads (0 = available parallelism)")
+    p.add_argument("--out-dir", **out_dir)
     p.add_argument("--mode", required=True, choices=["ideal", "hardware"])
     p.add_argument("--data", required=True)
     p.add_argument("--limit", type=int, default=None)
@@ -118,14 +117,21 @@ def build_parser():
     p.add_argument("--max-tile", type=_parse_dims, default=DEFAULT_MAX_TILE)
 
     p = command("sweep-sense",
-                "sense-output vs popcount distribution on a small tile",
-                "--config", "--seed")
+                "sense-output vs popcount distribution on a small tile")
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", type=int, default=0,
+                   help="sweep seed: the random weights and inputs")
+    p.add_argument("--out-dir", **out_dir)
     p.add_argument("--dims", type=_parse_dims, default=(4, 4))
     p.add_argument("--precision", required=True, choices=["binary", "ternary"])
     p.add_argument("--samples", type=int, default=5000)
 
-    command("hist", "weight-to-conductance histogram for a mapped network",
-            "--config", "--weights", "--seed")
+    p = command("hist", "weight-to-conductance histogram for a mapped network")
+    p.add_argument("--config", **config)
+    p.add_argument("--weights", required=True, help="weight file (.qnn)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="device seed, in place of the config's")
+    p.add_argument("--out-dir", **out_dir)
     return top
 
 
@@ -180,30 +186,19 @@ def _emit(out_dir, argv, outputs, entries):
     _write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _threads(args):
-    if args.threads < 0:
-        raise SystemExit2(f"--threads must be >= 0, got {args.threads}")
-    return args.threads or (os.cpu_count() or 1)
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argparse; exits with status 2 + usage text."""
-
-
 # Each _cmd_* returns (outputs, manifest entries, message) for _emit; the
 # message goes to stdout once the files are written.
 
 def _cmd_train(args):
-    if args.limit is not None and args.limit < 1:
-        raise SystemExit2(f"--limit must be >= 1, got {args.limit}")
+    if args.limit is not None:
+        check_integer(args.limit, "limit", lo=1)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                       weight_r=args.weight_r, val_fraction=args.val_fraction,
-                      seed=TrainConfig.seed if args.seed is None
-                      else args.seed)
+                      seed=args.seed)
     store = load_dataset_dir(args.data)
-    images, labels = store.train_images, store.train_labels
-    if args.limit is not None:
-        images, labels = images[:args.limit], labels[:args.limit]
+    # a limit of None slices every image
+    images = store.train_images[:args.limit]
+    labels = store.train_labels[:args.limit]
     precision = Precision(args.precision)
     template = lenet(precision, r=args.r)
     result = train(template, images, labels, cfg,
@@ -227,15 +222,14 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if not args.weights:
-        raise SystemExit2("eval requires --weights")
-    threads = _threads(args)
+    threads = check_integer(args.threads, "threads", lo=0)
     cfg, cfg_digest = _load_config(args.config)
     net, weights_digest = _load_weights(args.weights)
     store = load_dataset_dir(args.data)
     spec = ExperimentSpec(net=net, config=cfg, mode=args.mode,
                           seeds=args.seeds, limit=args.limit,
-                          max_tile=args.max_tile, threads=threads)
+                          max_tile=args.max_tile,
+                          threads=threads or os.cpu_count() or 1)
     report = run_accuracy(spec, store.test_images, store.test_labels)
     summary = report.summary()
     return ([
@@ -260,9 +254,8 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     cfg, cfg_digest = _load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
     rows = sweep_sense_distribution(args.dims, Precision(args.precision), cfg,
-                                    samples=args.samples, seed=seed)
+                                    samples=args.samples, seed=args.seed)
     groups = sorted({pc for pc, *_ in rows})
     return ([("sense.csv", _csv(
         ["popcount", "n_pos", "n_neg", "delta_uA", "v_neuron"],
@@ -272,7 +265,7 @@ def _cmd_sweep(args):
         ("dims", f"{args.dims[0]}x{args.dims[1]}"),
         ("precision", args.precision),
         ("samples", args.samples),
-        ("seed", seed),
+        ("seed", args.seed),
         ("config", args.config),
         ("config_sha", cfg_digest),
     ], f"sense sweep {args.dims[0]}x{args.dims[1]} {args.precision}: "
@@ -280,8 +273,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_hist(args):
-    if not args.weights:
-        raise SystemExit2("hist requires --weights")
     cfg, cfg_digest = _load_config(args.config, args.seed)
     net, weights_digest = _load_weights(args.weights)
     rows, stats = weight_conductance_histogram(map_network_to_tiles(net, cfg))
@@ -309,15 +300,10 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         outputs, entries, message = _COMMANDS[args.command](args)
         _emit(args.out_dir, argv, outputs, entries)
-    except SystemExit2 as exc:
-        parser.print_usage(sys.stderr)
-        print(f"oxcim: error: {exc}", file=sys.stderr)
-        return 2
     except (OxcimError, OSError) as exc:
         print(f"oxcim: error: {exc}", file=sys.stderr)
         return 1

@@ -104,11 +104,8 @@ class CrossbarTile:
         trits = _as_trits(cell_state)
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
-        if not 0 <= check_integer(array_id, "array id") < 2**64:
-            raise ConfigError(f"array id must lie in [0, 2**64), got "
-                              f"{array_id}")
         self.config = config
-        self.array_id = int(array_id)
+        self.array_id = int(check_integer(array_id, "array id", 0, 2**64))
         self.cell_state = trits
         self.rows, self.cols = trits.shape
         _, _, c2c, floor = config.grids_for(trits)

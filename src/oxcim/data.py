@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError
+from .errors import DomainError, ParseError, ShapeError, check_integer
 
 _IDX_DTYPES = {
     0x08: np.dtype(">u1"),
@@ -185,8 +185,12 @@ def synthetic_images(n, seed, start_index=0):
 
     Bright textured object (roughly 90..230) on a dark noisy background
     (0..25); per-image brightness and geometry jitter keep the task
-    non-trivial for a small quantized net.
+    non-trivial for a small quantized net.  n, seed and start_index are
+    integers >= 0 (numpy's generator takes no negative seed).
     """
+    check_integer(n, "image count", lo=0)
+    check_integer(seed, "synthetic seed", lo=0)
+    check_integer(start_index, "start index", lo=0)
     images = np.empty((n, 28, 28), dtype=np.uint8)
     labels = np.empty(n, dtype=np.uint8)
     for i in range(n):

@@ -132,10 +132,7 @@ class DeviceConfig:
 def check_seed(seed):
     """seed, or a ConfigError unless it is an integer that fits the one
     64-bit word (signed or not) that rng.stream_key folds it into."""
-    check_integer(seed, "seed")
-    if not -2 ** 63 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [-2**63, 2**64), got {seed}")
-    return seed
+    return check_integer(seed, "seed", -2**63, 2**64)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,23 @@ class TrainingDiverged(OxcimError, RuntimeError):
     """Training loss became non-finite; aborting instead of continuing blindly."""
 
 
-def check_integer(value, what):
-    """value, or a ConfigError unless it is an integer (Python or numpy)."""
-    if not isinstance(value, numbers.Integral):
+def check_integer(value, what, lo=None, hi=None):
+    """value, or a ConfigError unless it is an integer (Python or numpy, not
+    a bool) that is at least lo and, if hi is given, below hi."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value < hi:
+        raise ConfigError(f"{what} must lie in [{_bound(lo)}, {_bound(hi)}), "
+                          f"got {value}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{what} must be >= {lo}, got {value}")
     return value
+
+
+def _bound(n):
+    """n as text; a power of two from 2**16 up as 2**k."""
+    k = abs(n).bit_length() - 1
+    return f"{'-' * (n < 0)}2**{k}" if k >= 16 and abs(n) == 2**k else str(n)
 
 
 def read_records(data, record, path=None, frame=None):

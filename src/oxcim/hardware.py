@@ -97,13 +97,11 @@ class TiledNetwork:
 def check_max_tile(max_tile):
     """max_tile as (rows, cols), or a ConfigError unless it is two integers
     with room for a data row and a data column plus two reference columns."""
-    if np.shape(max_tile) != (2,):
+    # as objects: np.shape raises a ValueError on a ragged value
+    if np.asarray(max_tile, dtype=object).shape != (2,):
         raise ConfigError(f"max tile must be (rows, cols), got {max_tile!r}")
-    max_r, max_c = (check_integer(n, "max tile size") for n in max_tile)
-    if max_r < 1 or max_c < 3:
-        raise ConfigError(f"max tile {max_tile} cannot hold data plus 2 "
-                          f"reference columns")
-    return max_r, max_c
+    return (check_integer(max_tile[0], "max tile rows", lo=1),
+            check_integer(max_tile[1], "max tile columns", lo=3))
 
 
 def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
@@ -187,10 +185,10 @@ def forward_hardware(tiled, x, image_ordinal=0):
     # READ-pair ids are ordinal * patches + patch, below (ordinal + n) * most
     most = max((op.gather.shape[0] for op in tiled.net.plan
                 if op.gather is not None), default=1)
-    if check_integer(image_ordinal, "image ordinal") < 0 \
-            or (int(image_ordinal) + n) * most > 2**63:
-        raise ConfigError(f"image ordinal must be >= 0 with (ordinal + {n}) "
-                          f"* {most} <= 2**63, got {image_ordinal}")
+    check_integer(image_ordinal, "image ordinal", lo=0)
+    if (int(image_ordinal) + n) * most > 2**63:
+        raise ConfigError(f"image ordinal must keep (ordinal + {n}) * {most} "
+                          f"<= 2**63, got {image_ordinal}")
     ordinals = np.uint64(image_ordinal) + np.arange(n, dtype=np.uint64)
 
     def preact(op, patches):

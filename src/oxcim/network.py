@@ -42,15 +42,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import sigmoid_ideal
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_integer
 from .quant import Precision, TernaryTensor, _as_trits, act_binary, \
-    act_ternary
+    act_ternary, check_dead_band
 
 N_THERMO_CHANNELS = 8
 # keeps integer popcounts strictly off the ternary dead-band boundary
 SCALE_NUDGE = 1.0 + 2.0 ** -20
-# Largest input size and conv gather (output positions x fan-in) a plan may
-# hold: 4 Mi int64 offsets take 32 MiB, and LeNet's conv1 needs 28*28*200.
+# Largest input, conv input and conv gather (output positions x fan-in) a
+# plan may hold: 4 Mi int64 offsets take 32 MiB, and LeNet's conv1 needs
+# 28*28*200.
 MAX_PLAN_CELLS = 2 ** 22
 # Equally spaced at 32 except the top level, which saturates at 255 so the
 # brightest pixel activates every channel.
@@ -87,10 +88,8 @@ def thermometric_trits(images):
 
 
 def _check_sizes(layer):
-    small = {k: v for k, v in vars(layer).items() if not v >= 1}
-    if small:
-        raise ConfigError(f"{type(layer).__name__} sizes must be >= 1, "
-                          f"got {small}")
+    for name, size in vars(layer).items():
+        check_integer(size, f"{type(layer).__name__} {name}", lo=1)
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ("binary", "ternary", "sigmoid_output"):
             raise ConfigError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "ternary" and not (self.r > 0.0):
-            raise ConfigError("ternary activation needs r > 0")
+        if self.kind == "ternary":
+            check_dead_band(self.r)
 
 
 def im2col(x, kernel, stride=1):
@@ -217,10 +216,12 @@ def compile_plan(precision, input_shape, layers, weights):
                 raise ConfigError(f"layer {i}: missing activation before conv")
             out = conv_output_shape(shape, layer)
             fan_in = shape[0] * layer.kernel * layer.kernel
-            if out[1] * out[2] * fan_in > MAX_PLAN_CELLS:
+            size = math.prod(shape)
+            if max(out[1] * out[2] * fan_in, size) > MAX_PLAN_CELLS:
                 raise ShapeError(f"layer {i}: conv gathers {out[1]}*{out[2]}"
-                                 f"*{fan_in} inputs, over {MAX_PLAN_CELLS}")
-            ids = np.arange(int(np.prod(shape))).reshape(shape)
+                                 f"*{fan_in} of {size} inputs, over "
+                                 f"{MAX_PLAN_CELLS}")
+            ids = np.arange(size).reshape(shape)
             op = param = LayerOp(
                 i, layer, shape, out, fan_in, _scale(fan_in),
                 (layer.out_channels, shape[0], layer.kernel, layer.kernel),
@@ -228,7 +229,7 @@ def compile_plan(precision, input_shape, layers, weights):
         elif isinstance(layer, Dense):
             if param is not None:
                 raise ConfigError(f"layer {i}: missing activation before dense")
-            fan_in = int(np.prod(shape))
+            fan_in = math.prod(shape)
             op = param = LayerOp(i, layer, shape, (layer.out_units,), fan_in,
                                  _scale(fan_in), (fan_in, layer.out_units))
         elif isinstance(layer, Activation):
@@ -273,18 +274,19 @@ def compile_plan(precision, input_shape, layers, weights):
 
 
 def check_input_shape(dims):
-    """The input dimensions as a tuple; ShapeError unless each is >= 1 and
-    their product at most MAX_PLAN_CELLS."""
-    shape = tuple(dims)
-    if not shape or min(shape) < 1:
-        raise ShapeError(f"input dimensions must be >= 1, got {shape}")
+    """The input dimensions as a tuple: at least one, each an integer >= 1
+    (else a ConfigError), their product at most MAX_PLAN_CELLS (else a
+    ShapeError)."""
+    shape = tuple(check_integer(d, "input dimension", lo=1) for d in dims)
+    if not shape:
+        raise ShapeError("input needs at least one dimension")
     if math.prod(shape) > MAX_PLAN_CELLS:
         raise ShapeError(f"input {shape} holds over {MAX_PLAN_CELLS} values")
     return shape
 
 
 def _scale(fan_in):
-    return float(np.sqrt(fan_in)) * SCALE_NUDGE
+    return math.sqrt(fan_in) * SCALE_NUDGE  # takes an int of any size
 
 
 def _check_weights(i, w, precision, expected_shape):

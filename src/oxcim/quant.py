@@ -90,6 +90,12 @@ def act_binary(x):
     return out[()] if np.ndim(x) == 0 else out
 
 
+def check_dead_band(r):
+    """DomainError unless r is a ternary dead band: finite and > 0."""
+    if not np.isfinite(r) or r <= 0.0:
+        raise DomainError(f"ternary threshold must be finite and > 0, got {r}")
+
+
 def act_ternary(x, r):
     """Ternary activation with dead band: +1 above r, -1 below -r, else 0.
 
@@ -97,8 +103,7 @@ def act_ternary(x, r):
     the reals.  r must be strictly positive (r = 0 would collapse to the
     binary activation with an empty zero band).
     """
-    if not np.isfinite(r) or r <= 0.0:
-        raise DomainError(f"ternary threshold must be finite and > 0, got {r}")
+    check_dead_band(r)
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr)
     out = np.zeros(arr.shape, dtype=TRIT_DTYPE)

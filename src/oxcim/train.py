@@ -61,17 +61,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, what in (("epochs", "epochs"), ("batch_size", "batch size"),
-                           ("seed", "training seed")):
-            check_integer(getattr(self, name), what)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        check_integer(self.epochs, "epochs", lo=1)
+        check_integer(self.batch_size, "batch size", lo=1)
+        # numpy's generator takes no negative seed
+        check_integer(self.seed, "training seed", lo=0)
         # lr = 0 is allowed: it keeps the weights where they are
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ConfigError(
                 f"learning rate must be finite and >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         # latent weights live in [-1, 1]: r >= 1 would quantize all to 0
         if not 0.0 < self.weight_r < 1.0:
             raise ConfigError(
@@ -79,8 +76,6 @@ class TrainConfig:
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.seed < 0:
-            raise ConfigError(f"training seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -83,7 +83,7 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("limit", 2.5), ("limit", 2.0), ("threads", 1.5), ("threads", "2"),
-        ("max_tile", (64.5, 64)), ("max_tile", (64, 3.0))])
+        ("max_tile", (64.5, 64)), ("max_tile", (64, 3.0)), ("threads", True)])
     def test_non_integer_counts_rejected(self, hrs_config, field, value):
         # limit=2.5 and max_tile=(64.5, 64) used to end in a TypeError
         with pytest.raises(ConfigError, match=field.replace("_", " ")):
@@ -265,6 +265,24 @@ class TestSweepSense:
     def test_large_tiles_rejected(self, hrs_config):
         with pytest.raises(ConfigError):
             sweep_sense_distribution((9, 4), Precision.BINARY, hrs_config)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(samples=2.5), "samples must be an integer"),
+        (dict(samples=True), "samples must be an integer"),
+        (dict(seed=1.5), "sweep seed must be an integer"),
+        (dict(tile_dims=(2.5, 2)), "sweep tile size must be an integer"),
+        (dict(tile_dims=(2, 0)), "sweep tile size must lie in \\[1, 9\\)"),
+        (dict(tile_dims=(4,)), "sweep tile must be \\(rows, cols\\)"),
+        (dict(tile_dims=((2, 2), 2)), "sweep tile size must be an integer")],
+        ids=["samples", "samples_bool", "seed", "tile_dims", "tile_zero",
+             "tile_one_dim", "tile_ragged"])
+    def test_bad_arguments_rejected(self, hrs_config, kwargs, message):
+        # samples=2.5, seed=1.5 and tile_dims=(2.5, 2) used to end in a
+        # TypeError
+        kwargs = dict(dict(tile_dims=(2, 2), samples=2), **kwargs)
+        with pytest.raises(ConfigError, match=message):
+            sweep_sense_distribution(config=hrs_config,
+                                     precision=Precision.BINARY, **kwargs)
 
 
 class TestHistogram:

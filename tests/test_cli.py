@@ -69,6 +69,13 @@ COMMAND_FLAGS = {
 }
 
 
+# Required flags of each command, with placeholder values.
+REQUIRED = {"train": ["--data", "d", "--precision", "binary"],
+            "eval": ["--mode", "ideal", "--data", "d", "--weights", "w"],
+            "sweep-sense": ["--precision", "binary"],
+            "hist": ["--weights", "w"]}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -93,21 +100,28 @@ class TestFlags:
                      if a.option_strings and a.dest != "help"]
             assert flags == COMMAND_FLAGS[name], name
 
-    # argparse reads a prefix of one of the command's flags as that flag
-    # (eval's --seed as --seeds), so such a flag is not foreign to it
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in COMMAND_FLAGS
         for flag in ("--config", "--weights", "--seed", "--threads")
-        if not any(f.startswith(flag) for f in COMMAND_FLAGS[command])])
+        if flag not in COMMAND_FLAGS[command]])
     def test_a_flag_the_command_does_not_read_exits_2(self, command, flag,
                                                       capsys):
-        required = {"train": ["--data", "d", "--precision", "binary"],
-                    "eval": ["--mode", "ideal", "--data", "d"],
-                    "sweep-sense": ["--precision", "binary"]}
+        # eval's --seed is no prefix of --seeds
         with pytest.raises(SystemExit) as err:
-            run_cli(command, *required.get(command, []), flag, "1")
+            run_cli(command, *REQUIRED[command], flag, "1")
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, prefix", [
+        ("train", "--val"), ("eval", "--out"), ("eval", "--max"),
+        ("sweep-sense", "--sample"), ("hist", "--conf")])
+    def test_a_prefix_of_a_flag_exits_2(self, command, prefix, capsys):
+        # each flag has one spelling: argparse used to read train --val 0.2
+        # as --val-fraction 0.2 and eval --out x as --out-dir x
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, *REQUIRED[command], prefix, "x")
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {prefix} x" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -121,10 +135,20 @@ class TestUsageErrors:
             run_cli("eval", "--mode", "ideal", "--wat")
         assert err.value.code == 2
 
-    def test_eval_missing_weights_exits_2(self, data_dir, tmp_path):
-        code = run_cli("eval", "--mode", "ideal", "--data", data_dir,
-                       "--out-dir", str(tmp_path))
-        assert code == 2
+    def test_eval_missing_weights_exits_2(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "--mode", "ideal", "--data", data_dir,
+                    "--out-dir", str(tmp_path))
+        assert err.value.code == 2
+        assert "required: --weights" in capsys.readouterr().err
+        assert not (tmp_path / "accuracy.csv").exists()
+
+    def test_hist_missing_weights_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("hist", "--out-dir", str(tmp_path))
+        assert err.value.code == 2
+        assert "required: --weights" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
 
     def test_missing_file_is_diagnosed(self, tmp_path, capsys):
         code = run_cli("eval", "--mode", "ideal", "--weights", "nope.qnn",
@@ -156,11 +180,14 @@ class TestUsageErrors:
         assert "oxcim: error: limit must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
-    def test_train_limit_below_one_exits_2(self, data_dir, tmp_path, limit):
+    def test_train_limit_below_one_exits_1(self, data_dir, tmp_path, capsys,
+                                           limit):
         code = run_cli("train", "--data", data_dir, "--precision", "ternary",
                        "--epochs", "1", "--limit", limit,
                        "--out-dir", str(tmp_path))
-        assert code == 2
+        assert code == 1
+        assert f"oxcim: error: limit must be >= 1, got {limit}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "weights.qnn").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -229,12 +256,14 @@ class TestUsageErrors:
         assert code == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
-    def test_eval_negative_threads_exits_2(self, data_dir, weights_path,
-                                           tmp_path):
+    def test_eval_negative_threads_exits_1(self, data_dir, weights_path,
+                                           tmp_path, capsys):
         code = run_cli("eval", "--mode", "ideal", "--weights", weights_path,
                        "--data", data_dir, "--threads", "-3",
                        "--out-dir", str(tmp_path))
-        assert code == 2
+        assert code == 1
+        assert "oxcim: error: threads must be >= 0, got -3" \
+            in capsys.readouterr().err
         assert not (tmp_path / "accuracy.csv").exists()
 
 

@@ -524,7 +524,7 @@ class TestTileValidation:
         np.testing.assert_array_equal(tile.vmm_batch([[1, 1]], top),
                                       tile.vmm_batch([[1, 1]], [2 ** 63 - 1]))
 
-    @pytest.mark.parametrize("array_id", [-1, 2 ** 64, 1.5, "1", None])
+    @pytest.mark.parametrize("array_id", [-1, 2 ** 64, 1.5, "1", None, True])
     def test_array_id_checked(self, array_id):
         # -1 and 2**64 used to end in an OverflowError, and 1.5 programmed
         # array 1's cells

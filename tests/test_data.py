@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oxcim.data import (DatasetStore, load_dataset_dir, load_idx, pad_to_32,
-                        synthetic_dataset)
-from oxcim.errors import DomainError, ParseError, ShapeError
+                        synthetic_dataset, synthetic_images)
+from oxcim.errors import ConfigError, DomainError, ParseError, ShapeError
 from conftest import save_idx, write_dataset_dir
 
 
@@ -138,6 +138,17 @@ class TestPadding:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_images(2.5, 1), lambda: synthetic_images(True, 1),
+        lambda: synthetic_images(2, 1.5), lambda: synthetic_images(2, -1),
+        lambda: synthetic_dataset(n_train=2.5),
+        lambda: synthetic_dataset(n_test=-1)],
+        ids=["n", "n_bool", "seed", "negative_seed", "n_train", "n_test"])
+    def test_bad_counts_and_seeds_rejected(self, make):
+        # n = 2.5 used to end in a TypeError, seed -1 in numpy's ValueError
+        with pytest.raises(ConfigError):
+            make()
+
     def test_deterministic(self):
         a = synthetic_dataset(n_train=30, n_test=10, seed=3)
         b = synthetic_dataset(n_train=30, n_test=10, seed=3)

@@ -61,7 +61,7 @@ class TestStateAndConfigValidation:
         tile = CrossbarTile(cfg, np.array([[1, -1], [0, 1]]), array_id=1)
         assert np.all(np.isfinite(tile.cell_g))
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True])
     def test_non_integer_seed_rejected(self, seed):
         # 1.5 used to draw exactly seed 1's streams
         with pytest.raises(ConfigError, match="seed must be an integer"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxcim import weightfile
-from oxcim.bench import ExperimentSpec, run_accuracy
+from oxcim.bench import ExperimentSpec, run_accuracy, sweep_sense_distribution
 from oxcim.cli import main
 from oxcim.crossbar import CrossbarTile
 from oxcim.data import synthetic_dataset
@@ -21,7 +21,8 @@ from oxcim.device import (DeviceConfig, default_config_file,
                           default_device_config, parse_device_config)
 from oxcim.errors import OxcimError
 from oxcim.hardware import forward_hardware, map_network_to_tiles
-from oxcim.network import forward_ideal
+from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
+                           NetworkDescription, forward_ideal)
 from oxcim.quant import Precision
 from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
@@ -79,6 +80,101 @@ class TestTextFormats:
     def test_device_config(self, data):
         parses_or_raises_oxcim_error(parse_device_config, data)
 
+
+
+# Layer chains: input dimensions and up to four conv / pool / dense layers
+# (each conv or dense followed by its activation), each size a small valid
+# one or, one time in eight, one from a pool of odd values; compiled
+# without weights.
+SIZES = [1, 2, 3, 4, 8]
+ODD_SIZES = [0, -1, 2.5, 2.0, True, float("nan"), 2 ** 22, 2 ** 64, "3",
+             None]
+DEAD_BANDS = [0.5, 0.25, 1e-9, 0.5, 0.25, 0.0, -0.5, float("inf"),
+              float("nan")]
+LAYERS = {"conv": (Conv2D, 3), "pool": (MaxPool2D, 1), "dense": (Dense, 1)}
+CHAIN_FUZZ = settings(derandomize=True, max_examples=1000, deadline=None,
+                      database=None)
+
+
+@st.composite
+def layer_size(draw):
+    return draw(st.sampled_from(ODD_SIZES if draw(st.integers(0, 7)) == 0
+                                else SIZES))
+
+
+@st.composite
+def layer_chain(draw):
+    dims = [draw(layer_size())
+            for _ in range(draw(st.sampled_from([3, 3, 3, 1, 0])))]
+    specs = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(sorted(LAYERS)))
+        specs.append((kind, [draw(layer_size())
+                             for _ in range(LAYERS[kind][1])]))
+    return (dims, specs, draw(st.sampled_from(list(Precision))),
+            draw(st.sampled_from(DEAD_BANDS)))
+
+
+class TestLayerChains:
+    @CHAIN_FUZZ
+    @given(layer_chain())
+    def test_network_description(self, chain):
+        dims, specs, precision, r = chain
+        hidden = "binary" if precision is Precision.BINARY else "ternary"
+        try:
+            layers = []
+            for kind, sizes in specs:
+                layers.append(LAYERS[kind][0](*sizes))
+                if kind != "pool":
+                    layers.append(Activation(hidden, r))
+            layers += [Dense(10), Activation("sigmoid_output")]
+            net = NetworkDescription(precision, dims, layers,
+                                     [None] * len(layers))
+        except OxcimError:
+            return
+        assert net.plan[-1].out_shape == (10,)
+
+
+# The sense sweep: tile dimensions (usually two), sample counts and seeds
+# from pools of valid and invalid values, on configs with and without a
+# state 0.  Valid sample counts stay small so that every call is short.
+SWEEP_DIMS = [1, 2, 8, 9, 0, -1, 2.5, 2.0, True, 2 ** 64, None, "2",
+              np.int64(3), (2, 2)]
+SWEEP_SAMPLES = [1, 2, 0, -1, 2.5, 2.0, True, None, "2"]
+SWEEP_SEEDS = [0, 1, 2 ** 64, np.uint64(5), -1, 1.5, True, None, "1"]
+SWEEP_FUZZ = settings(derandomize=True, max_examples=400, deadline=None,
+                      database=None)
+
+
+@st.composite
+def sweep_call(draw):
+    n_dims = draw(st.sampled_from([2, 2, 2, 2, 1, 3]))
+    return (tuple(draw(st.sampled_from(SWEEP_DIMS)) for _ in range(n_dims)),
+            draw(st.sampled_from(SWEEP_SAMPLES)),
+            draw(st.sampled_from(SWEEP_SEEDS)),
+            draw(st.sampled_from(list(Precision))),
+            draw(st.sampled_from(["hrs", "lrs", "binary"])))
+
+
+@pytest.fixture(scope="module")
+def sweep_configs():
+    hrs = default_device_config("hrs")
+    return {"hrs": hrs, "lrs": default_device_config("lrs"),
+            "binary": DeviceConfig("HRS", {t: hrs.states[t] for t in (-1, 1)})}
+
+
+class TestSenseSweep:
+    @SWEEP_FUZZ
+    @given(sweep_call())
+    def test_sweep_sense_distribution(self, sweep_configs, call):
+        dims, samples, seed, precision, config = call
+        try:
+            rows = sweep_sense_distribution(dims, precision,
+                                            sweep_configs[config],
+                                            samples=samples, seed=seed)
+        except OxcimError:
+            return
+        assert len(rows) == samples * dims[1]
 
 
 # Tiles and forward passes: trit arrays of a fuzzed shape and dtype with up

@@ -76,7 +76,7 @@ class TestMapping:
             map_network_to_tiles(tiny_net(Precision.TERNARY), cfg)
 
     @pytest.mark.parametrize("max_tile", [(64.5, 64), (64, 64.0), (2, 2),
-                                          (0, 64), (64,), 64])
+                                          (0, 64), (64,), 64, ((64, 64), 64)])
     def test_bad_max_tile_rejected(self, max_tile):
         # (64.5, 64) used to end in a TypeError from range()
         with pytest.raises(ConfigError, match="max tile"):
@@ -100,7 +100,7 @@ class TestForwardHardware:
 
     @pytest.mark.parametrize("ordinal, n", [
         (-1, 1), (1.5, 1), (2 ** 64, 1), (2 ** 61, 1), (2 ** 61 - 1, 2),
-        (np.uint64(2 ** 63), 1), ("3", 1)])
+        (np.uint64(2 ** 63), 1), ("3", 1), (True, 1)])
     def test_image_ordinal_checked(self, ordinal, n):
         # tiny_net's conv reads 4 patches per image, so the READ-pair ids of
         # n images from ordinal a stay below 2**63 iff (a + n) * 4 <= 2**63.

@@ -257,6 +257,47 @@ class TestNetworkDescription:
                                net.weights[:at] + net.weights[:1]
                                + net.weights[at:])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Conv2D(2.5, 5), lambda: Dense(10.5),
+        lambda: Conv2D(2, 5, stride=1.5), lambda: MaxPool2D(2.0),
+        lambda: Dense(True)],
+        ids=["conv_channels", "dense", "stride", "pool", "bool"])
+    def test_non_integer_sizes_rejected(self, make):
+        # Conv2D(2.5, 5) and Dense(10.5) used to build a plan whose training
+        # ended in a TypeError, and stride 1.5 a TypeError inside im2col
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("dims", [(1.5, 8, 8), (1, True, 4), (1, 4, 4.0)])
+    def test_non_integer_input_dims_rejected(self, dims):
+        # (1.5, 8, 8) used to pass
+        with pytest.raises(ConfigError, match="input dimension must be an "
+                                              "integer"):
+            NetworkDescription(Precision.BINARY, dims, [Dense(10),
+                               Activation("sigmoid_output")], [None, None])
+
+    @pytest.mark.parametrize("r", [float("inf"), float("nan"), 0.0, -0.5])
+    def test_ternary_dead_band_checked_at_construction(self, r):
+        # r = inf used to build, and raise only at the first forward pass
+        with pytest.raises(DomainError, match="finite and > 0"):
+            Activation("ternary", r)
+
+    def test_oversized_conv_input_fails_before_allocating(self):
+        # the second conv's gather is 2 offsets, but its input holds 8 Mi
+        # values, whose offsets the plan used to allocate (64 MiB)
+        layers = [Conv2D(2, 1), Activation("binary"),
+                  Conv2D(1, 1, stride=2048), Activation("binary"),
+                  Dense(10), Activation("sigmoid_output")]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="of 8388608 inputs"):
+                NetworkDescription(Precision.BINARY, (1, 2048, 2048), layers,
+                                   [None] * len(layers))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # the first conv's 32 MiB of offsets
+
     def test_missing_weights_gate(self):
         arch = lenet(Precision.BINARY)  # no weights attached
         with pytest.raises(ConfigError):

@@ -63,7 +63,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, what", [("epochs", "epochs"),
                                              ("batch_size", "batch size"),
                                              ("seed", "training seed")])
-    @pytest.mark.parametrize("value", [1.0, 2.5, float("nan")])
+    @pytest.mark.parametrize("value", [1.0, 2.5, float("nan"), True])
     def test_non_integer_counts_rejected(self, field, what, value):
         # a float would reach range() or the generator as a TypeError
         with pytest.raises(ConfigError, match=f"{what} must be an integer"):

@@ -134,6 +134,15 @@ class TestRecordChecks:
                 loads(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("r", ["inf", "nan", "0"])
+    def test_ternary_dead_band_fails_at_its_line(self, r):
+        # r=inf used to load, and raise only at the first forward pass
+        text, line = replace_line(dumps(tiny_net()), "layer.1",
+                                  f"layer.1 = activation kind=ternary r={r}")
+        with pytest.raises(ParseError, match="finite and > 0") as err:
+            loads(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("prefix", ["precision", "layer.0", "weights.0"])
     def test_repeated_key_names_line(self, prefix):
         lines = dumps(tiny_net()).splitlines()
