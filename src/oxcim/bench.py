@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import CrossbarTile
+from .crossbar import A_TO_UA, CrossbarTile
 from .data import pad_to_32
 from .device import check_seed, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer
@@ -68,12 +68,13 @@ class ExperimentSpec:
         check_max_tile(self.max_tile)
         if self.seeds is None:
             self.seeds = [self.config.seed]
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        seeds = np.asarray(self.seeds, dtype=object)  # ragged: no ValueError
+        if seeds.ndim != 1 or not seeds.size:
+            raise ConfigError(f"seeds must be a non-empty sequence, got {self.seeds!r}")
         for seed in self.seeds:
             check_seed(seed)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
 
 
 @dataclass
@@ -164,7 +165,7 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     config.require_states(precision)
     trit_pool = np.asarray(precision.allowed_values, dtype=np.int8)
     gen = np.random.default_rng(seed)
-    gain_uA = config.v_read * config.conductance_slope() * 1e6
+    gain_uA = config.v_read * config.conductance_slope() * A_TO_UA
     rows = []
     for s in range(samples):
         w = trit_pool[gen.integers(0, trit_pool.size, size=(rows_n, cols_n))]

@@ -49,7 +49,7 @@ from .bench import (ExperimentSpec, run_accuracy, sweep_sense_distribution,
 from .data import load_dataset_dir
 from .errors import OxcimError, check_integer
 from .hardware import DEFAULT_MAX_TILE, map_network_to_tiles
-from .network import lenet
+from .network import Activation, lenet
 from .quant import Precision
 from .train import TrainConfig, train
 
@@ -94,7 +94,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--r", type=float, default=0.5,
+    p.add_argument("--r", type=float, default=Activation.r,
                    help="ternary activation dead band")
     p.add_argument("--weight-r", type=float, default=TrainConfig.weight_r,
                    help="ternary weight quantization dead band")

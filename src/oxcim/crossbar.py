@@ -69,7 +69,8 @@ import numpy as np
 from . import rng
 from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
     sample_device_conductance_grid
-from .errors import ConfigError, DomainError, ShapeError, check_integer
+from .errors import ConfigError, DomainError, ShapeError, check_integer, check_real
+from .network import Activation
 from .quant import _as_trits, act_binary, act_ternary
 
 log = logging.getLogger(__name__)
@@ -233,7 +234,7 @@ def _exact_split(g, array_id):
     return np.concatenate([hi, g - hi], axis=1)
 
 
-def sense_to_activation(delta_uA, mode, r=0.5, gain_uA=1.0):
+def sense_to_activation(delta_uA, mode, r=Activation.r, gain_uA=1.0):
     """Convert differential column currents into activations or voltages.
 
     delta_uA is i_pos - i_neg of a two-phase READ.  gain_uA is the
@@ -242,8 +243,7 @@ def sense_to_activation(delta_uA, mode, r=0.5, gain_uA=1.0):
     scaled value is the neuron input current in uA and the neuron voltages
     are returned.
     """
-    if not (gain_uA > 0.0):
-        raise ConfigError(f"gain must be > 0, got {gain_uA}")
+    check_real(gain_uA, "gain", 0.0, strict=True)
     u = np.asarray(delta_uA) / gain_uA
     if mode is ActivationMode.HIDDEN_BINARY:
         return act_binary(u)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, ParseError, check_integer, \
-    read_records
+    check_real, read_records
 from .quant import Precision, _as_trits
 
 log = logging.getLogger(__name__)
@@ -48,13 +48,10 @@ class MlcStateModel:
     c2c_sigma_S: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.mean_S < np.inf):
-            raise ConfigError(
-                f"state {self.label}: mean conductance must be finite and > 0")
-        if not (0.0 <= self.d2d_sigma_S < np.inf
-                and 0.0 <= self.c2c_sigma_S < np.inf):
-            raise ConfigError(f"state {self.label}: sigmas must be finite "
-                              f"and >= 0")
+        check_real(self.mean_S, f"state {self.label}: mean conductance", 0.0,
+                   strict=True)
+        check_real(self.d2d_sigma_S, f"state {self.label}: D2D sigma", 0.0)
+        check_real(self.c2c_sigma_S, f"state {self.label}: C2C sigma", 0.0)
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,12 @@ class DeviceConfig:
     def __post_init__(self):
         if self.region not in (HRS, LRS):
             raise ConfigError(f"region must be HRS or LRS, got {self.region!r}")
-        if not set(self.states) <= {-1, 0, 1}:
-            raise ConfigError(f"state keys must be trits, got {sorted(self.states)}")
-        if -1 not in self.states or 1 not in self.states:
-            raise ConfigError("config must define states for -1 and +1")
+        if not (isinstance(self.states, dict)
+                and {-1, 1} <= set(self.states) <= {-1, 0, 1}
+                and all(isinstance(s, MlcStateModel)
+                        for s in self.states.values())):
+            raise ConfigError(f"states must map -1, +1 and optionally 0 to "
+                              f"MlcStateModels, got {self.states!r}")
         # More positive weight must map to higher conductance.
         present = sorted(self.states)
         means = [self.states[t].mean_S for t in present]
@@ -81,8 +80,7 @@ class DeviceConfig:
             raise ConfigError(
                 f"state means must increase with the trit: {list(zip(present, means))}"
             )
-        if not (0.0 < self.v_read < np.inf):
-            raise ConfigError("v_read must be finite and > 0")
+        check_real(self.v_read, "v_read", 0.0, strict=True)
         check_seed(self.seed)
 
     def require_states(self, precision):

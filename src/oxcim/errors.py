@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the integer check of its
+"""Exception types shared across the package, the number checks of its
 inputs, and the record reader of its two text formats (device configs and
 weight files)."""
 
+import math
 import numbers
 
 
@@ -55,6 +56,21 @@ def check_integer(value, what, lo=None, hi=None):
     if lo is not None and value < lo:
         raise ConfigError(f"{what} must be >= {lo}, got {value}")
     return value
+
+
+def check_real(value, what, lo, hi=math.inf, strict=False, error=ConfigError):
+    """Raise error (a ConfigError unless given) unless value is a real number,
+    not a bool, whose float lies in [lo, hi), or in (lo, hi) if strict."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the largest float
+        x = math.inf
+    if not (lo < x < hi if strict else lo <= x < hi):
+        rule = (f"be finite and {'>' if strict else '>='} {lo:g}" if hi == math.inf
+                else f"lie in {'(' if strict else '['}{lo:g}, {hi:g})")
+        raise error(f"{what} must {rule}, got {value}")
 
 
 def _bound(n):

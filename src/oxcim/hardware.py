@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import CrossbarTile
+from .crossbar import A_TO_UA, CrossbarTile
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer
 from .network import Conv2D, as_batch, conv_weight_matrix, \
@@ -129,7 +129,7 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
         rows, cols = wmat.shape
         mapping = LayerMapping(
             rows=rows, cols=cols,
-            gain_uA=config.v_read * a * net.plan[li].scale * 1e6,
+            gain_uA=config.v_read * a * net.plan[li].scale * A_TO_UA,
         )
         for r0 in range(0, rows, max_r):
             for c0 in range(0, cols, max_c - n_ref):

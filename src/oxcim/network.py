@@ -329,7 +329,7 @@ def hidden_activation_kind(precision):
     return "binary" if precision is Precision.BINARY else "ternary"
 
 
-def lenet(precision, r=0.5):
+def lenet(precision, r=Activation.r):
     """The LeNet-style reference architecture used throughout this project.
 
     conv(6,5x5) -> pool2 -> conv(16,5x5) -> pool2 -> dense 120 -> dense 84

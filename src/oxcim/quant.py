@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_real
 
 TRIT_DTYPE = np.int8
 
@@ -92,8 +92,7 @@ def act_binary(x):
 
 def check_dead_band(r):
     """DomainError unless r is a ternary dead band: finite and > 0."""
-    if not np.isfinite(r) or r <= 0.0:
-        raise DomainError(f"ternary threshold must be finite and > 0, got {r}")
+    check_real(r, "ternary threshold", 0.0, strict=True, error=DomainError)
 
 
 def act_ternary(x, r):

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pad_to_32
-from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged, \
-    check_integer
+from .errors import DomainError, ShapeError, TrainingDiverged, check_integer, \
+    check_real
 from .network import Activation, activate, conv_weight_matrix, maxpool, \
     thermometric_trits, walk
 from .quant import quantize_weights
@@ -66,16 +66,10 @@ class TrainConfig:
         # numpy's generator takes no negative seed
         check_integer(self.seed, "training seed", lo=0)
         # lr = 0 is allowed: it keeps the weights where they are
-        if not (np.isfinite(self.lr) and self.lr >= 0.0):
-            raise ConfigError(
-                f"learning rate must be finite and >= 0, got {self.lr}")
+        check_real(self.lr, "learning rate", 0.0)
         # latent weights live in [-1, 1]: r >= 1 would quantize all to 0
-        if not 0.0 < self.weight_r < 1.0:
-            raise ConfigError(
-                f"weight r must lie in (0, 1), got {self.weight_r}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError(
-                f"val fraction must lie in [0, 1), got {self.val_fraction}")
+        check_real(self.weight_r, "weight r", 0.0, 1.0, strict=True)
+        check_real(self.val_fraction, "val fraction", 0.0, 1.0)
 
 
 @dataclass

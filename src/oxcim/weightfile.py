@@ -101,7 +101,7 @@ def _parse_layer(record):
     elif kind == "dense":
         layer = Dense(int(kv.pop("out")))
     elif kind == "activation":
-        layer = Activation(kv.pop("kind"), float(kv.pop("r", 0.5)))
+        layer = Activation(kv.pop("kind"), float(kv.pop("r", Activation.r)))
     else:
         raise ParseError(f"unknown layer kind {kind!r}")
     if kv:

@@ -131,8 +131,13 @@ def dataset():
     return synthetic_dataset(n_train=6000, n_test=2000, seed=7)
 
 
-def _train_fixture(precision_name, config_cache, dataset):
-    """Train (or load the cached) small fixture net for accuracy tests."""
+def _train_fixture(precision_name, request, dataset):
+    """Train (or load the cached) small fixture net for accuracy tests.
+
+    The net is cached in pytest's cache directory; with the cache provider
+    off (-p no:cacheprovider) it is trained into a session temporary
+    directory instead.
+    """
     import hashlib
 
     from oxcim import weightfile
@@ -146,7 +151,10 @@ def _train_fixture(precision_name, config_cache, dataset):
                f"{cfg.seed}|{dataset.train_images.shape[0]}|"
                f"{hashlib.sha256(dataset.train_images[:8].tobytes()).hexdigest()}")
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    cache_dir = config_cache.mkdir(f"oxcim-{precision_name}-{key}")
+    name = f"oxcim-{precision_name}-{key}"
+    cache = getattr(request.config, "cache", None)
+    cache_dir = (cache.mkdir(name) if cache is not None else
+                 request.getfixturevalue("tmp_path_factory").mktemp(name))
     path = os.path.join(str(cache_dir), "weights.qnn")
     if os.path.exists(path):
         return weightfile.load_network(path)
@@ -158,9 +166,9 @@ def _train_fixture(precision_name, config_cache, dataset):
 
 @pytest.fixture(scope="session")
 def trained_bnn(request, dataset):
-    return _train_fixture("binary", request.config.cache, dataset)
+    return _train_fixture("binary", request, dataset)
 
 
 @pytest.fixture(scope="session")
 def trained_tnn(request, dataset):
-    return _train_fixture("ternary", request.config.cache, dataset)
+    return _train_fixture("ternary", request, dataset)

@@ -60,6 +60,21 @@ class TestExperimentSpec:
             ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
                            seeds=[])
 
+    @pytest.mark.parametrize("seeds", [3, "12", {1, 2}, [[1], [2]],
+                                       np.array([[1], [2]])])
+    def test_seeds_must_be_a_sequence(self, hrs_config, seeds):
+        # 3 used to end in a TypeError
+        with pytest.raises(ConfigError, match="seeds must be a non-empty "
+                                              "sequence"):
+            ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",
+                           seeds=seeds)
+
+    def test_seeds_may_be_an_array(self, hrs_config):
+        # an array used to end in numpy's ambiguous-truth ValueError
+        spec = ExperimentSpec(net=tiny_net(), config=hrs_config,
+                              mode="ideal", seeds=np.array([1, 2]))
+        assert list(spec.seeds) == [1, 2]
+
     def test_duplicate_seeds_rejected(self, hrs_config):
         with pytest.raises(ConfigError):
             ExperimentSpec(net=tiny_net(), config=hrs_config, mode="ideal",

@@ -449,6 +449,13 @@ class TestSenseToActivation:
             sense_to_activation(np.array([1.0]),
                                 ActivationMode.HIDDEN_TERNARY, gain_uA=0.0)
 
+    @pytest.mark.parametrize("gain", [float("inf"), None, True, "1"])
+    def test_gain_must_be_a_finite_real(self, gain):
+        # None used to end in a TypeError, and inf and True were accepted
+        with pytest.raises(ConfigError, match="gain must be"):
+            sense_to_activation(np.array([1.0]),
+                                ActivationMode.HIDDEN_TERNARY, gain_uA=gain)
+
 
 class TestStatelessReads:
     def test_vmm_batch_leaves_the_tile_unchanged(self):

@@ -71,6 +71,27 @@ class TestStateAndConfigValidation:
         with pytest.raises(ConfigError):
             DeviceConfig("HRS", {-1: _state(5e-6), 1: _state(2e-6)})
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean_S", "1e-6"), ("mean_S", True), ("mean_S", None),
+        ("d2d_sigma_S", None), ("c2c_sigma_S", "0"), ("d2d_sigma_S", 10 ** 400)])
+    def test_non_real_state_constants_rejected(self, field, value):
+        # "1e-6" and None used to end in a TypeError; True was read as 1 S
+        with pytest.raises(ConfigError, match="state x: "):
+            MlcStateModel("x", **dict({"mean_S": 1e-6}, **{field: value}))
+
+    @pytest.mark.parametrize("v_read", ["0.2", True, None])
+    def test_v_read_must_be_a_positive_real(self, v_read):
+        # "0.2" used to end in a TypeError, and True was read as 1 V
+        with pytest.raises(ConfigError, match="v_read must be"):
+            dataclasses.replace(default_device_config("hrs"), v_read=v_read)
+
+    @pytest.mark.parametrize("states", [{-1: 1.0, 1: 2.0}, [1, 2], None,
+                                        {-1: _state(1e-6), 1: 2e-6}])
+    def test_states_must_be_state_models(self, states):
+        # {-1: 1.0, 1: 2.0} used to end in an AttributeError
+        with pytest.raises(ConfigError, match="states must map -1, \\+1"):
+            DeviceConfig("HRS", states)
+
     def test_binary_vs_ternary_state_requirements(self):
         cfg = DeviceConfig("HRS", {-1: _state(1e-6), 1: _state(2e-6)})
         cfg.require_states(Precision.BINARY)

@@ -15,15 +15,15 @@ from hypothesis import given, settings, strategies as st
 from oxcim import weightfile
 from oxcim.bench import ExperimentSpec, run_accuracy, sweep_sense_distribution
 from oxcim.cli import main
-from oxcim.crossbar import CrossbarTile
+from oxcim.crossbar import ActivationMode, CrossbarTile, sense_to_activation
 from oxcim.data import synthetic_dataset
-from oxcim.device import (DeviceConfig, default_config_file,
+from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
                           default_device_config, parse_device_config)
 from oxcim.errors import OxcimError
 from oxcim.hardware import forward_hardware, map_network_to_tiles
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal)
-from oxcim.quant import Precision
+from oxcim.quant import Precision, quantize_weights
 from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
 from conftest import write_dataset_dir
@@ -253,6 +253,44 @@ class TestTilesAndForwardPasses:
             assert np.all(np.isfinite(out))
 
 
+# Real constants: the state means and sigmas, v_read, the ternary dead band
+# (through Activation and quantize_weights) and the sense gain, each drawn
+# from one pool of valid and invalid values.
+REALS = [0.5, 1e-6, 2.0, np.float32(0.25), 3, 0.0, -1e-6, float("nan"),
+         float("inf"), -float("inf"), 10 ** 400, True, False, np.bool_(True),
+         None, "0.5", 1j]
+REAL_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                     database=None)
+DELTAS_UA = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+
+
+class TestRealConstants:
+    @REAL_FUZZ
+    @given(st.tuples(*[st.sampled_from(REALS)] * 4))
+    def test_device_config(self, values):
+        mean, d2d, c2c, v_read = values
+        try:
+            low = MlcStateModel("-1", mean, d2d, c2c)
+            DeviceConfig("HRS", {-1: low, 1: MlcStateModel("+1", 4.0)},
+                         v_read=v_read)
+        except OxcimError:
+            pass
+
+    @REAL_FUZZ
+    @given(st.sampled_from(REALS), st.sampled_from(REALS),
+           st.sampled_from(list(ActivationMode)))
+    def test_dead_band_and_gain(self, r, gain, mode):
+        for call in (lambda: Activation("ternary", r),
+                     lambda: quantize_weights(DELTAS_UA, Precision.TERNARY,
+                                              r=r),
+                     lambda: sense_to_activation(DELTAS_UA, mode, r=r,
+                                                 gain_uA=gain)):
+            try:
+                call()
+            except OxcimError:
+                pass
+
+
 # Training: labels of a fuzzed dtype, up to three of them replaced by values
 # in -1..11, the count often one off the image count, and up to three
 # TrainConfig fields drawn from pools of valid and invalid values.
@@ -261,9 +299,12 @@ LABEL_DTYPES = [np.int64, np.uint8, np.int8, np.float64, np.bool_]
 TRAIN_CONFIG_VALUES = {
     "epochs": [1, 2, 0, -1, 1.0, 0.5, float("nan")],
     "batch_size": [1, 5, 11, 12, 64, 0, -1, 2.0, float("inf")],
-    "lr": [0, 1e-3, 2e-2, 1e300, -1.0, float("nan"), float("inf")],
-    "weight_r": [0.5, 0.999, 1e-9, 0.0, 1.0, -0.5, float("nan")],
-    "val_fraction": [0.0, 0.1, 0.5, 0.95, 0.99, 1.0, -0.1, float("nan")],
+    "lr": [0, 1e-3, 2e-2, 1e300, -1.0, float("nan"), float("inf"), True,
+           None, "0.1"],
+    "weight_r": [0.5, 0.999, 1e-9, 0.0, 1.0, -0.5, float("nan"), True, None,
+                 "0.1"],
+    "val_fraction": [0.0, 0.1, 0.5, 0.95, 0.99, 1.0, -0.1, float("nan"),
+                     True, None, "0.1"],
     "seed": [0, 1, 2 ** 64, -1, 1.5, float("nan")],
 }
 TRAIN_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
@@ -307,7 +348,8 @@ class TestTraining:
 SPEC_VALUES = {
     "mode": ["ideal", "hardware", "x"],
     "config": ["hrs", "lrs", "binary"],
-    "seeds": [None, [0], [1, 2], [], [1, 1], [1, 1.5], [2 ** 64], [-1]],
+    "seeds": [None, [0], [1, 2], [], [1, 1], [1, 1.5], [2 ** 64], [-1], 3,
+              (1, 2), np.array([1, 2])],
     "limit": [None, 1, 4, 5, 0, -1, 2.5, 2.0],
     "max_tile": [(64, 64), (16, 8), (2, 3), (64.5, 64), (0, 64), (8, 2),
                  (64,)],

@@ -282,6 +282,13 @@ class TestNetworkDescription:
         with pytest.raises(DomainError, match="finite and > 0"):
             Activation("ternary", r)
 
+    @pytest.mark.parametrize("r", ["0.5", None, True])
+    def test_ternary_dead_band_must_be_a_real(self, r):
+        # "0.5" and None used to end in a TypeError, and True built as r = 1
+        with pytest.raises(DomainError, match="ternary threshold must be a "
+                                              "real number"):
+            Activation("ternary", r)
+
     def test_oversized_conv_input_fails_before_allocating(self):
         # the second conv's gather is 2 offsets, but its input holds 8 Mi
         # values, whose offsets the plan used to allocate (64 MiB)

@@ -49,6 +49,14 @@ class TestActivations:
             with pytest.raises(DomainError):
                 act_ternary(0.1, bad)
 
+    @pytest.mark.parametrize("r", [True, None, "0.5"])
+    def test_ternary_needs_a_real_r(self, r):
+        # True used to quantize with r = 1, None and "0.5" raised a TypeError
+        with pytest.raises(DomainError, match="ternary threshold must be"):
+            act_ternary(0.1, r)
+        with pytest.raises(DomainError, match="ternary threshold must be"):
+            quantize_weights(np.array([0.1]), Precision.TERNARY, r=r)
+
     def test_ternary_approaches_binary_for_small_r(self):
         xs = np.linspace(-3, 3, 601)
         xs = xs[np.abs(xs) > 1e-6]

@@ -55,6 +55,20 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="weight r"):
             TrainConfig(weight_r=weight_r)
 
+    @pytest.mark.parametrize("field, what", [("lr", "learning rate"),
+                                             ("weight_r", "weight r"),
+                                             ("val_fraction", "val fraction")])
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_non_real_hyperparameters_rejected(self, field, what, value):
+        # "0.1" and None used to end in a TypeError, and lr=True trained
+        with pytest.raises(ConfigError, match=f"{what} must be a real number"):
+            TrainConfig(**{field: value})
+
+    def test_lr_beyond_the_largest_float_rejected(self):
+        # an int too large for a float used to end in a TypeError
+        with pytest.raises(ConfigError, match="learning rate must be finite"):
+            TrainConfig(lr=10 ** 400)
+
     def test_negative_seed_rejected(self):
         # numpy's generator takes no negative seed
         with pytest.raises(ConfigError, match="training seed"):
