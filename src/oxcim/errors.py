@@ -52,9 +52,9 @@ def check_integer(value, what, lo=None, hi=None):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if hi is not None and not lo <= value < hi:
         raise ConfigError(f"{what} must lie in [{_bound(lo)}, {_bound(hi)}), "
-                          f"got {value}")
+                          f"got {_shown(value)}")
     if lo is not None and value < lo:
-        raise ConfigError(f"{what} must be >= {lo}, got {value}")
+        raise ConfigError(f"{what} must be >= {lo}, got {_shown(value)}")
     return value
 
 
@@ -70,7 +70,16 @@ def check_real(value, what, lo, hi=math.inf, strict=False, error=ConfigError):
     if not (lo < x < hi if strict else lo <= x < hi):
         rule = (f"be finite and {'>' if strict else '>='} {lo:g}" if hi == math.inf
                 else f"lie in {'(' if strict else '['}{lo:g}, {hi:g})")
-        raise error(f"{what} must {rule}, got {value}")
+        raise error(f"{what} must {rule}, got {_shown(value)}")
+
+
+def _shown(value):
+    """value as text; an int that str() may refuse (Python's limit is 4,300
+    digits by default and 640 at least) by its sign and bit length."""
+    if isinstance(value, int) and value.bit_length() > 2048:
+        return (f"{'a negative' if value < 0 else 'an'} integer of "
+                f"{value.bit_length()} bits")
+    return str(value)
 
 
 def _bound(n):

@@ -51,7 +51,7 @@ import numpy as np
 from .crossbar import A_TO_UA, CrossbarTile
 from .device import sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer
-from .network import Conv2D, as_batch, conv_weight_matrix, \
+from .network import Conv2D, as_batch, conv_weight_matrix, patches, \
     predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .crossbar import sense_to_activation  # noqa: F401
@@ -191,12 +191,13 @@ def forward_hardware(tiled, x, image_ordinal=0):
                           f"<= 2**63, got {image_ordinal}")
     ordinals = np.uint64(image_ordinal) + np.arange(n, dtype=np.uint64)
 
-    def preact(op, patches):
+    def preact(op, x):
         m = tiled.mappings[op.index]
-        per_image = np.uint64(patches.shape[0] // ordinals.size)
+        x = patches(op, x)
+        per_image = np.uint64(x.shape[0] // ordinals.size)
         pairs = ordinals[:, None] * per_image \
             + np.arange(per_image, dtype=np.uint64)
-        return _layer_delta(m, patches, pairs.ravel()) / m.gain_uA
+        return _layer_delta(m, x, pairs.ravel()) / m.gain_uA
 
     volts = walk(tiled.net, batch, preact,
                  lambda op, u: sigmoid_neuron_voltage(u))

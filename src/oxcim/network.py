@@ -5,13 +5,16 @@ A network is an ordered list of layers (conv / maxpool / dense / activation)
 plus one trit weight tensor per parametric layer.  Construction checks the
 chain once and compiles it into a plan, one LayerOp per layer with its
 shapes, fan-in, activation scale and, for a conv, the im2col gather
-indices.  Convolutions execute as matrix products through that lowering,
-which is also how they land on crossbar tiles: the lowered weight matrix is
-(k*k*in_ch) x out_ch and a patch matrix of the input is multiplied against
-it.  One walk runs the plan on an image batch for the exact pass here, the
-analog pass (hardware.py) and the training pass (train.py); each supplies
-the step from patch matrix to scaled pre-activations and the output step,
-and training also wraps the activation step to record what backprop needs.
+indices.  That lowering is how a conv lands on crossbar tiles and how
+backprop sees it: the lowered weight matrix is (k*k*in_ch) x out_ch and a
+patch matrix of the input (patches below) is multiplied against it.  One
+walk runs the plan on an image batch for the exact pass here, the analog
+pass (hardware.py) and the training pass (train.py); each supplies the step
+from a layer input to scaled pre-activations and the output step, and
+training also wraps the activation step to record what backprop needs.
+The exact products (exact_preact) need no patch matrix: a conv is summed
+one kernel row at a time over windows of the input rows (the kn2row
+family), and only the passes that read input vectors build patches.
 
 Hidden pre-activations are integer popcounts with magnitude up to the
 layer's fan-in, so before an activation they are divided by a fixed
@@ -359,14 +362,57 @@ def activate(op, u):
     return act_ternary(u, op.layer.r)
 
 
+def patches(op, x):
+    """The input vectors that op's lowered weight matrix multiplies: a dense
+    layer's (N, K) input x itself, or the (N*P, K) patch matrix of a conv's
+    input batch x, whose row n*P + p holds what output position p
+    (row-major) of image n reads, in the lowered weight matrix's row order."""
+    if op.gather is None:
+        return x
+    n = x.shape[0]
+    return np.take(x.reshape(n, -1), op.gather, axis=1).reshape(-1, op.fan_in)
+
+
+def exact_preact(op, x, w):
+    """Scaled float64 pre-activations of conv or dense op, from its trit
+    weights w (any real dtype) and input x: (N, oh, ow, O) for a conv's
+    (N, C, H, W) batch, (N, O) for a dense layer's (N, K).
+
+    A conv reads float32 row windows R[n, h, j, (kw, c)] =
+    x[n, c, h, j*stride + kw] and sums, over kernel rows kh, the product of
+    R's rows kh, kh + stride, ... with that kernel row's weights.  Every
+    partial sum is an integer of magnitude at most fan_in < 2**24, so the
+    float32 sums are the exact popcounts and the float64 results are those
+    of an integer patch-matrix product, bit for bit.  (kw, c) order copies
+    each window as one run of the channels-last input.
+    """
+    if op.gather is None:
+        pc = x.astype(np.float32) @ w.astype(np.float32)
+        return np.divide(pc, op.scale, dtype=np.float64)
+    o, c, k, _ = w.shape
+    s = op.layer.stride
+    _, oh, ow = op.out_shape
+    hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
+    win = sliding_window_view(hwc, k, axis=2)[:, :, :s * (ow - 1) + 1:s]
+    rows = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3))
+    rows = rows.reshape(*rows.shape[:3], k * c)
+    wk = w.transpose(2, 3, 1, 0).reshape(k, k * c, o).astype(np.float32)
+    span = s * (oh - 1) + 1
+    pc = rows[:, :span:s] @ wk[0]
+    for kh in range(1, k):
+        pc += rows[:, kh:kh + span:s] @ wk[kh]
+    return np.divide(pc, op.scale, dtype=np.float64)
+
+
 def walk(net, x, preact, output, activate=activate):
     """Run the compiled plan of net on a batch x of shape (N, C, H, W).
 
-    preact(op, patches) turns a conv's (N*P, K) patch matrix (image-major,
-    then output position row-major) or a dense layer's (N, K) input into
-    scaled pre-activations, (N*P, O) or (N, O).  activate(op, u) sees them
-    as (N, O, oh, ow) or (N, O); output(op, u) gets the last layer's (N, O)
-    and the walk returns what it returns.
+    preact(op, x) turns a conv's (N, C, H, W) layer input or a dense
+    layer's (N, K) input into scaled pre-activations: (N, O) for a dense
+    layer, and for a conv either (N*P, O), image-major then output position
+    row-major as the rows of patches(op, x), or the same as (N, oh, ow, O).
+    activate(op, u) sees them as (N, O, oh, ow) or (N, O); output(op, u)
+    gets the last layer's (N, O) and the walk returns what it returns.
     """
     n = x.shape[0]
     val = x
@@ -379,8 +425,7 @@ def walk(net, x, preact, output, activate=activate):
                 return output(op, u)
             val = activate(op, u)
         elif op.gather is not None:
-            patches = np.take(val.reshape(n, -1), op.gather, axis=1)
-            u = preact(op, patches.reshape(-1, op.fan_in))
+            u = preact(op, val)
             o, oh, ow = op.out_shape
             u = u.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
         else:
@@ -414,13 +459,8 @@ def forward_ideal(net, x):
     batch, single = as_batch(net, x)
     net.require_weights()
 
-    def preact(op, patches):
-        w = net.weights[op.index].data
-        wmat = w if op.gather is None else conv_weight_matrix(w)
-        # Trit sums over fan-in < 2**24 are exact float32 integers, so the
-        # float32 product casts to the float64 popcount bit for bit.
-        pc = patches.astype(np.float32) @ wmat.astype(np.float32)
-        return pc.astype(np.float64) / op.scale
+    def preact(op, x):
+        return exact_preact(op, x, net.weights[op.index].data)
 
     scores = walk(net, batch, preact, lambda op, u: sigmoid_ideal(u))
     return scores[0] if single else scores

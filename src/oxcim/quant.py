@@ -86,8 +86,7 @@ def act_binary(x):
     """Binary activation: +1 for x >= 0, -1 for x < 0.  Scalar or array."""
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr)
-    out = np.where(arr >= 0.0, 1, -1).astype(TRIT_DTYPE)
-    return out[()] if np.ndim(x) == 0 else out
+    return np.greater_equal(arr, 0.0).view(TRIT_DTYPE) * 2 - 1
 
 
 def check_dead_band(r):
@@ -105,10 +104,8 @@ def act_ternary(x, r):
     check_dead_band(r)
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr)
-    out = np.zeros(arr.shape, dtype=TRIT_DTYPE)
-    out[arr > r] = 1
-    out[arr < -r] = -1
-    return out[()] if np.ndim(x) == 0 else out
+    return np.greater(arr, r).view(TRIT_DTYPE) \
+        - np.less(arr, -r).view(TRIT_DTYPE)
 
 
 def popcount_oracle(x, w):

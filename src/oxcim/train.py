@@ -18,9 +18,12 @@ run is reproducible end to end.  The validation loss runs the forward pass
 only: the same forward and loss code as a training step, with no backward
 records, STE masks or gradients.
 
-A step casts its layer inputs to float one block at a time, each within
-BLOCK_BYTES: row blocks to float32 for the forward products, column blocks
-to float64 for the weight gradients.  Neither moves a bit: the forward
+The quantized forward runs network.exact_preact, the exact products of
+the oracle, and records each layer's input; backprop builds a conv's patch
+matrix from it.  A step casts its layer inputs to float one block at a
+time, each within BLOCK_BYTES: blocks of images to float32 for the forward
+products, column blocks of the inputs (patch matrices for a conv) to
+float64 for the weight gradients.  Neither moves a bit: the forward
 products are exact trit sums, and each gradient element keeps its one
 float64 sum over the batch.
 """
@@ -32,8 +35,8 @@ import numpy as np
 from .data import pad_to_32
 from .errors import DomainError, ShapeError, TrainingDiverged, check_integer, \
     check_real
-from .network import Activation, activate, conv_weight_matrix, maxpool, \
-    thermometric_trits, walk
+from .network import Activation, activate, conv_weight_matrix, \
+    exact_preact, maxpool, patches, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .quant import act_binary, act_ternary  # noqa: F401
@@ -44,10 +47,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256  # images per forward pass in evaluate_loss
-# Bytes of the float copy of one block of an input matrix in a training
-# step: the forward casts row blocks to float32, the backward column blocks
-# to float64.  A float64 copy of a whole conv1 patch matrix (80 MB at 64
-# images) set the peak RSS of a training run; 16 MiB blocks ran fastest.
+# Bytes of the float copy of one block of a layer input in a training
+# step: the forward casts blocks of images to float32, the backward column
+# blocks to float64.  A float64 copy of a whole conv1 patch matrix (80 MB at
+# 64 images) set the peak RSS of a training run; 16 MiB blocks ran fastest.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -223,20 +226,23 @@ class Trainer:
         y = self._check_labels(labels, B)
         stack = []  # what _backward needs, in forward order
 
-        def preact(op, patches):
+        def preact(op, x):
             k = self.net.parametric_indices().index(op.index)
             wq = self._quant_weight(self.params[k], surrogate)
             wmat = wq if op.gather is None else conv_weight_matrix(wq)
             if backward:
-                stack.append((op, k, patches, wmat))
+                stack.append((op, k, x, wmat))
             if surrogate:
-                return np.asarray(patches, dtype=np.float64) @ wmat / op.scale
-            # trit products: exact in float32, as in forward_ideal
-            w32 = wmat.astype(np.float32)
-            pc = np.empty((len(patches), w32.shape[1]))
-            for s in _blocks(len(patches), patches.size * 4):
-                pc[s] = patches[s].astype(np.float32) @ w32
-            return pc / op.scale
+                return np.asarray(patches(op, x), dtype=np.float64) @ wmat \
+                    / op.scale
+            # float32 row windows: H * ow * C * kernel values per conv image
+            width = x[0].size if op.gather is None else \
+                op.in_shape[1] * op.out_shape[2] * op.fan_in // op.layer.kernel
+            o, *positions = op.out_shape
+            u = np.empty((B, *positions, o))
+            for s in _blocks(B, B * width * 4):
+                u[s] = exact_preact(op, x[s], wq)
+            return u
 
         def ste_activate(op, u):
             a = np.clip(u, -1.0, 1.0) if surrogate else activate(op, u)
@@ -266,10 +272,10 @@ class Trainer:
     def _backward(self, stack, dpre):
         """Latent-weight gradients from the records of one forward walk.
 
-        Conv/dense records hold (op, param index, input, weight matrix);
-        activation records hold (op, bool STE mask, activations).  Only
-        pools can sit between an activation and the next conv/dense, and
-        their ties share the gradient evenly.
+        Conv/dense records hold (op, param index, layer input, weight
+        matrix); activation records hold (op, bool STE mask, activations).
+        Only pools can sit between an activation and the next conv/dense,
+        and their ties share the gradient evenly.
         """
         grads = [None] * len(self.params)
         above = None  # layer index of the conv/dense that dval belongs to
@@ -281,7 +287,8 @@ class Trainer:
                 dpre = _unpool(a, sizes, dval).reshape(mask.shape) * mask \
                     / op.scale
                 continue
-            _, k, inputs, wmat = rec
+            _, k, x, wmat = rec
+            inputs = patches(op, x)
             if dpre.ndim == 4:  # (B, O, oh, ow) -> (B*P, O), patch order
                 dpre = dpre.transpose(0, 2, 3, 1).reshape(-1, dpre.shape[1])
             gw = _weight_gradient(inputs, dpre)

@@ -147,9 +147,17 @@ def _train_fixture(precision_name, request, dataset):
 
     cfg = TrainConfig(epochs=4, batch_size=64, lr=2e-3, val_fraction=0.05,
                       seed=11)
+    # the code that trains the nets is part of the key, so a change to it
+    # retrains them instead of serving nets from before the change
+    code = hashlib.sha256()
+    for module in ("train", "network", "quant", "data"):
+        with open(os.path.join(os.path.dirname(weightfile.__file__),
+                               f"{module}.py"), "rb") as fh:
+            code.update(hashlib.sha256(fh.read()).digest())
     key_src = (f"v2|{precision_name}|{cfg.epochs}|{cfg.batch_size}|{cfg.lr}|"
                f"{cfg.seed}|{dataset.train_images.shape[0]}|"
-               f"{hashlib.sha256(dataset.train_images[:8].tobytes()).hexdigest()}")
+               f"{hashlib.sha256(dataset.train_images[:8].tobytes()).hexdigest()}"
+               f"|{code.hexdigest()}")
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     name = f"oxcim-{precision_name}-{key}"
     cache = getattr(request.config, "cache", None)

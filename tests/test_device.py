@@ -61,6 +61,14 @@ class TestStateAndConfigValidation:
         tile = CrossbarTile(cfg, np.array([[1, -1], [0, 1]]), array_id=1)
         assert np.all(np.isfinite(tile.cell_g))
 
+    @pytest.mark.parametrize("seed", [10 ** 5000, -10 ** 5000],
+                             ids=["10**5000", "-10**5000"])
+    def test_seed_too_long_to_print_rejected(self, seed):
+        # str() refuses an int of 4,300 digits: the message used to end in
+        # Python's ValueError
+        with pytest.raises(ConfigError, match="integer of 16610 bits"):
+            dataclasses.replace(default_device_config("hrs"), seed=seed)
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True])
     def test_non_integer_seed_rejected(self, seed):
         # 1.5 used to draw exactly seed 1's streams

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oxcim import weightfile
 from oxcim.bench import ExperimentSpec, run_accuracy, sweep_sense_distribution
@@ -141,7 +141,8 @@ class TestLayerChains:
 SWEEP_DIMS = [1, 2, 8, 9, 0, -1, 2.5, 2.0, True, 2 ** 64, None, "2",
               np.int64(3), (2, 2)]
 SWEEP_SAMPLES = [1, 2, 0, -1, 2.5, 2.0, True, None, "2"]
-SWEEP_SEEDS = [0, 1, 2 ** 64, np.uint64(5), -1, 1.5, True, None, "1"]
+SWEEP_SEEDS = [0, 1, 2 ** 64, np.uint64(5), -1, 1.5, True, None, "1",
+               -10 ** 5000]
 SWEEP_FUZZ = settings(derandomize=True, max_examples=400, deadline=None,
                       database=None)
 
@@ -166,6 +167,8 @@ def sweep_configs():
 class TestSenseSweep:
     @SWEEP_FUZZ
     @given(sweep_call())
+    # a seed too long for str(): its range error used to end in a ValueError
+    @example(((2, 2), 1, -10 ** 5000, Precision.TERNARY, "hrs"))
     def test_sweep_sense_distribution(self, sweep_configs, call):
         dims, samples, seed, precision, config = call
         try:
@@ -257,8 +260,8 @@ class TestTilesAndForwardPasses:
 # (through Activation and quantize_weights) and the sense gain, each drawn
 # from one pool of valid and invalid values.
 REALS = [0.5, 1e-6, 2.0, np.float32(0.25), 3, 0.0, -1e-6, float("nan"),
-         float("inf"), -float("inf"), 10 ** 400, True, False, np.bool_(True),
-         None, "0.5", 1j]
+         float("inf"), -float("inf"), 10 ** 400, 10 ** 5000, True, False,
+         np.bool_(True), None, "0.5", 1j]
 REAL_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
                      database=None)
 DELTAS_UA = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
@@ -300,7 +303,7 @@ TRAIN_CONFIG_VALUES = {
     "epochs": [1, 2, 0, -1, 1.0, 0.5, float("nan")],
     "batch_size": [1, 5, 11, 12, 64, 0, -1, 2.0, float("inf")],
     "lr": [0, 1e-3, 2e-2, 1e300, -1.0, float("nan"), float("inf"), True,
-           None, "0.1"],
+           None, "0.1", 10 ** 5000],
     "weight_r": [0.5, 0.999, 1e-9, 0.0, 1.0, -0.5, float("nan"), True, None,
                  "0.1"],
     "val_fraction": [0.0, 0.1, 0.5, 0.95, 0.99, 1.0, -0.1, float("nan"),
@@ -334,6 +337,7 @@ def train_call(draw):
 class TestTraining:
     @TRAIN_FUZZ
     @given(train_call())
+    @example((np.arange(TRAIN_IMAGES) % 10, {"lr": 10 ** 5000}))
     def test_train(self, train_corpus, call):
         images, _ = train_corpus
         labels, fields = call
@@ -349,7 +353,7 @@ SPEC_VALUES = {
     "mode": ["ideal", "hardware", "x"],
     "config": ["hrs", "lrs", "binary"],
     "seeds": [None, [0], [1, 2], [], [1, 1], [1, 1.5], [2 ** 64], [-1], 3,
-              (1, 2), np.array([1, 2])],
+              (1, 2), np.array([1, 2]), [10 ** 5000]],
     "limit": [None, 1, 4, 5, 0, -1, 2.5, 2.0],
     "max_tile": [(64, 64), (16, 8), (2, 3), (64.5, 64), (0, 64), (8, 2),
                  (64,)],

@@ -2,14 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oxcim.bench import encode_images
 from oxcim.data import pad_to_32
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import (DEFAULT_THERMO_THRESHOLDS, Activation, Conv2D,
                            Dense, MaxPool2D, NetworkDescription,
-                           conv_weight_matrix, forward_ideal, im2col, lenet,
-                           maxpool, predict_ideal, thermometric_trits)
+                           conv_weight_matrix, exact_preact, forward_ideal,
+                           im2col, lenet, maxpool, patches, predict_ideal,
+                           thermometric_trits)
 from oxcim.quant import Precision, TernaryTensor
 from oxcim.device import sigmoid_ideal
 from oxcim.quant import popcount_oracle
@@ -169,6 +171,47 @@ class TestConvLowering:
         assert (oh, ow) == (4, 4)
         np.testing.assert_array_equal(
             direct_conv2d(x, wt, 2).shape, (1, 4, 4))
+
+
+@st.composite
+def conv_cases(draw):
+    """(conv op, dense op after it, layer input, conv weights): random
+    shapes with trits that hold zeros, weights as int8 or float64."""
+    c, h, w = (draw(st.integers(1, 3)), draw(st.integers(1, 9)),
+               draw(st.integers(1, 9)))
+    k = draw(st.integers(1, min(h, w)))
+    layers = [Conv2D(draw(st.integers(1, 4)), k, draw(st.integers(1, 3))),
+              Activation("ternary"), Dense(2), Activation("sigmoid_output")]
+    net = NetworkDescription(Precision.TERNARY, (c, h, w), layers,
+                             [None] * len(layers))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.integers(-1, 2, size=(draw(st.integers(1, 4)), c, h, w),
+                     dtype=np.int8)
+    wt = gen.integers(-1, 2, size=net.plan[0].weight_shape) \
+        .astype(draw(st.sampled_from([np.int8, np.float64])))
+    return net.plan[0], net.plan[2], x, wt
+
+
+class TestExactPreact:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(conv_cases())
+    def test_equals_the_integer_patch_product(self, case):
+        conv, dense, x, wt = case
+        pc = patches(conv, x).astype(np.int64) \
+            @ conv_weight_matrix(wt).astype(np.int64)
+        u = exact_preact(conv, x, wt)
+        o, oh, ow = conv.out_shape
+        assert u.dtype == np.float64 and u.shape == (len(x), oh, ow, o)
+        np.testing.assert_array_equal(u.reshape(pc.shape).view(np.uint64),
+                                      (pc / conv.scale).view(np.uint64))
+        # the dense layer after it reads the conv's trits, flattened
+        a = np.sign(pc).astype(np.int8).reshape(len(x), -1)
+        wd = np.resize(wt.ravel(), dense.weight_shape)
+        np.testing.assert_array_equal(
+            exact_preact(dense, a, wd).view(np.uint64),
+            (a.astype(np.int64) @ wd.astype(np.int64) / dense.scale)
+            .view(np.uint64))
 
 
 class TestMaxPool:

@@ -9,7 +9,7 @@ from oxcim.data import synthetic_dataset
 from oxcim.errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal, lenet, maxpool,
-                           walk)
+                           patches, walk)
 from oxcim.quant import Precision
 from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
                          _blocks, _encode_batch, _unpool, _weight_gradient)
@@ -68,6 +68,12 @@ class TestTrainConfig:
         # an int too large for a float used to end in a TypeError
         with pytest.raises(ConfigError, match="learning rate must be finite"):
             TrainConfig(lr=10 ** 400)
+
+    def test_lr_too_long_to_print_rejected(self):
+        # str() refuses an int of 4,300 digits: the message used to end in
+        # Python's ValueError
+        with pytest.raises(ConfigError, match="integer of 16610 bits"):
+            TrainConfig(lr=10 ** 5000)
 
     def test_negative_seed_rejected(self):
         # numpy's generator takes no negative seed
@@ -205,14 +211,14 @@ class TestTrainerMechanics:
         seen = []
 
         def spy_walk(net, x, preact, output, activate):
-            def exact_preact(op, patches):
-                u = preact(op, patches)
+            def exact_preact(op, inputs):
+                u = preact(op, inputs)
                 k = net.parametric_indices().index(op.index)
                 w = trainer.quantized_weights()[k].data.astype(np.int64)
                 wmat = w if op.gather is None else w.reshape(len(w), -1).T
-                pc = np.asarray(patches).astype(np.int64) @ wmat
-                seen.append(u.dtype == np.float64
-                            and np.array_equal(u, pc / op.scale))
+                pc = patches(op, inputs).astype(np.int64) @ wmat
+                seen.append(u.dtype == np.float64 and np.array_equal(
+                    u.reshape(pc.shape), pc / op.scale))
                 return u
             return walk(net, x, exact_preact, output, activate)
 
@@ -456,6 +462,23 @@ class TestBlockedWeightGradient:
             tracemalloc.stop()
         margin = 16 * 2**20
         assert peak <= conv1_patch_bytes(batch, 1) + BLOCK_BYTES + margin
+
+
+class TestValidationLoss:
+    def test_working_set_is_bounded(self):
+        # the forward casts blocks of images to float32 row windows; a
+        # patch matrix of all 256 images and its float32 copy peaked at
+        # 65 MiB
+        store = synthetic_dataset(n_train=EVAL_BATCH, n_test=4, seed=7)
+        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
+        trainer.evaluate_loss(store.train_images, store.train_labels)
+        tracemalloc.start()
+        try:
+            trainer.evaluate_loss(store.train_images, store.train_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
 
 def unpool_reference(a, sizes, dval):
