@@ -20,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile
-from .data import pad_to_32
+from .data import N_CLASSES, check_labels, pad_to_32
 from .device import check_seed, sigmoid_neuron_voltage
-from .errors import ConfigError, ShapeError, check_integer
+from .errors import ConfigError, ShapeError, check_integer, check_integers
 from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
     map_network_to_tiles, predict_hardware
 from .network import predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
-N_CLASSES = 10
 CHUNK = 8  # images per forward pass (module docstring)
 HIST_BINS = 40  # hist.csv bins per trit
 
@@ -38,14 +37,16 @@ class ConfusionMatrix:
     counts: np.ndarray  # (true, pred) integer counts
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = check_integers(self.counts, "counts", 0).astype(np.int64)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
             raise ShapeError("confusion matrix must be 10x10")
 
     @classmethod
     def from_predictions(cls, truth, pred):
+        truth = check_labels(truth, np.size(truth), what="true classes")
+        pred = check_labels(pred, truth.size, what="predicted classes")
         counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        np.add.at(counts, (np.asarray(truth), np.asarray(pred)), 1)
+        np.add.at(counts, (truth, pred), 1)
         return cls(counts)
 
 
@@ -122,7 +123,7 @@ def run_accuracy(spec, images, labels):
     n = images.shape[0] if spec.limit is None else min(spec.limit, images.shape[0])
     if n == 0:
         raise ShapeError("no images to evaluate")
-    truth = np.asarray(labels[:n], dtype=np.int64)
+    truth = check_labels(labels, images.shape[0])[:n]
     encoded = encode_images(images[:n])
     accuracies = []
     confusion = None

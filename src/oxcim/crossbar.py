@@ -69,7 +69,8 @@ import numpy as np
 from . import rng
 from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
     sample_device_conductance_grid
-from .errors import ConfigError, DomainError, ShapeError, check_integer, check_real
+from .errors import ConfigError, ShapeError, check_integer, check_real, \
+    check_integers, check_reals
 from .network import Activation
 from .quant import _as_trits, act_binary, act_ternary
 
@@ -143,13 +144,9 @@ class CrossbarTile:
         if xb.shape[1] != self.rows:
             raise ShapeError(f"input length {xb.shape[1]} != tile rows "
                              f"{self.rows}")
-        pairs = np.asarray(read_pairs)
+        pairs = check_integers(read_pairs, "read pair ids", 0, 2**63)
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
-        if pairs.size and (pairs.dtype.kind not in "iu" or pairs.min() < 0
-                           or pairs.max() >= 2**63):
-            raise DomainError(f"read pair ids ({pairs.dtype}) must be "
-                              "integers in [0, 2**63)")
         pairs = pairs.astype(np.uint64, copy=False)
         gates = np.empty((2,) + xb.shape, dtype=bool)  # (phase, vector, row)
         np.greater(xb, 0, out=gates[0])
@@ -244,7 +241,7 @@ def sense_to_activation(delta_uA, mode, r=Activation.r, gain_uA=1.0):
     are returned.
     """
     check_real(gain_uA, "gain", 0.0, strict=True)
-    u = np.asarray(delta_uA) / gain_uA
+    u = check_reals(delta_uA, "differential current") / gain_uA
     if mode is ActivationMode.HIDDEN_BINARY:
         return act_binary(u)
     if mode is ActivationMode.HIDDEN_TERNARY:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError, check_integer
+from .errors import DomainError, ParseError, ShapeError, check_integer, \
+    check_integers
 
 _IDX_DTYPES = {
     0x08: np.dtype(">u1"),
@@ -30,6 +31,7 @@ _IDX_DTYPES = {
     0x0E: np.dtype(">f8"),
 }
 
+N_CLASSES = 10  # label values 0..9
 STANDARD_FILES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -81,6 +83,16 @@ def load_idx(path):
     return data.reshape(dims).astype(dtype.newbyteorder("="))
 
 
+def check_labels(labels, n, classes=N_CLASSES, what="labels"):
+    """labels as an int64 array, one integer in 0..classes-1 for each of n
+    images; a ShapeError for a wrong count."""
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise ShapeError(f"{what} of shape {y.shape} for {n} images; "
+                         "give one label per image")
+    return check_integers(y, what, 0, classes).astype(np.int64)
+
+
 @dataclass
 class DatasetStore:
     """Train/test images and labels with the usual validity checks."""
@@ -93,17 +105,10 @@ class DatasetStore:
     def __post_init__(self):
         for split in ("train", "test"):
             imgs = getattr(self, f"{split}_images")
-            labs = getattr(self, f"{split}_labels")
             if imgs.ndim != 3:
                 raise ShapeError(f"{split} images must be (n, H, W)")
-            if imgs.shape[0] != labs.shape[0]:
-                raise ShapeError(
-                    f"{split}: {imgs.shape[0]} images vs {labs.shape[0]} labels")
-            if labs.dtype.kind not in "iu":
-                raise DomainError(
-                    f"{split} labels must be integers, got {labs.dtype}")
-            if labs.size and (labs.min() < 0 or labs.max() > 9):
-                raise DomainError(f"{split} labels must lie in 0..9")
+            check_labels(getattr(self, f"{split}_labels"), imgs.shape[0],
+                         what=f"{split} labels")
             if imgs.dtype != np.uint8:
                 raise DomainError(f"{split} images must be uint8 (0..255)")
 

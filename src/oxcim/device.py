@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, ParseError, check_integer, \
-    check_real, read_records
+    check_real, check_reals, read_records
 from .quant import Precision, _as_trits
 
 log = logging.getLogger(__name__)
@@ -174,9 +174,7 @@ MEASURED_OFFSET_V = 0.1
 
 def sigmoid_ideal(x):
     """Numerically stable logistic 1 / (1 + exp(-x)), strictly in (0, 1)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sigmoid input must be finite")
+    arr = np.asarray(check_reals(x, "sigmoid input"), dtype=np.float64)
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
@@ -187,9 +185,7 @@ def sigmoid_ideal(x):
 
 def sigmoid_neuron_voltage(i_input_uA):
     """Measured neuron voltage, offset + A * sigmoid(i - mid), for i in uA."""
-    arr = np.asarray(i_input_uA, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("neuron input current must be finite")
+    arr = check_reals(i_input_uA, "neuron input current").astype(np.float64)
     v = MEASURED_OFFSET_V + MEASURED_AMPLITUDE_V \
         * sigmoid_ideal(arr - MEASURED_MIDPOINT_UA)
     return v[()] if np.ndim(i_input_uA) == 0 else v
@@ -245,7 +241,7 @@ def parse_device_config(data, name="<string>"):
 
 def default_config_file(which):
     """The packaged default config file: 'hrs' or 'lrs'."""
-    key = which.lower()
+    key = which.lower() if isinstance(which, str) else None
     if key not in ("hrs", "lrs"):
         raise ConfigError(f"no default config named {which!r}")
     return resources.files(__package__).joinpath("configs", f"{key}_default.cfg")

@@ -1,9 +1,11 @@
 """Exception types shared across the package, the number checks of its
-inputs, and the record reader of its two text formats (device configs and
-weight files)."""
+inputs (check_integer and check_real for one value, check_integers and
+check_reals for an array), and the record reader of its two text formats."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class OxcimError(Exception):
@@ -71,6 +73,32 @@ def check_real(value, what, lo, hi=math.inf, strict=False, error=ConfigError):
         rule = (f"be finite and {'>' if strict else '>='} {lo:g}" if hi == math.inf
                 else f"lie in {'(' if strict else '['}{lo:g}, {hi:g})")
         raise error(f"{what} must {rule}, got {_shown(value)}")
+
+
+def check_reals(values, what, lo=-math.inf, hi=math.inf):
+    """values as an array, or a DomainError unless its dtype is integer or
+    float (not bool, complex, object or str) and every value is finite and
+    in [lo, hi].  Open bounds cost an isfinite pass, set ones a min and max."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, got {arr.dtype}")
+    if arr.size and (math.inf in (-lo, hi) and not np.isfinite(arr).all()
+                     or (lo, hi) != (-math.inf, math.inf)
+                     and not lo <= arr.min() <= arr.max() <= hi):
+        raise DomainError(f"{what} must be finite and in [{lo:g}, {hi:g}]")
+    return arr
+
+
+def check_integers(values, what, lo, hi=None):
+    """values as an array, or a DomainError unless its dtype is integer (not
+    bool), or float if it is empty (np.asarray([]) is float64), and every
+    value is in [lo, hi), or >= lo if hi is None."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in ("iu" if arr.size else "iuf") or arr.size and (
+            arr.min() < lo or hi is not None and arr.max() >= hi):
+        rule = f">= {lo}" if hi is None else f"in {lo}..{_shown(hi - 1)}"
+        raise DomainError(f"{what} must be integers {rule}")
+    return arr
 
 
 def _shown(value):

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import sigmoid_ideal
-from .errors import ConfigError, DomainError, ShapeError, check_integer
+from .errors import ConfigError, ShapeError, check_integer, check_reals
 from .quant import Precision, TernaryTensor, _as_trits, act_binary, \
     act_ternary, check_dead_band
 
@@ -70,12 +70,9 @@ def thermometric_trits(images):
     (a thermometer).  The bits are written into the output and mapped to
     trits in place, so a batch costs no temporary of the output's size.
     """
-    img = np.asarray(images)
+    img = check_reals(images, "pixel values", 0, 255)
     if img.ndim < 2:
         raise ShapeError("expected (..., H, W) grayscale images")
-    if img.size and (not np.all(np.isfinite(img))
-                     or img.min() < 0 or img.max() > 255):
-        raise DomainError("pixel values must lie in [0, 255]")
     out = np.empty(img.shape[:-2] + (N_THERMO_CHANNELS,) + img.shape[-2:],
                    dtype=np.int8)
     for c, t in enumerate(DEFAULT_THERMO_THRESHOLDS):
@@ -136,6 +133,10 @@ def im2col(x, kernel, stride=1):
     Patch element order is (channel, kernel row, kernel col), matching
     conv_weight_matrix below.
     """
+    check_integer(kernel, "kernel", lo=1)
+    check_integer(stride, "stride", lo=1)
+    if x.ndim != 3:
+        raise ShapeError(f"im2col needs a (C, H, W) map, got {x.shape}")
     c, h, w = x.shape
     if kernel > h or kernel > w:
         raise ShapeError(f"kernel {kernel} exceeds input {h}x{w}")
@@ -166,6 +167,9 @@ def maxpool(x, size):
     Pairwise maxima over the size**2 strided views of the window offsets,
     which is far faster than a reduction over a 6-D reshape.
     """
+    check_integer(size, "pool size", lo=1)
+    if x.ndim < 3:
+        raise ShapeError(f"maxpool needs (..., C, H, W) maps, got {x.shape}")
     h, w = x.shape[-2:]
     if h % size or w % size:
         raise ShapeError(f"pool size {size} does not divide {h}x{w}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_real
+from .errors import DomainError, ShapeError, check_real, check_reals
 
 TRIT_DTYPE = np.int8
 
@@ -77,15 +77,9 @@ class TernaryTensor:
         )
 
 
-def _check_finite(x):
-    if not np.all(np.isfinite(x)):
-        raise DomainError("activation input must be finite")
-
-
 def act_binary(x):
     """Binary activation: +1 for x >= 0, -1 for x < 0.  Scalar or array."""
-    arr = np.asarray(x, dtype=np.float64)
-    _check_finite(arr)
+    arr = np.asarray(check_reals(x, "activation input"), dtype=np.float64)
     return np.greater_equal(arr, 0.0).view(TRIT_DTYPE) * 2 - 1
 
 
@@ -102,8 +96,7 @@ def act_ternary(x, r):
     binary activation with an empty zero band).
     """
     check_dead_band(r)
-    arr = np.asarray(x, dtype=np.float64)
-    _check_finite(arr)
+    arr = np.asarray(check_reals(x, "activation input"), dtype=np.float64)
     return np.greater(arr, r).view(TRIT_DTYPE) \
         - np.less(arr, -r).view(TRIT_DTYPE)
 
@@ -125,8 +118,7 @@ def quantize_weights(latent, precision, r=0.5):
     Binary: sign with the 0 tie mapped to +1.  Ternary: dead-band threshold
     at r, same convention as act_ternary.
     """
-    arr = np.asarray(latent, dtype=np.float64)
-    _check_finite(arr)
+    arr = check_reals(latent, "latent weights")
     if precision is Precision.BINARY:
         q = act_binary(arr)
     else:

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import pad_to_32
-from .errors import DomainError, ShapeError, TrainingDiverged, check_integer, \
-    check_real
-from .network import Activation, activate, conv_weight_matrix, \
+from .data import check_labels, pad_to_32
+from .errors import ShapeError, TrainingDiverged, check_integer, check_real
+from .network import Activation, activate, as_batch, conv_weight_matrix, \
     exact_preact, maxpool, patches, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
@@ -179,20 +178,10 @@ class Trainer:
                               list(self.net.layers), weights)
 
     def _check_labels(self, labels, n):
-        """labels as an array: integers below the output width, one for each
-        of n >= 1 images."""
-        width = self.net.plan[-1].out_shape[0]
-        y = np.asarray(labels)
+        """labels as checked by data.check_labels for n >= 1 images."""
         if n < 1:
             raise ShapeError("no images to compute a loss on")
-        if y.shape != (n,):
-            raise ShapeError(f"labels of shape {y.shape} for {n} images; "
-                             f"give one label per image")
-        if y.dtype.kind not in "iu":
-            raise DomainError(f"labels must be integers, got {y.dtype}")
-        if y.min() < 0 or y.max() >= width:
-            raise DomainError(f"labels must lie in 0..{width - 1}")
-        return y
+        return check_labels(labels, n, self.net.plan[-1].out_shape[0])
 
     # -- forward / backward ----------------------------------------------------
 
@@ -210,7 +199,8 @@ class Trainer:
         network whose analytic gradients can be checked against finite
         differences.
         """
-        return self._pass(x_trits, labels, surrogate, backward=True)
+        x, _ = as_batch(self.net, x_trits)
+        return self._pass(x, labels, surrogate, backward=True)
 
     def _pass(self, x_trits, labels, surrogate=False, backward=False):
         """Mean loss of one encoded batch, and with backward the gradients.

@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 
 # All BLAS pools on one thread, as in benchmarks/run.py, so the float64
@@ -134,9 +135,10 @@ def dataset():
 def _train_fixture(precision_name, request, dataset):
     """Train (or load the cached) small fixture net for accuracy tests.
 
-    The net is cached in pytest's cache directory; with the cache provider
-    off (-p no:cacheprovider) it is trained into a session temporary
-    directory instead.
+    The net is cached in pytest's cache directory, where training a net
+    under a new key deletes the nets of that precision kept under other
+    keys; with the cache provider off (-p no:cacheprovider) it is trained
+    into a session temporary directory instead.
     """
     import hashlib
 
@@ -169,6 +171,12 @@ def _train_fixture(precision_name, request, dataset):
     result = train(lenet(Precision(precision_name)), dataset.train_images,
                    dataset.train_labels, cfg)
     weightfile.save_network(result.net, path)
+    if cache is not None:
+        # the nets of any other key came from other training code, and no
+        # run of this code reads them again
+        for old in cache_dir.parent.glob(f"oxcim-{precision_name}-*"):
+            if old != cache_dir:
+                shutil.rmtree(old)
     return result.net
 
 

@@ -4,7 +4,7 @@ import pytest
 from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
                          sweep_sense_distribution,
                          weight_conductance_histogram)
-from oxcim.errors import ConfigError, ShapeError
+from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.hardware import map_network_to_tiles, predict_hardware
 from oxcim.network import predict_ideal
 from oxcim.quant import Precision
@@ -47,6 +47,19 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix.from_predictions(truth, pred)
         assert 100.0 * np.trace(cm.counts) / cm.counts.sum() == pytest.approx(
             100.0 * np.mean(truth == pred))
+
+
+    def test_prediction_count_must_match_truth(self):
+        # one prediction used to be broadcast against every true class
+        with pytest.raises(ShapeError, match="one label per image"):
+            ConfusionMatrix.from_predictions(np.arange(4), [3])
+
+    @pytest.mark.parametrize("counts", [-np.eye(10, dtype=np.int64),
+                                        np.full((10, 10), 0.5)])
+    def test_counts_are_integers_at_least_zero(self, counts):
+        # -1 was kept and 0.5 truncated to 0
+        with pytest.raises(DomainError, match="counts must be integers"):
+            ConfusionMatrix(counts)
 
 
 class TestExperimentSpec:
@@ -151,6 +164,25 @@ class TestRunAccuracy:
         with pytest.raises(ShapeError, match="no images"):
             run_accuracy(spec, dataset.test_images[:0],
                          dataset.test_labels[:0])
+
+    @pytest.mark.parametrize("labels, error", [
+        ([-1, 0, 1, 2], DomainError),  # counted as class 9
+        ([3], ShapeError),             # spread over every image
+        ([0, 1, 2, 3, 4], ShapeError),
+        ([0.0, 1.0, 2.0, 3.0], DomainError)])
+    def test_labels_checked_before_mapping(self, hrs_config, dataset,
+                                           monkeypatch, labels, error):
+        from oxcim import bench
+        from test_train import small_arch
+        from oxcim.train import Trainer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tiles mapped for bad labels")
+        monkeypatch.setattr(bench, "map_network_to_tiles", refuse)
+        spec = ExperimentSpec(net=Trainer(small_arch()).network(),
+                              config=hrs_config, mode="hardware")
+        with pytest.raises(error, match="0..9|one label per image"):
+            run_accuracy(spec, dataset.test_images[:4], np.array(labels))
 
     def test_hardware_deterministic_per_seed(self, hrs_config, dataset):
         from test_train import small_arch

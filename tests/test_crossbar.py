@@ -422,6 +422,14 @@ class TestVmmTwoPhase:
 
 
 class TestSenseToActivation:
+    @pytest.mark.parametrize("mode", list(ActivationMode))
+    @pytest.mark.parametrize("bad", [np.array(["1"]), np.array([1 + 1j])])
+    def test_non_real_currents_rejected(self, bad, mode):
+        # a string array used to end in a TypeError, a complex one to lose
+        # its imaginary part with only a ComplexWarning
+        with pytest.raises(DomainError, match="current must be real numbers"):
+            sense_to_activation(bad, mode)
+
     # inputs are differential currents i_pos - i_neg in uA
     def test_hidden_binary_sign(self):
         out = sense_to_activation(np.array([0.0 - 18.0]),

@@ -296,8 +296,23 @@ class TestSigmoid:
         with pytest.raises(DomainError):
             sigmoid_neuron_voltage(float("nan"))
 
+    @pytest.mark.parametrize("bad", [np.array(["1"]), np.array([1 + 1j])])
+    def test_non_real_arrays_rejected(self, bad):
+        # a string array used to end in a ValueError, a complex one to lose
+        # its imaginary part with only a ComplexWarning
+        for sigmoid in (sigmoid_ideal, sigmoid_neuron_voltage):
+            with pytest.raises(DomainError, match="must be real numbers"):
+                sigmoid(bad)
+
 
 class TestDefaults:
+    @pytest.mark.parametrize("which", [None, 3])
+    def test_name_that_is_not_a_string_rejected(self, which):
+        # .lower() used to end in an AttributeError
+        for load in (default_config_file, default_device_config):
+            with pytest.raises(ConfigError, match="no default config"):
+                load(which)
+
     def test_default_read_conditions(self):
         for name in ("hrs", "lrs"):
             cfg = default_device_config(name)

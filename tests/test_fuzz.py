@@ -13,17 +13,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oxcim import weightfile
-from oxcim.bench import ExperimentSpec, run_accuracy, sweep_sense_distribution
+from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
+                         sweep_sense_distribution)
 from oxcim.cli import main
 from oxcim.crossbar import ActivationMode, CrossbarTile, sense_to_activation
 from oxcim.data import synthetic_dataset
 from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
-                          default_device_config, parse_device_config)
+                          default_device_config, parse_device_config,
+                          sigmoid_ideal, sigmoid_neuron_voltage)
 from oxcim.errors import OxcimError
 from oxcim.hardware import forward_hardware, map_network_to_tiles
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
-                           NetworkDescription, forward_ideal)
-from oxcim.quant import Precision, quantize_weights
+                           NetworkDescription, forward_ideal,
+                           thermometric_trits)
+from oxcim.quant import Precision, act_binary, act_ternary, quantize_weights
 from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
 from conftest import write_dataset_dir
@@ -395,6 +398,105 @@ class TestExperimentSpec:
         except OxcimError:
             return
         assert len(report.accuracies) == len(report.seeds)
+
+
+# Array arguments: every array drawn from one pool.  It starts from valid
+# values cast to one of the pool's dtypes, then up to two entries take a
+# value of that dtype from the pool (NaN, +-inf, 0.5j, None, "a", True,
+# -128 ...); shapes include empty and 0-d.  Each call returns or raises an
+# OxcimError; a returned accuracy run also counts every label once, in its
+# own row of the confusion matrix.
+ARRAY_POOL = {
+    np.float64: [0.5, 7.0, 300.0, -1e300, float("nan"), float("inf"),
+                 -float("inf")],
+    np.complex128: [0.5j, 1 + 1j],
+    object: [None, "a", 1.5],
+    np.str_: ["a", "1"],
+    np.bool_: [True, False],
+    np.int8: [-1, 7, -128, 127],
+    np.uint8: [2, 10, 255],
+}
+VALUE_SHAPES = [(), (0,), (3,), (2, 3), (10, 10)]
+ARRAY_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                      database=None)
+
+
+@st.composite
+def pool_arrays(draw, shapes, valid):
+    shape = draw(st.sampled_from(shapes))
+    dtype = draw(st.sampled_from(list(ARRAY_POOL)))
+    n = math.prod(shape)
+    arr = np.array([draw(st.sampled_from(valid)) for _ in range(n)])
+    arr = arr.astype(dtype).reshape(shape)
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        arr.flat[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(ARRAY_POOL[dtype]))
+    return arr
+
+
+@pytest.fixture(scope="module")
+def read_tile():
+    return CrossbarTile(default_device_config("hrs"),
+                        np.ones((2, 3), dtype=np.int8))
+
+
+class TestArrays:
+    @ARRAY_FUZZ
+    @given(pool_arrays(VALUE_SHAPES, [-2.0, -0.5, 0.0, 0.3, 1.0, 200.0]),
+           st.sampled_from(list(Precision)),
+           st.sampled_from(list(ActivationMode)))
+    def test_real_arrays(self, x, precision, mode):
+        for call in (lambda: act_binary(x), lambda: act_ternary(x, 0.5),
+                     lambda: quantize_weights(x, precision),
+                     lambda: sigmoid_ideal(x),
+                     lambda: sigmoid_neuron_voltage(x),
+                     lambda: thermometric_trits(x),
+                     lambda: sense_to_activation(x, mode)):
+            try:
+                call()
+            except OxcimError:
+                pass
+
+    @ARRAY_FUZZ
+    @given(pool_arrays(VALUE_SHAPES, [0, 1, 5, 9]),
+           pool_arrays(VALUE_SHAPES, [0, 1, 5, 9]))
+    def test_integer_arrays(self, read_tile, a, b):
+        x = np.ones((np.size(a), 2), dtype=np.int8)
+        for call in (lambda: ConfusionMatrix(a),
+                     lambda: ConfusionMatrix.from_predictions(a, b),
+                     lambda: read_tile.vmm_batch(x, a)):
+            try:
+                call()
+            except OxcimError:
+                pass
+
+    @ARRAY_FUZZ
+    @given(pool_arrays([(1, 4, 4), (2, 1, 4, 4), (0, 1, 4, 4), (4, 4),
+                        (1, 1, 4)], [-1, 0, 1]),
+           pool_arrays([(), (0,), (1,), (2,)], [0, 3, 9]),
+           st.sampled_from(list(Precision)))
+    def test_training_batches(self, x, labels, precision):
+        trainer = Trainer(tiny_net(precision), TrainConfig(seed=1))
+        try:
+            loss, grads = trainer.loss_and_grads(x, labels)
+        except OxcimError:
+            return
+        assert np.isfinite(loss) and len(grads) == 2
+
+    @ARRAY_FUZZ
+    @given(pool_arrays([(4,), (4,), (3,), (5,), (), (0,)], [0, 3, 9]),
+           st.sampled_from([None, 2]))
+    def test_accuracy_labels(self, spec_corpus, labels, limit):
+        net, configs, images, _ = spec_corpus
+        spec = ExperimentSpec(net=net, config=configs["hrs"], mode="ideal",
+                              limit=limit)
+        try:
+            report = run_accuracy(spec, images, labels)
+        except OxcimError:
+            return
+        np.testing.assert_array_equal(
+            report.confusion.counts.sum(axis=1),
+            np.bincount(labels[:report.n_images], minlength=10))
 
 
 # CLI argv: a valid command line, then up to five flags, mostly the

@@ -73,6 +73,14 @@ class TestThermometric:
         with pytest.raises(DomainError):
             thermometric_trits(np.full((2, 2), -1))
 
+    @pytest.mark.parametrize("bad", [np.full((2, 2), "9"), np.full((2, 2), 9j),
+                                     np.full((2, 2), True)])
+    def test_non_real_pixels_rejected(self, bad):
+        # a string array used to end in a TypeError; complex and bool pixels
+        # were encoded
+        with pytest.raises(DomainError, match="pixel values must be real"):
+            thermometric_trits(bad)
+
     def test_trits_map_zero_to_minus_one(self):
         img = np.array([[0, 255]], dtype=np.uint8)
         trits = thermometric_trits(img)
@@ -145,6 +153,21 @@ class TestConvLowering:
         assert (oh, ow) == (4, 4)
         np.testing.assert_array_equal(patches.ravel(), x.ravel())
 
+    def test_zero_kernel_rejected(self):
+        # used to return an empty patch matrix
+        with pytest.raises(ConfigError, match="kernel"):
+            im2col(np.zeros((1, 4, 4), dtype=np.int8), 0)
+
+    def test_zero_stride_rejected(self):
+        # used to end in numpy's ValueError from a zero slice step
+        with pytest.raises(ConfigError, match="stride"):
+            im2col(np.zeros((1, 4, 4), dtype=np.int8), 2, 0)
+
+    def test_map_without_channels_rejected(self):
+        # used to end in a ValueError from unpacking the shape
+        with pytest.raises(ShapeError, match="im2col needs"):
+            im2col(np.zeros((4, 4), dtype=np.int8), 2)
+
     def test_lowered_equals_direct_convolution(self):
         gen = np.random.default_rng(1)
         for trial in range(8):
@@ -215,6 +238,16 @@ class TestExactPreact:
 
 
 class TestMaxPool:
+    def test_zero_size_rejected(self):
+        # used to end in a ZeroDivisionError
+        with pytest.raises(ConfigError, match="pool size"):
+            maxpool(np.zeros((1, 4, 4), dtype=np.int8), 0)
+
+    def test_map_without_channels_rejected(self):
+        # a 2-D map used to be pooled as if it were one channel's rows
+        with pytest.raises(ShapeError, match="maxpool needs"):
+            maxpool(np.zeros((4, 4), dtype=np.int8), 2)
+
     def test_trit_ordering(self):
         x = np.array([[[-1, 0], [0, -1]]], dtype=np.int8)
         np.testing.assert_array_equal(maxpool(x, 2), [[[0]]])

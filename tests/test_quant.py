@@ -29,6 +29,16 @@ class TestActivations:
             with pytest.raises(DomainError):
                 act_binary(bad)
 
+    @pytest.mark.parametrize("bad", [np.array(["0.5"]), np.array([0.5 + 1j]),
+                                     np.array([True]), np.array([None])])
+    def test_non_real_arrays_rejected(self, bad):
+        # a string array used to end in a ValueError, a complex one to lose
+        # its imaginary part with only a ComplexWarning, and True to read 1
+        for call in (act_binary, lambda x: act_ternary(x, 0.5),
+                     lambda x: quantize_weights(x, Precision.BINARY)):
+            with pytest.raises(DomainError, match="must be real numbers"):
+                call(bad)
+
     def test_ternary_cases(self):
         assert act_ternary(0.9, 0.5) == 1
         assert act_ternary(0.0, 0.5) == 0

@@ -104,6 +104,24 @@ class TestLabelChecks:
         with pytest.raises(DomainError, match="0..9"):
             trainer.loss_and_grads(x, [-1, 0, 1, 2])
 
+    @pytest.mark.parametrize("precision, bad", [
+        (Precision.TERNARY, 0.5), (Precision.TERNARY, 7),
+        (Precision.BINARY, 0)])
+    def test_inputs_outside_the_precision_rejected_by_loss_and_grads(
+            self, store, precision, bad):
+        # used to train on them, as forward_ideal would not have run them
+        trainer = Trainer(small_arch(precision), TrainConfig(seed=1))
+        x = _encode_batch(store.train_images[:2]).astype(type(bad))
+        x[1, 3, 16, 16] = bad
+        with pytest.raises(DomainError, match="not allowed"):
+            trainer.loss_and_grads(x, store.train_labels[:2])
+
+    def test_input_shape_checked_by_loss_and_grads(self, store):
+        trainer = Trainer(small_arch(), TrainConfig(seed=1))
+        x = _encode_batch(store.train_images[:2])[:, :, :30, :30]
+        with pytest.raises(ShapeError, match="input shape"):
+            trainer.loss_and_grads(x, store.train_labels[:2])
+
     @pytest.mark.parametrize("bad", [10, 255])
     def test_label_past_output_width_rejected_by_train(self, store, bad):
         labels = store.train_labels.copy()
