@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile
-from .data import N_CLASSES, check_labels, pad_to_32
+from .data import N_CLASSES, check_images, check_labels, pad_to_32
 from .device import check_seed, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer, check_integers
 from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
@@ -43,7 +43,8 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, truth, pred):
-        truth = check_labels(truth, np.size(truth), what="true classes")
+        truth = check_integers(truth, "true classes", 0, N_CLASSES)
+        truth = check_labels(truth, truth.size, what="true classes")
         pred = check_labels(pred, truth.size, what="predicted classes")
         counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
         np.add.at(counts, (truth, pred), 1)
@@ -120,6 +121,7 @@ def _predict_many(fn, n, threads):
 def run_accuracy(spec, images, labels):
     """Accuracy over trials; confusion matrix comes from the first seed."""
     spec.net.require_weights()
+    images = check_images(images)
     n = images.shape[0] if spec.limit is None else min(spec.limit, images.shape[0])
     if n == 0:
         raise ShapeError("no images to evaluate")

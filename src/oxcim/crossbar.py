@@ -70,9 +70,9 @@ from . import rng
 from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
     sample_device_conductance_grid
 from .errors import ConfigError, ShapeError, check_integer, check_real, \
-    check_integers, check_reals
+    check_integers, check_reals, check_trits
 from .network import Activation
-from .quant import _as_trits, act_binary, act_ternary
+from .quant import act_binary, act_ternary
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +103,7 @@ class CrossbarTile:
     """
 
     def __init__(self, config: DeviceConfig, cell_state, array_id=0):
-        trits = _as_trits(cell_state)
+        trits = check_trits(cell_state, "cell states")
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
         self.config = config
@@ -138,7 +138,7 @@ class CrossbarTile:
         currents are the same bits whatever batch it is read in: the mean
         is an exact sum and the per-cell noise is keyed, not sequential.
         """
-        xb = _as_trits(x_batch)
+        xb = check_trits(x_batch, "tile inputs")
         if xb.ndim != 2:
             raise ShapeError("x_batch must be 2-D (batch, rows)")
         if xb.shape[1] != self.rows:

@@ -86,11 +86,21 @@ def load_idx(path):
 def check_labels(labels, n, classes=N_CLASSES, what="labels"):
     """labels as an int64 array, one integer in 0..classes-1 for each of n
     images; a ShapeError for a wrong count."""
-    y = np.asarray(labels)
+    y = check_integers(labels, what, 0, classes)
     if y.shape != (n,):
         raise ShapeError(f"{what} of shape {y.shape} for {n} images; "
                          "give one label per image")
-    return check_integers(y, what, 0, classes).astype(np.int64)
+    return y.astype(np.int64)
+
+
+def check_images(images, what="images"):
+    """images as a uint8 (n, H, W) array, else a DomainError or ShapeError."""
+    arr = check_integers(images, what, 0, 256)
+    if arr.dtype != np.uint8:
+        raise DomainError(f"{what} must be uint8 (0..255), got {arr.dtype}")
+    if arr.ndim != 3:
+        raise ShapeError(f"{what} must be (n, H, W), got shape {arr.shape}")
+    return arr
 
 
 @dataclass
@@ -104,13 +114,10 @@ class DatasetStore:
 
     def __post_init__(self):
         for split in ("train", "test"):
-            imgs = getattr(self, f"{split}_images")
-            if imgs.ndim != 3:
-                raise ShapeError(f"{split} images must be (n, H, W)")
+            imgs = check_images(getattr(self, f"{split}_images"),
+                                f"{split} images")
             check_labels(getattr(self, f"{split}_labels"), imgs.shape[0],
                          what=f"{split} labels")
-            if imgs.dtype != np.uint8:
-                raise DomainError(f"{split} images must be uint8 (0..255)")
 
 
 def load_dataset_dir(path):

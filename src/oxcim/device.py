@@ -27,8 +27,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, ParseError, check_integer, \
-    check_real, check_reals, read_records
-from .quant import Precision, _as_trits
+    check_real, check_reals, check_trits, read_records
+from .quant import check_precision
 
 log = logging.getLogger(__name__)
 
@@ -82,10 +82,13 @@ class DeviceConfig:
             )
         check_real(self.v_read, "v_read", 0.0, strict=True)
         check_seed(self.seed)
+        if not isinstance(self.name, str):
+            raise ConfigError(f"config name must be a string, got {self.name!r}")
 
     def require_states(self, precision):
         """Check the trit -> state map covers the given precision."""
-        missing = [t for t in precision.allowed_values if t not in self.states]
+        missing = [t for t in check_precision(precision).allowed_values
+                   if t not in self.states]
         if missing:
             raise ConfigError(
                 f"config {self.name!r} lacks states for trits {missing} "
@@ -103,10 +106,8 @@ class DeviceConfig:
         grid is an array of its own, so a tile that keeps one grid keeps no
         other alive.
         """
-        # the config defines states -1 and +1, and 0 if it is ternary
-        precision = Precision.TERNARY if 0 in self.states else Precision.BINARY
         try:
-            idx = _as_trits(state_grid, precision) + 1
+            idx = check_trits(state_grid, "cell states", tuple(self.states)) + 1
         except DomainError as exc:
             raise ConfigError(f"config {self.name!r} has no state for a "
                               f"weight: {exc}") from None
@@ -148,10 +149,9 @@ def clamp_floor(g, floor):
 
 def sample_device_conductance_grid(config, state_grid, array_id):
     """Device conductances for a whole trit grid, D2D noise keyed per cell."""
-    trits = np.asarray(state_grid)
-    mean, d2d, _, floor = config.grids_for(trits)
+    mean, d2d, _, floor = config.grids_for(state_grid)
     if np.any(d2d > 0.0):
-        z = rng.d2d_normals(config.seed, array_id, *trits.shape)
+        z = rng.d2d_normals(config.seed, array_id, *mean.shape)
         g = mean + d2d * z
     else:
         g = mean.copy()

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the number checks of its
-inputs (check_integer and check_real for one value, check_integers and
-check_reals for an array), and the record reader of its two text formats."""
+inputs (check_integer and check_real for one value; check_integers,
+check_reals and check_trits for an array), and the record reader of its
+two text formats."""
 
 import math
 import numbers
@@ -79,7 +80,7 @@ def check_reals(values, what, lo=-math.inf, hi=math.inf):
     """values as an array, or a DomainError unless its dtype is integer or
     float (not bool, complex, object or str) and every value is finite and
     in [lo, hi].  Open bounds cost an isfinite pass, set ones a min and max."""
-    arr = np.asarray(values)
+    arr = _asarray(values, what)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got {arr.dtype}")
     if arr.size and (math.inf in (-lo, hi) and not np.isfinite(arr).all()
@@ -93,12 +94,40 @@ def check_integers(values, what, lo, hi=None):
     """values as an array, or a DomainError unless its dtype is integer (not
     bool), or float if it is empty (np.asarray([]) is float64), and every
     value is in [lo, hi), or >= lo if hi is None."""
-    arr = np.asarray(values)
+    arr = _asarray(values, what)
     if arr.dtype.kind not in ("iu" if arr.size else "iuf") or arr.size and (
             arr.min() < lo or hi is not None and arr.max() >= hi):
         rule = f">= {lo}" if hi is None else f"in {lo}..{_shown(hi - 1)}"
         raise DomainError(f"{what} must be integers {rule}")
     return arr
+
+
+def check_trits(values, what, allowed=(-1, 0, 1)):
+    """values as int8, or a DomainError unless its dtype is integer or float
+    (not bool, complex, object or str) and each value is in allowed, all
+    three trits or -1 and +1.  Tile reads take a min/max (NaN fails), a
+    cast-equality and a no-zeros test; np.isin only names the bad values."""
+    arr = _asarray(values, what)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be numbers, got {arr.dtype} values")
+    if arr.size and arr.min() >= -1 and arr.max() <= 1:
+        trits = arr.astype(np.int8, copy=False)
+        if (arr.dtype.kind != "f" or np.array_equal(trits, arr)) and (
+                0 in allowed or np.count_nonzero(trits) == trits.size):
+            return trits
+    ok = np.isin(arr, allowed)
+    if not ok.all():
+        raise DomainError(f"{what}: values {np.unique(arr[~ok])[:5].tolist()}"
+                          f" not allowed, only {sorted(allowed)}")
+    return arr.astype(np.int8, copy=False)
+
+
+def _asarray(values, what):
+    """np.asarray(values), or a DomainError naming what for a ragged nest."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"{what} must be one array: {exc}") from None
 
 
 def _shown(value):
@@ -133,6 +162,9 @@ def read_records(data, record, path=None, frame=None):
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason}", path=path,
                              offset=exc.start) from None
+    if not isinstance(data, str):
+        raise ParseError(f"expected bytes or text, got {type(data).__name__}",
+                         path=path)
     lines = data.splitlines()
     seen = set()
     for i in frame(lines) if frame else range(len(lines)):

@@ -45,9 +45,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import sigmoid_ideal
-from .errors import ConfigError, ShapeError, check_integer, check_reals
-from .quant import Precision, TernaryTensor, _as_trits, act_binary, \
-    act_ternary, check_dead_band
+from .errors import ConfigError, ShapeError, check_integer, check_reals, \
+    check_trits
+from .quant import Precision, TernaryTensor, act_binary, act_ternary, \
+    check_dead_band, check_precision
 
 N_THERMO_CHANNELS = 8
 # keeps integer popcounts strictly off the ternary dead-band boundary
@@ -212,6 +213,7 @@ def compile_plan(precision, input_shape, layers, weights):
     Checks shapes, weights and activation order; raises if anything is
     inconsistent.
     """
+    check_precision(precision)
     shape = check_input_shape(input_shape)
     plan = []
     param = None  # the conv/dense op still waiting for its activation
@@ -443,13 +445,13 @@ def as_batch(net, x):
     and ShapeError for a batch of no images, so the exact and the analog
     pass refuse the same inputs.
     """
-    arr = np.asarray(x.data if isinstance(x, TernaryTensor) else x)
+    arr = check_trits(x.data if isinstance(x, TernaryTensor) else x,
+                      "network inputs", net.precision.allowed_values)
     if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
         raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
     if arr.size == 0:
         raise ShapeError("input batch holds no images")
-    batch = _as_trits(arr, net.precision).reshape(-1, *net.input_shape)
-    return batch, arr.ndim == 3
+    return arr.reshape(-1, *net.input_shape), arr.ndim == 3
 
 
 def forward_ideal(net, x):

@@ -5,8 +5,8 @@ integer dot product of two trit vectors is called popcount here, matching
 common usage for XNOR-style inference engines, and is the exact oracle that
 every analog crossbar result in this package is checked against.
 
-Values are checked before they become int8: 257 or 0.5 is an error, never
-a trit that happens to share its low byte or its truncation.
+Values become int8 through errors.check_trits, so 257, 0.5 and True are
+errors, never trits; check_precision takes a Precision, never its name.
 """
 
 import enum
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_real, check_reals
+from .errors import ConfigError, DomainError, ShapeError, check_real, \
+    check_reals, check_trits
 
 TRIT_DTYPE = np.int8
 
@@ -28,30 +29,11 @@ class Precision(enum.Enum):
         return (-1, 1) if self is Precision.BINARY else (-1, 0, 1)
 
 
-def _as_trits(values, precision=Precision.TERNARY):
-    """values as an int8 array; DomainError unless each is allowed at precision.
-
-    Only numeric dtypes can hold trits; strings and objects are refused.
-    Tile reads sit on the hot path, so an array is accepted after a
-    min/max range test (NaN fails it), an equality test against its cast
-    for non-integer dtypes and a no-zeros test for binary.  Anything else
-    goes through np.isin, which also names the offending values.
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"trits must be numbers, got {arr.dtype} values")
-    if arr.size and arr.min() >= -1 and arr.max() <= 1:
-        trits = arr.astype(TRIT_DTYPE, copy=False)
-        if (arr.dtype.kind != "f" or np.array_equal(trits, arr)) and (
-                precision is Precision.TERNARY
-                or np.count_nonzero(trits) == trits.size):
-            return trits
-    ok = np.isin(arr, precision.allowed_values)
-    if not ok.all():
-        bad = np.unique(arr[~ok])[:5].tolist()
-        raise DomainError(
-            f"values {bad} not allowed at precision {precision.value}")
-    return arr.astype(TRIT_DTYPE, copy=False)
+def check_precision(precision):
+    """precision, or a ConfigError unless it is a Precision."""
+    if not isinstance(precision, Precision):
+        raise ConfigError(f"precision must be a Precision, got {precision!r}")
+    return precision
 
 
 @dataclass(frozen=True)
@@ -62,7 +44,8 @@ class TernaryTensor:
     precision: Precision
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_trits(self.data, self.precision))
+        allowed = check_precision(self.precision).allowed_values
+        object.__setattr__(self, "data", check_trits(self.data, "trits", allowed))
 
     @property
     def shape(self):
@@ -103,8 +86,8 @@ def act_ternary(x, r):
 
 def popcount_oracle(x, w):
     """Exact integer dot product of two 1-D trit vectors (the digital oracle)."""
-    xa = x.data if isinstance(x, TernaryTensor) else _as_trits(x)
-    wa = w.data if isinstance(w, TernaryTensor) else _as_trits(w)
+    xa = x.data if isinstance(x, TernaryTensor) else check_trits(x, "x")
+    wa = w.data if isinstance(w, TernaryTensor) else check_trits(w, "w")
     if xa.ndim != 1 or wa.ndim != 1:
         raise ShapeError("popcount_oracle expects 1-D vectors")
     if xa.shape[0] != wa.shape[0]:

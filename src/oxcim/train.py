@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_labels, pad_to_32
+from .data import check_images, check_labels, pad_to_32
 from .errors import ShapeError, TrainingDiverged, check_integer, check_real
 from .network import Activation, activate, as_batch, conv_weight_matrix, \
     exact_preact, maxpool, patches, thermometric_trits, walk
@@ -303,6 +303,7 @@ class Trainer:
     # -- training loop ---------------------------------------------------------
 
     def evaluate_loss(self, images, labels):
+        images = check_images(images)
         n = images.shape[0]
         labels = self._check_labels(labels, n)
         total = 0.0
@@ -314,6 +315,7 @@ class Trainer:
 
     def fit(self, images, labels, log_fn=None):
         cfg = self.cfg
+        images = check_images(images)
         n = images.shape[0]
         labels = self._check_labels(labels, n)
         n_val = int(round(n * cfg.val_fraction))

@@ -54,6 +54,16 @@ class TestConfusionMatrix:
         with pytest.raises(ShapeError, match="one label per image"):
             ConfusionMatrix.from_predictions(np.arange(4), [3])
 
+    def test_ragged_classes_rejected(self):
+        # used to end in numpy's ValueError ("inhomogeneous shape")
+        ragged = [[1], [1, 2]]
+        with pytest.raises(DomainError, match="true classes must be one"):
+            ConfusionMatrix.from_predictions(ragged, [1, 2])
+        with pytest.raises(DomainError, match="predicted classes must be"):
+            ConfusionMatrix.from_predictions([1, 2], ragged)
+        with pytest.raises(DomainError, match="counts must be one array"):
+            ConfusionMatrix(ragged)
+
     @pytest.mark.parametrize("counts", [-np.eye(10, dtype=np.int64),
                                         np.full((10, 10), 0.5)])
     def test_counts_are_integers_at_least_zero(self, counts):
@@ -184,6 +194,28 @@ class TestRunAccuracy:
         with pytest.raises(error, match="0..9|one label per image"):
             run_accuracy(spec, dataset.test_images[:4], np.array(labels))
 
+    @pytest.mark.parametrize("form, error", [
+        ("list", DomainError),    # ended in an AttributeError on .shape
+        ("int64", DomainError),   # was evaluated
+        ("single", ShapeError)],  # one 28x28 image was read as 28 images
+        ids=["list", "int64", "single"])
+    def test_images_checked_before_mapping(self, hrs_config, dataset,
+                                           monkeypatch, form, error):
+        from oxcim import bench
+        from test_train import small_arch
+        from oxcim.train import Trainer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tiles mapped for bad images")
+        monkeypatch.setattr(bench, "map_network_to_tiles", refuse)
+        spec = ExperimentSpec(net=Trainer(small_arch()).network(),
+                              config=hrs_config, mode="hardware")
+        images = {"list": dataset.test_images[:4].tolist(),
+                  "int64": dataset.test_images[:4].astype(np.int64),
+                  "single": dataset.test_images[0]}[form]
+        with pytest.raises(error, match="uint8|n, H, W"):
+            run_accuracy(spec, images, np.arange(len(images)) % 10)
+
     def test_hardware_deterministic_per_seed(self, hrs_config, dataset):
         from test_train import small_arch
         from oxcim.train import Trainer
@@ -308,6 +340,11 @@ class TestSweepSense:
         for pc, npos, nneg, _d, _v in rows:
             assert 0 <= npos + nneg <= 3
             assert abs(pc) <= 3
+
+    def test_precision_that_is_not_a_precision_rejected(self, hrs_config):
+        # used to end in an AttributeError on .allowed_values
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            sweep_sense_distribution((2, 2), "binary", hrs_config, samples=2)
 
     def test_large_tiles_rejected(self, hrs_config):
         with pytest.raises(ConfigError):

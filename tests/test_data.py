@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from oxcim.data import (DatasetStore, load_dataset_dir, load_idx, pad_to_32,
+from oxcim.data import (DatasetStore, check_labels, load_dataset_dir,
+                        load_idx, pad_to_32,
                         synthetic_dataset, synthetic_images)
 from oxcim.errors import ConfigError, DomainError, ParseError, ShapeError
 from conftest import save_idx, write_dataset_dir
@@ -73,6 +74,11 @@ class TestIdx:
 
 
 class TestDatasetStore:
+    def test_ragged_labels_rejected(self):
+        # used to end in numpy's ValueError ("inhomogeneous shape")
+        with pytest.raises(DomainError, match="labels must be one array"):
+            check_labels([[1], [1, 2]], 2)
+
     def test_count_mismatch(self):
         with pytest.raises(ShapeError):
             DatasetStore(np.zeros((3, 28, 28), dtype=np.uint8),

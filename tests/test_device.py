@@ -305,6 +305,25 @@ class TestSigmoid:
                 sigmoid(bad)
 
 
+class TestPrecisionAndName:
+    def test_precision_that_is_not_a_precision_rejected(self):
+        # used to end in an AttributeError on .allowed_values
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            default_device_config("hrs").require_states("binary")
+
+    def test_name_that_is_not_a_string_rejected(self):
+        # used to construct, then end in a TypeError in with_zero_variability
+        states = default_device_config("hrs").states
+        with pytest.raises(ConfigError, match="name must be a string"):
+            DeviceConfig("HRS", states, name=None)
+
+    @pytest.mark.parametrize("data", [None, 3, ["region = HRS"]])
+    def test_config_that_is_not_text_rejected(self, data):
+        # used to end in an AttributeError on .splitlines
+        with pytest.raises(ParseError, match="expected bytes or text"):
+            parse_device_config(data)
+
+
 class TestDefaults:
     @pytest.mark.parametrize("which", [None, 3])
     def test_name_that_is_not_a_string_rejected(self, which):

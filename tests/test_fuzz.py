@@ -17,7 +17,7 @@ from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
                          sweep_sense_distribution)
 from oxcim.cli import main
 from oxcim.crossbar import ActivationMode, CrossbarTile, sense_to_activation
-from oxcim.data import synthetic_dataset
+from oxcim.data import DatasetStore, synthetic_dataset
 from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
                           default_device_config, parse_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
@@ -26,7 +26,8 @@ from oxcim.hardware import forward_hardware, map_network_to_tiles
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal,
                            thermometric_trits)
-from oxcim.quant import Precision, act_binary, act_ternary, quantize_weights
+from oxcim.quant import (Precision, TernaryTensor, act_binary, act_ternary,
+                         popcount_oracle, quantize_weights)
 from oxcim.train import TrainConfig, Trainer, train
 from oxcim.weightfile import dumps, loads
 from conftest import write_dataset_dir
@@ -403,9 +404,10 @@ class TestExperimentSpec:
 # Array arguments: every array drawn from one pool.  It starts from valid
 # values cast to one of the pool's dtypes, then up to two entries take a
 # value of that dtype from the pool (NaN, +-inf, 0.5j, None, "a", True,
-# -128 ...); shapes include empty and 0-d.  Each call returns or raises an
-# OxcimError; a returned accuracy run also counts every label once, in its
-# own row of the confusion matrix.
+# -128 ...); shapes include empty and 0-d, and every target also takes the
+# ragged nest RAGGED.  Each call returns or raises an OxcimError; a returned
+# accuracy run also counts every label once, in its own row of the
+# confusion matrix, and a returned trit or image array had a number dtype.
 ARRAY_POOL = {
     np.float64: [0.5, 7.0, 300.0, -1e300, float("nan"), float("inf"),
                  -float("inf")],
@@ -416,7 +418,10 @@ ARRAY_POOL = {
     np.int8: [-1, 7, -128, 127],
     np.uint8: [2, 10, 255],
 }
+RAGGED = [[1, 0], [1]]
 VALUE_SHAPES = [(), (0,), (3,), (2, 3), (10, 10)]
+TRIT_SHAPES = [(), (0,), (2,), (2, 2), (1, 4, 4), (2, 1, 4, 4)]
+IMAGE_SHAPES = [(2, 28, 28), (28, 28), (0, 28, 28), (2, 1, 28, 28), (2,)]
 ARRAY_FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
                       database=None)
 
@@ -434,6 +439,15 @@ def pool_arrays(draw, shapes, valid):
     return arr
 
 
+@st.composite
+def pool_images(draw):
+    """An array of an IMAGE_SHAPES shape: a pool array of at most 16 values
+    repeated to fill it (drawing 1,568 values one by one would be slow)."""
+    shape = draw(st.sampled_from(IMAGE_SHAPES))
+    block = draw(pool_arrays([(min(16, math.prod(shape)),)], [0, 17, 255]))
+    return np.resize(block, shape)
+
+
 @pytest.fixture(scope="module")
 def read_tile():
     return CrossbarTile(default_device_config("hrs"),
@@ -445,6 +459,7 @@ class TestArrays:
     @given(pool_arrays(VALUE_SHAPES, [-2.0, -0.5, 0.0, 0.3, 1.0, 200.0]),
            st.sampled_from(list(Precision)),
            st.sampled_from(list(ActivationMode)))
+    @example(RAGGED, Precision.TERNARY, ActivationMode.HIDDEN_TERNARY)
     def test_real_arrays(self, x, precision, mode):
         for call in (lambda: act_binary(x), lambda: act_ternary(x, 0.5),
                      lambda: quantize_weights(x, precision),
@@ -460,8 +475,11 @@ class TestArrays:
     @ARRAY_FUZZ
     @given(pool_arrays(VALUE_SHAPES, [0, 1, 5, 9]),
            pool_arrays(VALUE_SHAPES, [0, 1, 5, 9]))
+    @example(RAGGED, RAGGED)
+    @example(np.arange(2), RAGGED)
     def test_integer_arrays(self, read_tile, a, b):
-        x = np.ones((np.size(a), 2), dtype=np.int8)
+        x = np.ones((np.size(a) if isinstance(a, np.ndarray) else 2, 2),
+                    dtype=np.int8)
         for call in (lambda: ConfusionMatrix(a),
                      lambda: ConfusionMatrix.from_predictions(a, b),
                      lambda: read_tile.vmm_batch(x, a)):
@@ -475,6 +493,8 @@ class TestArrays:
                         (1, 1, 4)], [-1, 0, 1]),
            pool_arrays([(), (0,), (1,), (2,)], [0, 3, 9]),
            st.sampled_from(list(Precision)))
+    @example(RAGGED, np.arange(1), Precision.TERNARY)
+    @example(np.ones((1, 1, 4, 4)), RAGGED, Precision.BINARY)
     def test_training_batches(self, x, labels, precision):
         trainer = Trainer(tiny_net(precision), TrainConfig(seed=1))
         try:
@@ -486,6 +506,7 @@ class TestArrays:
     @ARRAY_FUZZ
     @given(pool_arrays([(4,), (4,), (3,), (5,), (), (0,)], [0, 3, 9]),
            st.sampled_from([None, 2]))
+    @example(RAGGED, None)
     def test_accuracy_labels(self, spec_corpus, labels, limit):
         net, configs, images, _ = spec_corpus
         spec = ExperimentSpec(net=net, config=configs["hrs"], mode="ideal",
@@ -497,6 +518,44 @@ class TestArrays:
         np.testing.assert_array_equal(
             report.confusion.counts.sum(axis=1),
             np.bincount(labels[:report.n_images], minlength=10))
+
+    @ARRAY_FUZZ
+    @given(pool_arrays(TRIT_SHAPES, [-1, 0, 1]))
+    @example(RAGGED)
+    def test_trit_arrays(self, read_tile, tiled_nets, x):
+        cfg = default_device_config("hrs")
+        calls = [lambda: popcount_oracle(x, x),
+                 lambda: CrossbarTile(cfg, x),
+                 lambda: read_tile.vmm_batch(x, [0, 1]),
+                 lambda: cfg.grids_for(x)]
+        for precision, (net, tiled) in tiled_nets.items():
+            calls += [lambda p=precision: TernaryTensor(x, p),
+                      lambda n=net: forward_ideal(n, x),
+                      lambda t=tiled: forward_hardware(t, x)]
+        for call in calls:
+            try:
+                call()
+            except OxcimError:
+                continue
+            assert x.dtype.kind in "iuf"
+
+    @ARRAY_FUZZ
+    @given(pool_images())
+    @example(RAGGED)
+    def test_images(self, spec_corpus, x):
+        net, configs, _, _ = spec_corpus
+        spec = ExperimentSpec(net=net, config=configs["hrs"], mode="ideal")
+        labels = np.array([3, 7])
+        cfg = TrainConfig(epochs=1, val_fraction=0.0)
+        for call in (lambda: DatasetStore(x, labels, x, labels),
+                     lambda: train(small_arch(), x, labels, cfg),
+                     lambda: Trainer(small_arch()).evaluate_loss(x, labels),
+                     lambda: run_accuracy(spec, x, labels)):
+            try:
+                call()
+            except OxcimError:
+                continue
+            assert x.dtype == np.uint8 and x.shape == (2, 28, 28)
 
 
 # CLI argv: a valid command line, then up to five flags, mostly the

@@ -293,6 +293,15 @@ def tiny_net(precision=Precision.TERNARY, r=0.5, seed=0, n_out=10):
 
 
 class TestNetworkDescription:
+    def test_precision_that_is_not_a_precision_rejected(self):
+        # lenet("binary") used to end in an AttributeError, and a net
+        # described as "ternary" was built and failed only when used
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            lenet("binary")
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            NetworkDescription("ternary", (1, 4, 4), tiny_net().layers,
+                               [None] * len(tiny_net().layers))
+
     def test_lenet_chains_to_ten_classes(self):
         net = lenet(Precision.BINARY)
         assert net.plan[-1].out_shape == (10,)
@@ -390,6 +399,18 @@ class TestNetworkDescription:
 
 
 class TestForwardIdeal:
+    def test_bool_input_rejected(self):
+        # a mask such as x > 0 used to run as trits (True as +1)
+        x = np.ones((1, 4, 4), dtype=bool)
+        for precision in Precision:
+            with pytest.raises(DomainError, match="must be numbers"):
+                forward_ideal(tiny_net(precision), x)
+
+    def test_ragged_input_rejected(self):
+        # used to end in numpy's ValueError ("inhomogeneous shape")
+        with pytest.raises(DomainError, match="network inputs must be one"):
+            forward_ideal(tiny_net(), [[[1] * 4] * 4, [[1] * 3]])
+
     def test_scores_shape_and_finiteness(self):
         net = tiny_net()
         gen = np.random.default_rng(3)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oxcim.errors import DomainError, ShapeError
+from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.quant import (Precision, TernaryTensor, act_binary, act_ternary,
                          popcount_oracle, quantize_weights)
 
@@ -71,6 +71,13 @@ class TestActivations:
         xs = np.linspace(-3, 3, 601)
         xs = xs[np.abs(xs) > 1e-6]
         np.testing.assert_array_equal(act_ternary(xs, 1e-9), act_binary(xs))
+
+    def test_ragged_nest_rejected(self):
+        # used to end in numpy's ValueError ("inhomogeneous shape")
+        for act in (act_binary, lambda x: act_ternary(x, 0.5)):
+            with pytest.raises(DomainError, match="activation input must be "
+                                                  "one array"):
+                act([[1.0], [1.0, 2.0]])
 
 
 class TestGatedXnor:
@@ -141,15 +148,28 @@ class TestTernaryTensor:
         with pytest.raises(DomainError):
             popcount_oracle([257], [1])
 
-    def test_integral_floats_and_bools_are_trits(self):
+    def test_integral_floats_are_trits_and_bools_are_not(self):
         t = TernaryTensor(np.array([1.0, -1.0, 0.0]), Precision.TERNARY)
         assert t.data.dtype == np.int8
         np.testing.assert_array_equal(t.data, [1, -1, 0])
-        np.testing.assert_array_equal(
-            TernaryTensor(np.array([True, False]), Precision.TERNARY).data,
-            [1, 0])
-        with pytest.raises(DomainError):
-            TernaryTensor(np.array([True, False]), Precision.BINARY)
+        for precision in Precision:
+            with pytest.raises(DomainError, match="must be numbers"):
+                TernaryTensor(np.array([True, False]), precision)
+
+    def test_ragged_nest_rejected(self):
+        # used to end in numpy's ValueError ("inhomogeneous shape")
+        with pytest.raises(DomainError, match="trits must be one array"):
+            TernaryTensor([[1], [1, 0]], Precision.TERNARY)
+        with pytest.raises(DomainError, match="must be one array"):
+            popcount_oracle([[1], [1, 0]], [1, 1])
+
+    @pytest.mark.parametrize("precision", ["binary", "ternary", None])
+    def test_precision_that_is_not_a_precision_rejected(self, precision):
+        # a name used to end in an AttributeError on .allowed_values
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            TernaryTensor(np.ones(2, dtype=np.int8), precision)
+        with pytest.raises(ConfigError, match="must be a Precision"):
+            quantize_weights(np.ones(2), precision)
 
     def test_shape_and_reshape(self):
         t = TernaryTensor(np.ones((2, 3), dtype=np.int8), Precision.BINARY)

@@ -97,6 +97,22 @@ class TestLabelChecks:
     def store(self):
         return synthetic_dataset(n_train=24, n_test=4, seed=2)
 
+    @pytest.mark.parametrize("form, error", [
+        ("list", DomainError),    # ended in an AttributeError on .shape
+        ("int64", DomainError),   # was trained on
+        ("single", ShapeError)],  # one 28x28 image was read as 28 images
+        ids=["list", "int64", "single"])
+    def test_images_checked_by_fit_and_evaluate_loss(self, store, form,
+                                                      error):
+        images = {"list": store.train_images.tolist(),
+                  "int64": store.train_images.astype(np.int64),
+                  "single": store.train_images[0]}[form]
+        labels = np.arange(len(images)) % 10
+        trainer = Trainer(small_arch(), TrainConfig(epochs=1, seed=1))
+        for call in (trainer.fit, trainer.evaluate_loss):
+            with pytest.raises(error, match="uint8|n, H, W"):
+                call(images, labels)
+
     def test_negative_label_rejected_by_loss_and_grads(self, store):
         # -1 would index the last output and be read as class 9
         trainer = Trainer(small_arch(), TrainConfig(seed=1))

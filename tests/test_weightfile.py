@@ -63,6 +63,12 @@ class TestRoundTrip:
 
 
 class TestFormatErrors:
+    @pytest.mark.parametrize("data", [None, 3])
+    def test_data_that_is_not_text_rejected(self, data):
+        # used to end in an AttributeError on .splitlines
+        with pytest.raises(ParseError, match="expected bytes or text"):
+            loads(data)
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             loads("precision = binary\nend\n")
