@@ -11,7 +11,7 @@ from .quant import (Precision, TernaryTensor, act_binary, act_ternary,
 from .device import (DeviceConfig, MlcStateModel, default_device_config,
                      parse_device_config, sigmoid_ideal,
                      sigmoid_neuron_voltage)
-from .crossbar import ActivationMode, CrossbarTile, sense_to_activation
+from .crossbar import CrossbarTile, sense_to_activation
 from .network import (Activation, Conv2D, Dense, MaxPool2D,
                       NetworkDescription, forward_ideal, im2col, lenet,
                       predict_ideal, thermometric_trits)

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import A_TO_UA, CrossbarTile
+from .crossbar import A_TO_UA, CrossbarTile, sense_to_activation
 from .data import N_CLASSES, check_images, check_labels, pad_to_32
-from .device import check_seed, sigmoid_neuron_voltage
+from .device import check_seed
 from .errors import ConfigError, ShapeError, check_integer, check_integers
 from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
     map_network_to_tiles, predict_hardware
-from .network import predict_ideal, thermometric_trits
+from .network import Activation, predict_ideal, thermometric_trits
 from .quant import popcount_oracle
 
 CHUNK = 8  # images per forward pass (module docstring)
@@ -176,7 +176,7 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
         tile = CrossbarTile(config, w, array_id=s + 1)
         i_pos, i_neg = tile.vmm_batch(x[None], [0])
         delta = i_pos[0] - i_neg[0]
-        v = sigmoid_neuron_voltage(delta / gain_uA)
+        v = sense_to_activation(delta, Activation("sigmoid_output"), gain_uA)
         n_pos = int(np.count_nonzero(x > 0))
         n_neg = int(np.count_nonzero(x < 0))
         for c in range(cols_n):

@@ -23,8 +23,8 @@ compared against.
 CrossbarTile.vmm_batch is the tile's one READ: it takes a batch of input
 vectors with one read-pair id each and returns both phase currents, so a
 single vector is a batch of one.  The column periphery is fixed: an ideal
-S/H pair, an ideal subtracting comparator and the measured sigmoid neuron
-of device.py.
+S/H pair, an ideal subtracting comparator and, in sense_to_activation,
+the neuron of a network.Activation (at the output, device.py's sigmoid).
 
 A column current is the sum of the gated cells' conductances.  That mean
 term is one BLAS matmul of the 0/1 gate matrix with [hi | lo], an
@@ -61,7 +61,6 @@ segment, and every cell of it is drawn and clamped once, in whichever
 block it falls.
 """
 
-import enum
 import logging
 
 import numpy as np
@@ -86,12 +85,6 @@ CLAMP_WARN_FRACTION = 1e-3
 # Cells (vectors x rows x cols) per block of a READ pair; see the module
 # docstring.
 READ_BLOCK_CELLS = 2**16
-
-
-class ActivationMode(enum.Enum):
-    HIDDEN_BINARY = "hidden_binary"
-    HIDDEN_TERNARY = "hidden_ternary"
-    OUTPUT_SIGMOID = "output_sigmoid"
 
 
 class CrossbarTile:
@@ -231,21 +224,21 @@ def _exact_split(g, array_id):
     return np.concatenate([hi, g - hi], axis=1)
 
 
-def sense_to_activation(delta_uA, mode, r=Activation.r, gain_uA=1.0):
-    """Convert differential column currents into activations or voltages.
+def sense_to_activation(delta_uA, activation, gain_uA=1.0):
+    """The outputs of a network.Activation for differential column currents.
 
     delta_uA is i_pos - i_neg of a two-phase READ.  gain_uA is the
     comparator-output scale in microamps per activation unit: the
-    activation functions see delta / gain_uA.  For OUTPUT_SIGMOID the
-    scaled value is the neuron input current in uA and the neuron voltages
-    are returned.
+    activation sees delta / gain_uA.  A binary or ternary activation gives
+    trits; for sigmoid_output the scaled value is the neuron input current
+    in uA and the neuron voltages are returned.
     """
+    if not isinstance(activation, Activation):
+        raise ConfigError(f"not an Activation: {activation!r}")
     check_real(gain_uA, "gain", 0.0, strict=True)
     u = check_reals(delta_uA, "differential current") / gain_uA
-    if mode is ActivationMode.HIDDEN_BINARY:
+    if activation.kind == "binary":
         return act_binary(u)
-    if mode is ActivationMode.HIDDEN_TERNARY:
-        return act_ternary(u, r)
-    if mode is ActivationMode.OUTPUT_SIGMOID:
-        return sigmoid_neuron_voltage(u)
-    raise ConfigError(f"unknown activation mode {mode!r}")
+    if activation.kind == "ternary":
+        return act_ternary(u, activation.r)
+    return sigmoid_neuron_voltage(u)

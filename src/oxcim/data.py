@@ -116,8 +116,10 @@ class DatasetStore:
         for split in ("train", "test"):
             imgs = check_images(getattr(self, f"{split}_images"),
                                 f"{split} images")
-            check_labels(getattr(self, f"{split}_labels"), imgs.shape[0],
-                         what=f"{split} labels")
+            labels = getattr(self, f"{split}_labels")
+            check_labels(labels, imgs.shape[0], what=f"{split} labels")
+            setattr(self, f"{split}_images", imgs)
+            setattr(self, f"{split}_labels", np.asarray(labels))
 
 
 def load_dataset_dir(path):
@@ -134,11 +136,13 @@ def load_dataset_dir(path):
 
 
 def pad_to_32(images):
-    """Zero-pad 28x28 images to 32x32 (2 background pixels on every side)."""
-    arr = np.asarray(images)
+    """Zero-pad 28x28 images to 32x32 (2 background pixels on every side).
+
+    images is one (H, W) image or a batch that check_images takes.
+    """
+    arr = check_integers(images, "images", 0, 256)
     single = arr.ndim == 2
-    if single:
-        arr = arr[None]
+    arr = check_images(arr[None] if single else arr)
     if arr.shape[1:] == (32, 32):
         return arr[0] if single else arr
     if arr.shape[1:] != (28, 28):

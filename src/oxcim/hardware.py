@@ -58,6 +58,7 @@ from .crossbar import sense_to_activation  # noqa: F401
 from .network import im2col  # noqa: F401
 
 DEFAULT_MAX_TILE = (64, 64)
+REF_TRITS = (1, -1)  # trits of the reference columns that end each tile
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class TilePlacement:
     tile: CrossbarTile
     row_start: int
     col_start: int
-    n_data_cols: int  # trailing tile columns beyond this are references
 
 
 @dataclass
@@ -90,8 +90,8 @@ class TiledNetwork:
         """
         for m in self.mappings.values():
             for p in m.placements:
-                yield (p.tile.cell_state[:, :p.n_data_cols],
-                       p.tile.cell_g[:, :p.n_data_cols])
+                yield (p.tile.cell_state[:, :-len(REF_TRITS)],
+                       p.tile.cell_g[:, :-len(REF_TRITS)])
 
 
 def check_max_tile(max_tile):
@@ -114,7 +114,7 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     """
     config.require_states(net.precision)
     max_r, max_c = check_max_tile(max_tile)
-    n_ref = 2
+    width = max_c - len(REF_TRITS)  # data columns per tile
     net.require_weights()
     a = config.conductance_slope()
     mappings = {}
@@ -132,15 +132,11 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
             gain_uA=config.v_read * a * net.plan[li].scale * A_TO_UA,
         )
         for r0 in range(0, rows, max_r):
-            for c0 in range(0, cols, max_c - n_ref):
-                block = wmat[r0:r0 + max_r, c0:c0 + max_c - n_ref]
-                refs = np.empty((block.shape[0], 2), dtype=np.int8)
-                refs[:, 0] = 1
-                refs[:, 1] = -1
-                grid = np.concatenate([block, refs], axis=1)
-                tile = CrossbarTile(config, grid, array_id=array_id)
-                mapping.placements.append(
-                    TilePlacement(tile, r0, c0, block.shape[1]))
+            for c0 in range(0, cols, width):
+                block = wmat[r0:r0 + max_r, c0:c0 + width]
+                refs = np.tile(np.array(REF_TRITS, np.int8), (len(block), 1))
+                tile = CrossbarTile(config, np.hstack([block, refs]), array_id)
+                mapping.placements.append(TilePlacement(tile, r0, c0))
                 array_id += 1
         mappings[li] = mapping
     return TiledNetwork(net=net, mappings=mappings)
@@ -150,8 +146,8 @@ def _layer_delta(mapping, patches, read_pairs):
     """Differential currents (P, cols) for one lowered layer.
 
     Row-split partial deltas are summed digitally; each tile's reference
-    columns are averaged and subtracted from its data columns before the
-    digital sum.
+    columns are averaged (a matmul: a mean over rows of two is slower) and
+    subtracted from its data columns before the digital sum.
     """
     P = patches.shape[0]
     if patches.shape[1] != mapping.rows:
@@ -162,9 +158,9 @@ def _layer_delta(mapping, patches, read_pairs):
         t = pl.tile
         xs = patches[:, pl.row_start:pl.row_start + t.rows]
         d = np.subtract(*t.vmm_batch(xs, read_pairs))  # i_pos - i_neg
-        ref = 0.5 * (d[:, pl.n_data_cols] + d[:, pl.n_data_cols + 1])
-        delta[:, pl.col_start:pl.col_start + pl.n_data_cols] += \
-            d[:, :pl.n_data_cols] - ref[:, None]
+        n = t.cols - len(REF_TRITS)  # data columns
+        ref = d[:, n:] @ np.full(len(REF_TRITS), 1 / len(REF_TRITS))
+        delta[:, pl.col_start:pl.col_start + n] += d[:, :n] - ref[:, None]
     return delta
 
 

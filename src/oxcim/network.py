@@ -210,19 +210,32 @@ class LayerOp:
 def compile_plan(precision, input_shape, layers, weights):
     """Check a layer chain and compile it into one LayerOp per layer.
 
-    Checks shapes, weights and activation order; raises if anything is
-    inconsistent.
+    Each rule of the chain is checked once: an activation follows exactly
+    one conv or dense layer, and one always does; a hidden activation has
+    the precision's kind; sigmoid_output is the last layer, and only there;
+    conv and pool take 3-D input.  Raises ConfigError or ShapeError.
     """
     check_precision(precision)
     shape = check_input_shape(input_shape)
+    hidden = hidden_activation_kind(precision)
+    outputs = [i for i, l in enumerate(layers)
+               if isinstance(l, Activation) and l.kind == "sigmoid_output"]
+    if outputs != [len(layers) - 1]:
+        raise ConfigError("sigmoid_output must be the last layer, and only "
+                          f"there: found at {outputs} of {len(layers)} layers")
     plan = []
     param = None  # the conv/dense op still waiting for its activation
     for i, (layer, w) in enumerate(zip(layers, weights)):
+        if isinstance(layer, Activation) and param is None:
+            raise ConfigError(f"layer {i}: activation without a preceding "
+                              "conv/dense")
+        if not isinstance(layer, Activation) and param is not None:
+            raise ConfigError(f"layer {i}: missing activation before "
+                              f"{type(layer).__name__}")
+        if isinstance(layer, (Conv2D, MaxPool2D)) and len(shape) != 3:
+            raise ShapeError(f"layer {i}: {type(layer).__name__} needs 3-D "
+                             f"input, got {shape}")
         if isinstance(layer, Conv2D):
-            if len(shape) != 3:
-                raise ShapeError(f"layer {i}: conv needs 3-D input, got {shape}")
-            if param is not None:
-                raise ConfigError(f"layer {i}: missing activation before conv")
             out = conv_output_shape(shape, layer)
             fan_in = shape[0] * layer.kernel * layer.kernel
             size = math.prod(shape)
@@ -236,28 +249,16 @@ def compile_plan(precision, input_shape, layers, weights):
                 (layer.out_channels, shape[0], layer.kernel, layer.kernel),
                 im2col(ids, layer.kernel, layer.stride)[0])
         elif isinstance(layer, Dense):
-            if param is not None:
-                raise ConfigError(f"layer {i}: missing activation before dense")
             fan_in = math.prod(shape)
             op = param = LayerOp(i, layer, shape, (layer.out_units,), fan_in,
                                  _scale(fan_in), (fan_in, layer.out_units))
         elif isinstance(layer, Activation):
-            if param is None:
-                raise ConfigError(f"layer {i}: activation without a preceding "
-                                  "conv/dense")
-            if layer.kind == "binary" and precision is not Precision.BINARY:
-                raise ConfigError(f"layer {i}: binary activation in a "
-                                  f"{precision.value} net")
-            if layer.kind == "ternary" and precision is not Precision.TERNARY:
-                raise ConfigError(f"layer {i}: ternary activation in a "
+            if layer.kind not in (hidden, "sigmoid_output"):
+                raise ConfigError(f"layer {i}: {layer.kind} activation in a "
                                   f"{precision.value} net")
             op = LayerOp(i, layer, shape, shape, param.fan_in, param.scale)
             param = None
         elif isinstance(layer, MaxPool2D):
-            if param is not None:
-                raise ConfigError(f"layer {i}: missing activation before pool")
-            if len(shape) != 3:
-                raise ShapeError(f"layer {i}: pool needs 3-D input, got {shape}")
             if shape[1] % layer.size or shape[2] % layer.size:
                 raise ShapeError(f"layer {i}: pool {layer.size} does not divide "
                                  f"{shape[1]}x{shape[2]}")
@@ -272,11 +273,6 @@ def compile_plan(precision, input_shape, layers, weights):
                               "no weights")
         plan.append(op)
         shape = op.out_shape
-    if param is not None:
-        raise ConfigError("network must end with an activation")
-    if not layers or not isinstance(layers[-1], Activation) \
-            or layers[-1].kind != "sigmoid_output":
-        raise ConfigError("network must end with a sigmoid_output activation")
     if len(shape) != 1:
         raise ShapeError(f"network output must be a vector, got {shape}")
     return tuple(plan)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxcim import rng
-from oxcim.crossbar import (A_TO_UA, READ_BLOCK_CELLS, ActivationMode,
-                            CrossbarTile, sense_to_activation)
+from oxcim.crossbar import (A_TO_UA, READ_BLOCK_CELLS, CrossbarTile,
+                            sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
 from oxcim.errors import ConfigError, DomainError, ShapeError
+from oxcim.network import Activation
 from oxcim.quant import popcount_oracle
 
 TRITS = (-1, 0, 1)
@@ -422,47 +423,51 @@ class TestVmmTwoPhase:
 
 
 class TestSenseToActivation:
-    @pytest.mark.parametrize("mode", list(ActivationMode))
+    @pytest.mark.parametrize("kind", ["binary", "ternary", "sigmoid_output"])
     @pytest.mark.parametrize("bad", [np.array(["1"]), np.array([1 + 1j])])
-    def test_non_real_currents_rejected(self, bad, mode):
+    def test_non_real_currents_rejected(self, bad, kind):
         # a string array used to end in a TypeError, a complex one to lose
         # its imaginary part with only a ComplexWarning
         with pytest.raises(DomainError, match="current must be real numbers"):
-            sense_to_activation(bad, mode)
+            sense_to_activation(bad, Activation(kind))
+
+    @pytest.mark.parametrize("activation", ["binary", None, 1])
+    def test_activation_that_is_not_an_activation_rejected(self, activation):
+        with pytest.raises(ConfigError, match="not an Activation"):
+            sense_to_activation(np.array([1.0]), activation)
 
     # inputs are differential currents i_pos - i_neg in uA
     def test_hidden_binary_sign(self):
         out = sense_to_activation(np.array([0.0 - 18.0]),
-                                  ActivationMode.HIDDEN_BINARY)
+                                  Activation("binary"))
         np.testing.assert_array_equal(out, [-1])
 
     def test_hidden_binary_zero_is_plus(self):
         out = sense_to_activation(np.array([5.0 - 5.0]),
-                                  ActivationMode.HIDDEN_BINARY)
+                                  Activation("binary"))
         np.testing.assert_array_equal(out, [1])
 
     def test_hidden_ternary_dead_band(self):
         out = sense_to_activation(np.array([3.0]),
-                                  ActivationMode.HIDDEN_TERNARY,
-                                  r=0.5, gain_uA=10.0)
+                                  Activation("ternary", r=0.5), gain_uA=10.0)
         np.testing.assert_array_equal(out, [0])  # 0.3 inside the band
 
     def test_output_sigmoid_records_voltages(self):
         v = sense_to_activation(np.array([2.0, 3.0]),
-                                ActivationMode.OUTPUT_SIGMOID, gain_uA=1.0)
+                                Activation("sigmoid_output"), gain_uA=1.0)
         assert v[1] > v[0]  # neuron is monotone
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ConfigError):
             sense_to_activation(np.array([1.0]),
-                                ActivationMode.HIDDEN_TERNARY, gain_uA=0.0)
+                                Activation("ternary"), gain_uA=0.0)
 
     @pytest.mark.parametrize("gain", [float("inf"), None, True, "1"])
     def test_gain_must_be_a_finite_real(self, gain):
         # None used to end in a TypeError, and inf and True were accepted
         with pytest.raises(ConfigError, match="gain must be"):
             sense_to_activation(np.array([1.0]),
-                                ActivationMode.HIDDEN_TERNARY, gain_uA=gain)
+                                Activation("ternary"), gain_uA=gain)
 
 
 class TestStatelessReads:

@@ -112,6 +112,19 @@ class TestDatasetStore:
         with pytest.raises(DomainError, match="test labels must be integers"):
             load_dataset_dir(tmp_path)
 
+    def test_checked_arrays_kept(self):
+        # a list of images or labels used to be kept as the list
+        store = synthetic_dataset(n_train=3, n_test=2, seed=1)
+        again = DatasetStore(list(store.train_images), list(store.train_labels),
+                             store.test_images, store.test_labels)
+        assert again.train_images.shape == (3, 28, 28)
+        assert again.train_images.dtype == np.uint8
+        np.testing.assert_array_equal(again.train_images, store.train_images)
+        np.testing.assert_array_equal(again.train_labels, store.train_labels)
+        assert again.train_labels.dtype == store.train_labels.dtype
+        assert again.test_images is store.test_images
+        assert again.test_labels is store.test_labels
+
     def test_directory_roundtrip(self, tmp_path):
         store = synthetic_dataset(n_train=20, n_test=10, seed=1)
         write_dataset_dir(store, tmp_path)
@@ -137,6 +150,16 @@ class TestPadding:
     def test_32_passthrough(self):
         img = np.ones((32, 32), dtype=np.uint8)
         np.testing.assert_array_equal(pad_to_32(img), img)
+
+    @pytest.mark.parametrize("images", [
+        [[1], [1, 2]], np.zeros((2, 28, 28), dtype=bool),
+        np.zeros((28, 28)), np.full((28, 28), 256)],
+        ids=["ragged", "bool", "float", "int64"])
+    def test_images_checked(self, images):
+        # a ragged nest used to end in numpy's ValueError, and the arrays
+        # were padded and returned
+        with pytest.raises(DomainError):
+            pad_to_32(images)
 
     def test_other_sizes_rejected(self):
         with pytest.raises(ShapeError):

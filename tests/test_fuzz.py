@@ -16,7 +16,7 @@ from oxcim import weightfile
 from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
                          sweep_sense_distribution)
 from oxcim.cli import main
-from oxcim.crossbar import ActivationMode, CrossbarTile, sense_to_activation
+from oxcim.crossbar import CrossbarTile, sense_to_activation
 from oxcim.data import DatasetStore, synthetic_dataset
 from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
                           default_device_config, parse_device_config,
@@ -87,15 +87,19 @@ class TestTextFormats:
 
 
 # Layer chains: input dimensions and up to four conv / pool / dense layers
-# (each conv or dense followed by its activation), each size a small valid
-# one or, one time in eight, one from a pool of odd values; compiled
-# without weights.
+# before a dense layer of 10, each size a small valid one or, one time in
+# eight, one from a pool of odd values; compiled without weights.  Each conv
+# or dense layer is followed by the activation its place needs, except in
+# one chain in two, where one time in four it has none and one time in four
+# two, and each one's kind is, three times in five, the kind its place
+# needs, else one of the other two.
 SIZES = [1, 2, 3, 4, 8]
 ODD_SIZES = [0, -1, 2.5, 2.0, True, float("nan"), 2 ** 22, 2 ** 64, "3",
              None]
 DEAD_BANDS = [0.5, 0.25, 1e-9, 0.5, 0.25, 0.0, -0.5, float("inf"),
               float("nan")]
 LAYERS = {"conv": (Conv2D, 3), "pool": (MaxPool2D, 1), "dense": (Dense, 1)}
+KINDS = ["binary", "ternary", "sigmoid_output"]
 CHAIN_FUZZ = settings(derandomize=True, max_examples=1000, deadline=None,
                       database=None)
 
@@ -107,16 +111,31 @@ def layer_size(draw):
 
 
 @st.composite
+def activation_kinds(draw, kind, odd):
+    """The kinds of the activations after one conv or dense layer: [kind],
+    or in an odd chain none, one or two, each mostly kind."""
+    if not odd:
+        return [kind]
+    return [draw(st.sampled_from([kind, kind] + KINDS))
+            for _ in range(draw(st.sampled_from([1, 1, 0, 2])))]
+
+
+@st.composite
 def layer_chain(draw):
     dims = [draw(layer_size())
             for _ in range(draw(st.sampled_from([3, 3, 3, 1, 0])))]
+    precision = draw(st.sampled_from(list(Precision)))
+    hidden = "binary" if precision is Precision.BINARY else "ternary"
+    odd = draw(st.booleans())
     specs = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(sorted(LAYERS)))
         specs.append((kind, [draw(layer_size())
-                             for _ in range(LAYERS[kind][1])]))
-    return (dims, specs, draw(st.sampled_from(list(Precision))),
-            draw(st.sampled_from(DEAD_BANDS)))
+                             for _ in range(LAYERS[kind][1])],
+                      [] if kind == "pool"
+                      else draw(activation_kinds(hidden, odd))))
+    specs.append(("dense", [10], draw(activation_kinds("sigmoid_output", odd))))
+    return dims, specs, precision, draw(st.sampled_from(DEAD_BANDS))
 
 
 class TestLayerChains:
@@ -124,18 +143,19 @@ class TestLayerChains:
     @given(layer_chain())
     def test_network_description(self, chain):
         dims, specs, precision, r = chain
-        hidden = "binary" if precision is Precision.BINARY else "ternary"
         try:
             layers = []
-            for kind, sizes in specs:
+            for kind, sizes, kinds in specs:
                 layers.append(LAYERS[kind][0](*sizes))
-                if kind != "pool":
-                    layers.append(Activation(hidden, r))
-            layers += [Dense(10), Activation("sigmoid_output")]
+                layers += [Activation(k, r) for k in kinds]
             net = NetworkDescription(precision, dims, layers,
                                      [None] * len(layers))
         except OxcimError:
             return
+        hidden = "binary" if precision is Precision.BINARY else "ternary"
+        kinds = [l.kind for l in layers if isinstance(l, Activation)]
+        assert kinds == [hidden] * (len(kinds) - 1) + ["sigmoid_output"]
+        assert isinstance(layers[-1], Activation)
         assert net.plan[-1].out_shape == (10,)
 
 
@@ -285,12 +305,12 @@ class TestRealConstants:
 
     @REAL_FUZZ
     @given(st.sampled_from(REALS), st.sampled_from(REALS),
-           st.sampled_from(list(ActivationMode)))
-    def test_dead_band_and_gain(self, r, gain, mode):
+           st.sampled_from(KINDS))
+    def test_dead_band_and_gain(self, r, gain, kind):
         for call in (lambda: Activation("ternary", r),
                      lambda: quantize_weights(DELTAS_UA, Precision.TERNARY,
                                               r=r),
-                     lambda: sense_to_activation(DELTAS_UA, mode, r=r,
+                     lambda: sense_to_activation(DELTAS_UA, Activation(kind, r),
                                                  gain_uA=gain)):
             try:
                 call()
@@ -458,15 +478,15 @@ class TestArrays:
     @ARRAY_FUZZ
     @given(pool_arrays(VALUE_SHAPES, [-2.0, -0.5, 0.0, 0.3, 1.0, 200.0]),
            st.sampled_from(list(Precision)),
-           st.sampled_from(list(ActivationMode)))
-    @example(RAGGED, Precision.TERNARY, ActivationMode.HIDDEN_TERNARY)
-    def test_real_arrays(self, x, precision, mode):
+           st.sampled_from(KINDS))
+    @example(RAGGED, Precision.TERNARY, "ternary")
+    def test_real_arrays(self, x, precision, kind):
         for call in (lambda: act_binary(x), lambda: act_ternary(x, 0.5),
                      lambda: quantize_weights(x, precision),
                      lambda: sigmoid_ideal(x),
                      lambda: sigmoid_neuron_voltage(x),
                      lambda: thermometric_trits(x),
-                     lambda: sense_to_activation(x, mode)):
+                     lambda: sense_to_activation(x, Activation(kind))):
             try:
                 call()
             except OxcimError:

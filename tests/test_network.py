@@ -122,6 +122,15 @@ class TestBatchEncoder:
             thermometric_trits(np.zeros(4))
 
     @pytest.mark.parametrize("encode", [encode_images, _encode_batch])
+    @pytest.mark.parametrize("images", [[[1], [1, 2]], np.zeros((2, 28, 28))],
+                             ids=["ragged", "float"])
+    def test_images_checked(self, encode, images):
+        # a ragged nest used to end in numpy's ValueError, and float images
+        # were padded and encoded
+        with pytest.raises(DomainError):
+            encode(images)
+
+    @pytest.mark.parametrize("encode", [encode_images, _encode_batch])
     def test_allocates_little_beyond_the_output(self, encode):
         n = 64
         images = np.random.default_rng(0).integers(
@@ -325,6 +334,24 @@ class TestNetworkDescription:
         with pytest.raises(ShapeError):
             NetworkDescription(net.precision, net.input_shape, net.layers,
                                [bad] + net.weights[1:])
+
+    def test_sigmoid_output_before_the_last_layer_rejected(self):
+        # this net used to compile, and both forward passes stopped at
+        # layer 1 and returned (N, 2, 4, 4) "scores"
+        layers = [Conv2D(2, 3), Activation("sigmoid_output"), MaxPool2D(2),
+                  Dense(3), Activation("sigmoid_output")]
+        with pytest.raises(ConfigError, match="sigmoid_output must be the "
+                                              "last layer"):
+            NetworkDescription(Precision.TERNARY, (1, 6, 6), layers,
+                               [None] * len(layers))
+
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_hidden_activation_at_the_last_layer_rejected(self, precision):
+        kind = "binary" if precision is Precision.BINARY else "ternary"
+        with pytest.raises(ConfigError, match="sigmoid_output must be the "
+                                              r"last layer.*found at \[\]"):
+            NetworkDescription(precision, (1, 4, 4),
+                               [Dense(10), Activation(kind)], [None, None])
 
     def test_precision_mismatch_rejected(self):
         net = tiny_net(Precision.TERNARY)

@@ -182,6 +182,15 @@ class TestRecordChecks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_sigmoid_output_before_the_last_layer_rejected(self):
+        # this file used to load into a net whose forward passes stopped at
+        # layer 1 and returned (N, 3, 2, 2) "scores"
+        text, _ = replace_line(dumps(tiny_net()), "layer.1",
+                               "layer.1 = activation kind=sigmoid_output")
+        with pytest.raises(ParseError, match="sigmoid_output must be the "
+                                             "last layer"):
+            loads(text)
+
     def test_oversized_input_fails_at_its_line(self):
         text, line = replace_line(dumps(tiny_net()), "input",
                                   "input = 1,65536,65536")
