@@ -19,23 +19,29 @@ only: the same forward and loss code as a training step, with no backward
 records, STE masks or gradients.
 
 The quantized forward runs network.exact_preact, the exact products of
-the oracle, and records each layer's input; backprop builds a conv's patch
-matrix from it.  A step casts its layer inputs to float one block at a
-time, each within BLOCK_BYTES: blocks of images to float32 for the forward
-products, column blocks of the inputs (patch matrices for a conv) to
-float64 for the weight gradients.  Neither moves a bit: the forward
-products are exact trit sums, and each gradient element keeps its one
-float64 sum over the batch.
+the oracle, and records each layer's input; only the surrogate forward
+builds a conv's patch matrix.  A step casts its layer inputs to float one
+block at a time, each within BLOCK_BYTES: blocks of images to float32 for
+the forward products; for the weight gradients, column blocks of a dense
+layer's input and, for a conv, blocks of whole kernel positions of its
+patch columns, copied to float64 from windows of the input.  Neither
+moves a bit: the forward products are exact trit sums, and each gradient
+element keeps its one float64 sum over the batch.  Pool gradients go back
+through the strided views of the window offsets, as network.maxpool reads
+them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import check_images, check_labels, pad_to_32
-from .errors import ShapeError, TrainingDiverged, check_integer, check_real
-from .network import Activation, activate, as_batch, conv_weight_matrix, \
-    exact_preact, maxpool, patches, thermometric_trits, walk
+from .errors import ConfigError, ShapeError, TrainingDiverged, check_integer, \
+    check_real
+from .network import Activation, NetworkDescription, activate, as_batch, \
+    conv_weight_matrix, exact_preact, maxpool, patches, thermometric_trits, \
+    walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .quant import act_binary, act_ternary  # noqa: F401
@@ -47,9 +53,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 256  # images per forward pass in evaluate_loss
 # Bytes of the float copy of one block of a layer input in a training
-# step: the forward casts blocks of images to float32, the backward column
-# blocks to float64.  A float64 copy of a whole conv1 patch matrix (80 MB at
-# 64 images) set the peak RSS of a training run; 16 MiB blocks ran fastest.
+# step: the forward casts blocks of images to float32, the backward blocks
+# of a dense input's columns or a conv's patch columns to float64.  A float64
+# copy of a whole conv1 patch matrix (80 MB at 64 images) set the peak RSS
+# of a training run; 16 MiB blocks ran fastest.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -88,17 +95,18 @@ def _encode_batch(images):
 
 def _blocks(n, nbytes, unit=1):
     """Slices of range(n) starting on multiples of unit, near-equal in whole
-    units: as few as keep each one's share of nbytes within BLOCK_BYTES,
-    but at most n // unit of them."""
+    units: as few as keep each one's share of nbytes within BLOCK_BYTES, a
+    unit per block if one unit is over it, but at most n // unit of them."""
     units = -(-n // unit)
-    k = max(1, min(-(-nbytes // BLOCK_BYTES), n // unit))
+    most = max(1, BLOCK_BYTES * n // (nbytes * unit))  # units per block
+    k = max(1, min(-(-units // most), n // unit))
     edges = [min(n, unit * (units * i // k)) for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _weight_gradient(inputs, dpre):
-    """inputs.T @ dpre in float64, cast and multiplied in blocks of inputs'
-    columns that each fit in BLOCK_BYTES.
+    """A dense layer's inputs.T @ dpre in float64, cast and multiplied in
+    blocks of inputs' columns that each fit in BLOCK_BYTES.
 
     A block owns whole rows of the result, so each element keeps its one
     sum over all of inputs' rows.  At one BLAS thread it keeps its bits too
@@ -113,20 +121,70 @@ def _weight_gradient(inputs, dpre):
     return gw
 
 
+def _patch_rows(dpre):
+    """A conv's (B, O, oh, ow) pre-activation gradient as (B*P, O) in
+    patch-row order: the transpose of a C-ordered (O, B*P) copy, which
+    moves runs of P values, and in a product has the role and the bits of
+    a C-ordered (B*P, O) one."""
+    b, o = dpre.shape[:2]
+    return np.ascontiguousarray(dpre.reshape(b, o, -1).transpose(1, 0, 2)) \
+        .reshape(o, -1).T
+
+
+def _conv_weight_gradient(op, x, dpre):
+    """Conv op's (O, C, k, k) weight gradient from its input batch x and
+    dpre, the (N*P, O) gradient at its pre-activations in patch-row order.
+
+    The columns of the float64 patch matrix, in (kh, kw, c) order, are
+    copied from windows of a channels-last copy of x, each kernel row's
+    (kw, c) run contiguous, into one reused buffer, a block of whole kernel
+    positions at a time within BLOCK_BYTES, and each block multiplies dpre
+    as a column block of patches(op, x) would in _weight_gradient: every
+    element is the same one float64 sum over the batch, with the same bits
+    at one BLAS thread.
+    """
+    o, c, k, _ = op.weight_shape
+    s = op.layer.stride
+    _, oh, ow = op.out_shape
+    n, _, h, w = x.shape
+    hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+    # rows[n, y, j] = hwc[n, y, j*s:j*s + k].ravel(), the (kw, c) run
+    rows = sliding_window_view(hwc.reshape(n, h, w * c), k * c, axis=2)
+    rows = rows[:, :, :s * c * (ow - 1) + 1:s * c]
+    span = s * (oh - 1) + 1
+    run = k * c  # patch columns per kernel row
+    blocks = _blocks(k * run, n * oh * ow * op.fan_in * 8, unit=c)
+    buf = np.empty(n * oh * ow * max(b.stop - b.start for b in blocks))
+    gw = np.empty((k * run, o))
+    for b in blocks:
+        block = buf[:n * oh * ow * (b.stop - b.start)].reshape(n, oh, ow, -1)
+        for kh in range(b.start // run, -(-b.stop // run)):
+            lo, hi = max(b.start, kh * run), min(b.stop, (kh + 1) * run)
+            np.copyto(block[..., lo - b.start:hi - b.start],
+                      rows[:, kh:kh + span:s, :, lo - kh * run:hi - kh * run])
+        gw[b] = block.reshape(-1, block.shape[-1]).T @ dpre
+    return gw.reshape(k, k, c, o).transpose(3, 2, 0, 1)
+
+
 def _unpool(a, sizes, dval):
-    """Gradient at a from dval, the gradient at a pooled by sizes in turn."""
+    """Gradient at a from dval, the gradient at a pooled by sizes in turn.
+
+    Each tie of a window gets fl(fl(1 / tie count) * dval) and every other
+    cell a zero signed like dval, written through the size**2 strided views
+    of the window offsets, as network.maxpool reads them.
+    """
     inputs = [a]
     for size in sizes:
         inputs.append(maxpool(inputs[-1], size))
     for x, pooled, s in reversed(list(zip(inputs, inputs[1:], sizes))):
-        b, c, h, w = x.shape
-        x6 = x.reshape(b, c, h // s, s, w // s, s)
-        ties = x6 == pooled.reshape(b, c, h // s, 1, w // s, 1)
-        # one division per window: each tie gets fl(fl(1 / count) * dval)
-        # and every other cell a zero signed like dval
-        share = 1.0 / ties.sum(axis=(3, 5), keepdims=True)
-        share *= dval.reshape(b, c, h // s, 1, w // s, 1)
-        dval = (ties * share).reshape(b, c * h * w)
+        offsets = [(i, j) for i in range(s) for j in range(s)]
+        ties = [x[..., i::s, j::s] == pooled for i, j in offsets]
+        share = 1.0 / np.sum(ties, axis=0)  # one division per window
+        share *= dval.reshape(pooled.shape)
+        out = np.empty(x.shape)
+        for (i, j), t in zip(offsets, ties):
+            np.multiply(t, share, out=out[..., i::s, j::s])
+        dval = out.reshape(x.shape[0], -1)
     return dval
 
 
@@ -154,7 +212,11 @@ class Trainer:
     """Backprop engine for one architecture (conv/pool/dense/activation)."""
 
     def __init__(self, net_template, cfg=None):
-        self.cfg = cfg or TrainConfig()
+        if not isinstance(net_template, NetworkDescription):
+            raise ConfigError(f"not a NetworkDescription: {net_template!r}")
+        self.cfg = TrainConfig() if cfg is None else cfg
+        if not isinstance(self.cfg, TrainConfig):
+            raise ConfigError(f"not a TrainConfig: {cfg!r}")
         self.net = net_template
         self.precision = net_template.precision
         self.rng = np.random.default_rng(self.cfg.seed)
@@ -278,12 +340,11 @@ class Trainer:
                     / op.scale
                 continue
             _, k, x, wmat = rec
-            inputs = patches(op, x)
-            if dpre.ndim == 4:  # (B, O, oh, ow) -> (B*P, O), patch order
-                dpre = dpre.transpose(0, 2, 3, 1).reshape(-1, dpre.shape[1])
-            gw = _weight_gradient(inputs, dpre)
-            grads[k] = gw if op.gather is None \
-                else gw.T.reshape(self.params[k].shape)
+            if op.gather is None:
+                grads[k] = _weight_gradient(x, dpre)
+            else:
+                dpre = _patch_rows(dpre)
+                grads[k] = _conv_weight_gradient(op, x, dpre)
             if rec is stack[0]:
                 break  # nothing below the first layer has weights
             dval = dpre @ wmat.T
@@ -314,6 +375,8 @@ class Trainer:
         return total / n
 
     def fit(self, images, labels, log_fn=None):
+        if log_fn is not None and not callable(log_fn):
+            raise ConfigError(f"log_fn is not callable: {log_fn!r}")
         cfg = self.cfg
         images = check_images(images)
         n = images.shape[0]
@@ -343,7 +406,7 @@ class Trainer:
             val_loss = self.evaluate_loss(images[val_ids], labels[val_ids]) \
                 if n_val else float("nan")
             result.loss_curve.append((epoch, train_loss, val_loss))
-            if log_fn:
+            if log_fn is not None:
                 log_fn(f"epoch {epoch:3d}  train {train_loss:.4f}  "
                        f"val {val_loss:.4f}")
         result.net = self.network()

@@ -12,7 +12,8 @@ from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            patches, walk)
 from oxcim.quant import Precision
 from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
-                         _blocks, _encode_batch, _unpool, _weight_gradient)
+                         _blocks, _conv_weight_gradient, _encode_batch,
+                         _patch_rows, _unpool, _weight_gradient)
 from test_golden import GOLDEN_TRAIN_RUN
 
 
@@ -205,6 +206,49 @@ class TestLabelChecks:
             train(small_arch(), store.train_images[:4],
                   store.train_labels[:4],
                   TrainConfig(epochs=1, batch_size=8, val_fraction=0.9))
+
+
+class TestEntryPointArguments:
+    """train() and Trainer refuse a wrong type with a ConfigError before
+    any work (each ended in an AttributeError or a TypeError)."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return synthetic_dataset(n_train=24, n_test=4, seed=2)
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before the argument check")
+        monkeypatch.setattr(Trainer, "loss_and_grads", refuse)
+        monkeypatch.setattr(Trainer, "evaluate_loss", refuse)
+
+    @pytest.mark.parametrize("cfg", [{"epochs": 1}, 0, "cfg"],
+                             ids=["dict", "zero", "str"])
+    def test_config_that_is_not_a_train_config_rejected(self, store, cfg,
+                                                        no_training):
+        with pytest.raises(ConfigError, match="not a TrainConfig"):
+            Trainer(small_arch(), cfg)
+        with pytest.raises(ConfigError, match="not a TrainConfig"):
+            train(small_arch(), store.train_images, store.train_labels, cfg)
+
+    @pytest.mark.parametrize("template", ["lenet", None, "layers"])
+    def test_template_that_is_not_a_network_description_rejected(
+            self, store, template, no_training):
+        if template == "layers":
+            template = small_arch().layers
+        with pytest.raises(ConfigError, match="not a NetworkDescription"):
+            Trainer(template)
+        with pytest.raises(ConfigError, match="not a NetworkDescription"):
+            train(template, store.train_images, store.train_labels)
+
+    @pytest.mark.parametrize("log_fn", ["print", 0, [print]],
+                             ids=["str", "zero", "list"])
+    def test_log_fn_that_is_not_callable_rejected(self, store, log_fn,
+                                                  no_training):
+        with pytest.raises(ConfigError, match="log_fn is not callable"):
+            train(small_arch(), store.train_images, store.train_labels,
+                  TrainConfig(epochs=1), log_fn=log_fn)
 
 
 class TestTrainerMechanics:
@@ -496,6 +540,91 @@ class TestBlockedWeightGradient:
             tracemalloc.stop()
         margin = 16 * 2**20
         assert peak <= conv1_patch_bytes(batch, 1) + BLOCK_BYTES + margin
+
+
+def conv_op(in_channels, out_channels):
+    """The 3x3 conv of a one-conv net over (in_channels, 12, 12) inputs."""
+    layers = [Conv2D(out_channels, 3), Activation("ternary"), Dense(10),
+              Activation("sigmoid_output")]
+    return NetworkDescription(Precision.TERNARY, (in_channels, 12, 12),
+                              layers, [None] * len(layers)).plan[0]
+
+
+CONVS = {
+    "lenet-conv1": LENET_CONV1,
+    "lenet-conv2": lenet(Precision.TERNARY).plan[3],
+    "small-stride2": small_arch().plan[0],
+    "1ch-3x3": conv_op(1, 4),
+    "2ch-3x3": conv_op(2, 3),
+}
+
+
+class TestConvWeightGradient:
+    """A conv's weight gradient comes from windows of its input, in blocks
+    of whole kernel positions, and has the bits of one float64 product of
+    the patch matrix."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 13, 24, 61, 64, 70, 130])
+    @pytest.mark.parametrize("conv", list(CONVS))
+    def test_matches_the_patch_matrix_product_bit_for_bit(self, conv, batch):
+        # 4 images: the fixture run's last batch; 13: one-kernel-row blocks
+        # of conv2 fell under the small-matrix GEMM there
+        op = CONVS[conv]
+        gen = np.random.default_rng(batch)
+        x = gen.integers(-1, 2, size=(batch, *op.in_shape), dtype=np.int8)
+        dpre = _patch_rows(gen.standard_normal((batch, *op.out_shape)))
+        got = _conv_weight_gradient(op, x, dpre)
+        expect = (np.asarray(patches(op, x), np.float64).T @ dpre) \
+            .T.reshape(op.weight_shape)
+        assert got.shape == op.weight_shape
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(got).view(np.uint64),
+            np.ascontiguousarray(expect).view(np.uint64))
+
+    def test_training_step_builds_no_patch_matrix(self, monkeypatch):
+        def refuse(op, x):
+            raise AssertionError("built a patch matrix")
+        monkeypatch.setattr(sys.modules["oxcim.train"], "patches", refuse)
+        store = synthetic_dataset(n_train=8, n_test=4, seed=3)
+        x = _encode_batch(store.train_images)
+        for arch in (lenet(Precision.TERNARY), small_arch()):
+            loss, grads = Trainer(arch, TrainConfig(seed=3)) \
+                .loss_and_grads(x, store.train_labels)
+            assert np.isfinite(loss) and all(np.isfinite(g).all()
+                                             for g in grads)
+
+    @pytest.mark.parametrize("batch", [70, 130])
+    def test_kernel_position_blocks_fit_the_budget(self, batch):
+        # a near-equal split of 25 positions into as many blocks as the
+        # budget divides gave 5-position blocks of 17.6 MB at 70 images
+        channels = LENET_CONV1.in_shape[0]
+        column = conv1_patch_bytes(batch, 8) // LENET_CONV1.fan_in
+        spans = _blocks(LENET_CONV1.fan_in, conv1_patch_bytes(batch, 8),
+                        unit=channels)
+        assert len(spans) > 1
+        for s in spans:
+            assert s.start % channels == 0 and s.stop % channels == 0
+            assert BLOCK_BYTES / 3 <= (s.stop - s.start) * column \
+                <= BLOCK_BYTES
+
+    @pytest.mark.parametrize("batch", [70, 130])
+    def test_training_step_working_set_is_one_block_and_the_walk(self,
+                                                                  batch):
+        # no int8 patch matrix: besides one float64 block, a step holds
+        # per image the float64 channels-last copy of the conv1 input
+        # (64 KiB) and the float64 conv1 gradients of the walk (37 KiB
+        # each), about 250 KiB in all
+        store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
+        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
+        x = _encode_batch(store.train_images)
+        trainer.loss_and_grads(x, store.train_labels)  # warm caches
+        tracemalloc.start()
+        try:
+            trainer.loss_and_grads(x, store.train_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BLOCK_BYTES + batch * 2**18
 
 
 class TestValidationLoss:
