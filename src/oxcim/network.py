@@ -14,7 +14,9 @@ from a layer input to scaled pre-activations and the output step, and
 training also wraps the activation step to record what backprop needs.
 The exact products (exact_preact) need no patch matrix: a conv is summed
 one kernel row at a time over windows of the input rows (the kn2row
-family), and only the passes that read input vectors build patches.
+scheme of Vasudevan, Anderson & Gregg, turned around so that the output
+positions, not the few output channels, are the long axis of each GEMM),
+and only the passes that read input vectors build patches.
 
 Hidden pre-activations are integer popcounts with magnitude up to the
 layer's fan-in, so before an activation they are divided by a fixed
@@ -53,9 +55,10 @@ from .quant import Precision, TernaryTensor, act_binary, act_ternary, \
 N_THERMO_CHANNELS = 8
 # keeps integer popcounts strictly off the ternary dead-band boundary
 SCALE_NUDGE = 1.0 + 2.0 ** -20
-# Largest input, conv input and conv gather (output positions x fan-in) a
-# plan may hold: 4 Mi int64 offsets take 32 MiB, and LeNet's conv1 needs
-# 28*28*200.
+# Largest input, conv input, conv gather (output positions x fan-in) and
+# dense fan-in a plan may hold: 4 Mi int64 offsets take 32 MiB, LeNet's
+# conv1 needs 28*28*200, and every fan-in stays below the 2**24 up to which
+# exact_preact's float32 sums are exact.
 MAX_PLAN_CELLS = 2 ** 22
 # Equally spaced at 32 except the top level, which saturates at 255 so the
 # brightest pixel activates every channel.
@@ -250,6 +253,9 @@ def compile_plan(precision, input_shape, layers, weights):
                 im2col(ids, layer.kernel, layer.stride)[0])
         elif isinstance(layer, Dense):
             fan_in = math.prod(shape)
+            if fan_in > MAX_PLAN_CELLS:
+                raise ShapeError(f"layer {i}: dense fan-in {fan_in} over "
+                                 f"{MAX_PLAN_CELLS}")
             op = param = LayerOp(i, layer, shape, (layer.out_units,), fan_in,
                                  _scale(fan_in), (fan_in, layer.out_units))
         elif isinstance(layer, Activation):
@@ -380,13 +386,16 @@ def exact_preact(op, x, w):
     weights w (any real dtype) and input x: (N, oh, ow, O) for a conv's
     (N, C, H, W) batch, (N, O) for a dense layer's (N, K).
 
-    A conv reads float32 row windows R[n, h, j, (kw, c)] =
-    x[n, c, h, j*stride + kw] and sums, over kernel rows kh, the product of
-    R's rows kh, kh + stride, ... with that kernel row's weights.  Every
-    partial sum is an integer of magnitude at most fan_in < 2**24, so the
-    float32 sums are the exact popcounts and the float64 results are those
-    of an integer patch-matrix product, bit for bit.  (kw, c) order copies
-    each window as one run of the channels-last input.
+    A conv copies float32 row windows channel-first,
+    R[n, (c, kw), h, j] = x[n, c, h, j*stride + kw], and sums, over kernel
+    rows kh, kernel row kh's (O, C*k) weights times R's rows kh,
+    kh + stride, ... as a (C*k, oh*ow) matrix per image, so the output
+    positions are the long axis of each GEMM (at stride 1 that matrix is a
+    view of R).  Every partial sum is an integer of magnitude at most
+    fan_in < 2**24, so the float32 sums are the exact popcounts and the
+    float64 results are those of an integer patch-matrix product, bit for
+    bit.  The conv result is the transposed view of a C-ordered
+    (N, O, oh, ow) array.
     """
     if op.gather is None:
         pc = x.astype(np.float32) @ w.astype(np.float32)
@@ -394,16 +403,17 @@ def exact_preact(op, x, w):
     o, c, k, _ = w.shape
     s = op.layer.stride
     _, oh, ow = op.out_shape
-    hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float32)
-    win = sliding_window_view(hwc, k, axis=2)[:, :, :s * (ow - 1) + 1:s]
-    rows = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3))
-    rows = rows.reshape(*rows.shape[:3], k * c)
-    wk = w.transpose(2, 3, 1, 0).reshape(k, k * c, o).astype(np.float32)
+    n, _, h, _ = x.shape
+    win = sliding_window_view(x, k, axis=3)[..., ::s, :]
+    rows = np.ascontiguousarray(win.transpose(0, 1, 4, 2, 3), dtype=np.float32)
+    rows = rows.reshape(n, c * k, h, ow)
+    wk = w.transpose(2, 0, 1, 3).reshape(k, o, c * k).astype(np.float32)
     span = s * (oh - 1) + 1
-    pc = rows[:, :span:s] @ wk[0]
+    pc = wk[0] @ rows[:, :, :span:s].reshape(n, c * k, oh * ow)
     for kh in range(1, k):
-        pc += rows[:, kh:kh + span:s] @ wk[kh]
-    return np.divide(pc, op.scale, dtype=np.float64)
+        pc += wk[kh] @ rows[:, :, kh:kh + span:s].reshape(n, c * k, oh * ow)
+    pc = np.divide(pc, op.scale, dtype=np.float64)
+    return pc.reshape(n, o, oh, ow).transpose(0, 2, 3, 1)
 
 
 def walk(net, x, preact, output, activate=activate):
@@ -415,6 +425,10 @@ def walk(net, x, preact, output, activate=activate):
     row-major as the rows of patches(op, x), or the same as (N, oh, ow, O).
     activate(op, u) sees them as (N, O, oh, ow) or (N, O); output(op, u)
     gets the last layer's (N, O) and the walk returns what it returns.
+    The (N, O, oh, ow) maps are a transposed view of preact's result, so
+    they are C-contiguous, and activate and maxpool read them in order,
+    when that result is itself a view of a C-ordered (N, O, oh, ow) array,
+    as exact_preact's is.
     """
     n = x.shape[0]
     val = x

@@ -290,8 +290,7 @@ class Trainer:
             # float32 row windows: H * ow * C * kernel values per conv image
             width = x[0].size if op.gather is None else \
                 op.in_shape[1] * op.out_shape[2] * op.fan_in // op.layer.kernel
-            o, *positions = op.out_shape
-            u = np.empty((B, *positions, o))
+            u = np.moveaxis(np.empty((B, *op.out_shape)), 1, -1)
             for s in _blocks(B, B * width * 4):
                 u[s] = exact_preact(op, x[s], wq)
             return u

@@ -417,6 +417,17 @@ class TestNetworkDescription:
             tracemalloc.stop()
         assert peak < 40 * 2**20  # the first conv's 32 MiB of offsets
 
+    def test_dense_fan_in_over_the_exact_float32_range_rejected(self):
+        # a dense layer over 16 positions of 2**20 + 1 conv channels (fan-in
+        # 16,777,232) used to compile, past the 2**24 up to which
+        # exact_preact's float32 sums are exact
+        layers = [Conv2D(2**18 + 1, 1), Activation("ternary"), Dense(1),
+                  Activation("sigmoid_output")]
+        with pytest.raises(ShapeError, match="dense fan-in 4194320 over "
+                                             "4194304"):
+            NetworkDescription(Precision.TERNARY, (1, 4, 4), layers,
+                               [None] * len(layers))
+
     def test_missing_weights_gate(self):
         arch = lenet(Precision.BINARY)  # no weights attached
         with pytest.raises(ConfigError):
