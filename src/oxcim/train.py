@@ -24,11 +24,14 @@ builds a conv's patch matrix.  A step casts its layer inputs to float one
 block at a time, each within BLOCK_BYTES: blocks of images to float32 for
 the forward products; for the weight gradients, column blocks of a dense
 layer's input and, for a conv, blocks of whole kernel positions of its
-patch columns, copied to float64 from windows of the input.  Neither
-moves a bit: the forward products are exact trit sums, and each gradient
-element keeps its one float64 sum over the batch.  Pool gradients go back
-through the strided views of the window offsets, as network.maxpool reads
-them.
+patch columns, copied to float64 from windows of the input into one
+buffer that the Trainer holds across steps and releases before a
+validation pass.  A conv block is multiplied output-major: the gradient
+at the pre-activations, as a C-ordered (O, N*P) array, times the block.
+Neither moves a bit: the forward products are exact trit sums, and each
+gradient element keeps its one float64 sum over the batch.  Pool
+gradients go back through the strided views of the window offsets, as
+network.maxpool reads them.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +59,9 @@ EVAL_BATCH = 256  # images per forward pass in evaluate_loss
 # step: the forward casts blocks of images to float32, the backward blocks
 # of a dense input's columns or a conv's patch columns to float64.  A float64
 # copy of a whole conv1 patch matrix (80 MB at 64 images) set the peak RSS
-# of a training run; 16 MiB blocks ran fastest.
+# of a training run.  16 MiB blocks ran fastest: LeNet conv1's output-major
+# weight gradient at 64 images took 12.3 ms, against 15.5-18.6 ms at
+# 0.5-8 MiB and 15.1 ms at 32 and 64 MiB (one BLAS thread, 2-core VM).
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -124,24 +129,36 @@ def _weight_gradient(inputs, dpre):
 def _patch_rows(dpre):
     """A conv's (B, O, oh, ow) pre-activation gradient as (B*P, O) in
     patch-row order: the transpose of a C-ordered (O, B*P) copy, which
-    moves runs of P values, and in a product has the role and the bits of
-    a C-ordered (B*P, O) one."""
+    moves runs of P values.  In dpre @ wmat.T it has the role and the bits
+    of a C-ordered (B*P, O) array; its transpose is that copy itself, the
+    packed operand of _conv_weight_gradient."""
     b, o = dpre.shape[:2]
     return np.ascontiguousarray(dpre.reshape(b, o, -1).transpose(1, 0, 2)) \
         .reshape(o, -1).T
 
 
-def _conv_weight_gradient(op, x, dpre):
+def _conv_blocks(op, n):
+    """The blocks of whole kernel positions, as slices of a conv op's
+    (kh, kw, c) patch columns, in which _conv_weight_gradient copies and
+    multiplies an n-image batch, each within BLOCK_BYTES; and the float64
+    elements of the largest."""
+    rows = n * op.gather.shape[0]
+    blocks = _blocks(op.fan_in, rows * op.fan_in * 8, unit=op.in_shape[0])
+    return blocks, rows * max(b.stop - b.start for b in blocks)
+
+
+def _conv_weight_gradient(op, x, dpre, buf):
     """Conv op's (O, C, k, k) weight gradient from its input batch x and
     dpre, the (N*P, O) gradient at its pre-activations in patch-row order.
 
-    The columns of the float64 patch matrix, in (kh, kw, c) order, are
+    The columns of the float64 patch matrix P, in (kh, kw, c) order, are
     copied from windows of a channels-last copy of x, each kernel row's
-    (kw, c) run contiguous, into one reused buffer, a block of whole kernel
-    positions at a time within BLOCK_BYTES, and each block multiplies dpre
-    as a column block of patches(op, x) would in _weight_gradient: every
-    element is the same one float64 sum over the batch, with the same bits
-    at one BLAS thread.
+    (kw, c) run contiguous, into buf, one _conv_blocks block at a time.
+    Each block is multiplied output-major, dpre.T @ block, with dpre.T the
+    C-ordered (O, N*P) copy _patch_rows made: at 64 images a 40-column
+    block of LeNet conv1 took 1.2-1.5 ms so against 2.7 ms as
+    block.T @ dpre (one BLAS thread).  Every element is one float64 sum
+    over the batch, with the bits of dpre.T @ P at one BLAS thread.
     """
     o, c, k, _ = op.weight_shape
     s = op.layer.stride
@@ -153,17 +170,15 @@ def _conv_weight_gradient(op, x, dpre):
     rows = rows[:, :, :s * c * (ow - 1) + 1:s * c]
     span = s * (oh - 1) + 1
     run = k * c  # patch columns per kernel row
-    blocks = _blocks(k * run, n * oh * ow * op.fan_in * 8, unit=c)
-    buf = np.empty(n * oh * ow * max(b.stop - b.start for b in blocks))
-    gw = np.empty((k * run, o))
-    for b in blocks:
+    gw = np.empty((o, k * run))
+    for b in _conv_blocks(op, n)[0]:
         block = buf[:n * oh * ow * (b.stop - b.start)].reshape(n, oh, ow, -1)
         for kh in range(b.start // run, -(-b.stop // run)):
             lo, hi = max(b.start, kh * run), min(b.stop, (kh + 1) * run)
             np.copyto(block[..., lo - b.start:hi - b.start],
                       rows[:, kh:kh + span:s, :, lo - kh * run:hi - kh * run])
-        gw[b] = block.reshape(-1, block.shape[-1]).T @ dpre
-    return gw.reshape(k, k, c, o).transpose(3, 2, 0, 1)
+        gw[:, b] = dpre.T @ block.reshape(-1, block.shape[-1])
+    return gw.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
 
 def _unpool(a, sizes, dval):
@@ -225,6 +240,7 @@ class Trainer:
             for i in self.net.parametric_indices()
         ]
         self.opt = _Adam([p.shape for p in self.params], self.cfg.lr)
+        self._block = np.empty(0)  # float64 conv blocks; see _backward
 
     def quantized_weights(self):
         """Current latent weights quantized to TernaryTensors."""
@@ -330,6 +346,14 @@ class Trainer:
         """
         grads = [None] * len(self.params)
         above = None  # layer index of the conv/dense that dval belongs to
+        # Every conv block of the step goes through one buffer, held across
+        # steps.  It grows to the step's largest block before the first:
+        # a smaller one freed on the way left its heap pages resident.
+        size = max([_conv_blocks(rec[0], len(rec[2]))[1] for rec in stack
+                    if rec[0].gather is not None], default=0)
+        if self._block.size < size:
+            self._block = None  # free the smaller buffer first
+            self._block = np.empty(size)
         for rec in reversed(stack):
             op = rec[0]
             if isinstance(op.layer, Activation):
@@ -343,7 +367,7 @@ class Trainer:
                 grads[k] = _weight_gradient(x, dpre)
             else:
                 dpre = _patch_rows(dpre)
-                grads[k] = _conv_weight_gradient(op, x, dpre)
+                grads[k] = _conv_weight_gradient(op, x, dpre, self._block)
             if rec is stack[0]:
                 break  # nothing below the first layer has weights
             dval = dpre @ wmat.T
@@ -363,6 +387,8 @@ class Trainer:
     # -- training loop ---------------------------------------------------------
 
     def evaluate_loss(self, images, labels):
+        # free the block buffer, which would add to the forward pass's peak
+        self._block = np.empty(0)
         images = check_images(images)
         n = images.shape[0]
         labels = self._check_labels(labels, n)

@@ -12,8 +12,9 @@ from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            patches, walk)
 from oxcim.quant import Precision
 from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
-                         _blocks, _conv_weight_gradient, _encode_batch,
-                         _patch_rows, _unpool, _weight_gradient)
+                         _blocks, _conv_blocks, _conv_weight_gradient,
+                         _encode_batch, _patch_rows, _unpool,
+                         _weight_gradient)
 from test_golden import GOLDEN_TRAIN_RUN
 
 
@@ -522,25 +523,6 @@ class TestBlockedWeightGradient:
         batch = int(re.search(r"batch_size=(\d+)", GOLDEN_TRAIN_RUN)[1])
         assert conv1_patch_bytes(batch, 8) > BLOCK_BYTES
 
-    def test_training_step_working_set_is_bounded(self):
-        # one 64-image LeNet-TNN step holds one float64 block of conv1's
-        # patch columns (BLOCK_BYTES) and, per image, a float64 copy of its
-        # input (64 KiB) and a few float64 conv1 maps and gradients (37 KiB
-        # each), under 256 KiB in all; 1 MiB covers the rest.  It traced
-        # 31.4 MiB.  A float64 copy of the whole patch matrix took 99 MiB.
-        batch = 64
-        store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
-        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
-        x = _encode_batch(store.train_images)
-        trainer.loss_and_grads(x, store.train_labels)  # warm caches
-        tracemalloc.start()
-        try:
-            trainer.loss_and_grads(x, store.train_labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= BLOCK_BYTES + batch * 2**18 + 2**20
-
 
 def conv_op(in_channels, out_channels):
     """The 3x3 conv of a one-conv net over (in_channels, 12, 12) inputs."""
@@ -559,27 +541,60 @@ CONVS = {
 }
 
 
+def conv_gradient_case(op, batch):
+    """A conv's int8 input batch and (N*P, O) pre-activation gradient."""
+    gen = np.random.default_rng(batch)
+    x = gen.integers(-1, 2, size=(batch, *op.in_shape), dtype=np.int8)
+    return x, _patch_rows(gen.standard_normal((batch, *op.out_shape)))
+
+
+def conv_gradient(op, x, dpre):
+    return _conv_weight_gradient(op, x, dpre,
+                                 np.empty(_conv_blocks(op, len(x))[1]))
+
+
+def assert_same_bits(got, expect):
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint64),
+        np.ascontiguousarray(expect).view(np.uint64))
+
+
+BATCHES = [1, 2, 4, 13, 24, 61, 64, 70, 130]
+
+
 class TestConvWeightGradient:
     """A conv's weight gradient comes from windows of its input, in blocks
-    of whole kernel positions, and has the bits of one float64 product of
-    the patch matrix."""
+    of whole kernel positions, and has the bits of one output-major float64
+    product of the patch matrix."""
 
-    @pytest.mark.parametrize("batch", [1, 2, 4, 13, 24, 61, 64, 70, 130])
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("conv", list(CONVS))
     def test_matches_the_patch_matrix_product_bit_for_bit(self, conv, batch):
         # 4 images: the fixture run's last batch; 13: one-kernel-row blocks
-        # of conv2 fell under the small-matrix GEMM there
+        # of conv2 fell under the small-matrix GEMM there.  The reference
+        # sums the patch columns in the code's (kh, kw, c) order.
         op = CONVS[conv]
-        gen = np.random.default_rng(batch)
-        x = gen.integers(-1, 2, size=(batch, *op.in_shape), dtype=np.int8)
-        dpre = _patch_rows(gen.standard_normal((batch, *op.out_shape)))
-        got = _conv_weight_gradient(op, x, dpre)
+        o, c, k, _ = op.weight_shape
+        x, dpre = conv_gradient_case(op, batch)
+        got = conv_gradient(op, x, dpre)
+        p = np.asarray(patches(op, x), np.float64)
+        p = np.ascontiguousarray(p.reshape(-1, c, k, k).transpose(0, 2, 3, 1)) \
+            .reshape(p.shape)
+        expect = (dpre.T @ p).reshape(o, k, k, c).transpose(0, 3, 1, 2)
+        assert got.shape == op.weight_shape
+        assert_same_bits(got, expect)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("conv",
+                             ["lenet-conv1", "lenet-conv2", "small-stride2"])
+    def test_trained_convs_keep_the_input_major_bits(self, conv, batch):
+        # the gradients of the nets the fixtures and the benchmark train
+        # equal P.T @ dpre too; 1- and 2-channel 3x3 convs round differently
+        op = CONVS[conv]
+        x, dpre = conv_gradient_case(op, batch)
         expect = (np.asarray(patches(op, x), np.float64).T @ dpre) \
             .T.reshape(op.weight_shape)
-        assert got.shape == op.weight_shape
-        np.testing.assert_array_equal(
-            np.ascontiguousarray(got).view(np.uint64),
-            np.ascontiguousarray(expect).view(np.uint64))
+        assert_same_bits(conv_gradient(op, x, dpre), expect)
 
     def test_training_step_builds_no_patch_matrix(self, monkeypatch):
         def refuse(op, x):
@@ -607,17 +622,35 @@ class TestConvWeightGradient:
             assert BLOCK_BYTES / 3 <= (s.stop - s.start) * column \
                 <= BLOCK_BYTES
 
-    @pytest.mark.parametrize("batch", [70, 130])
-    def test_training_step_working_set_is_one_block_and_the_walk(self,
-                                                                  batch):
-        # no int8 patch matrix: besides one float64 block, a step holds
-        # per image the float64 channels-last copy of the conv1 input
-        # (64 KiB) and the float64 conv1 gradients of the walk (37 KiB
-        # each), about 250 KiB in all
-        store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
+    def test_steps_share_one_held_block_buffer(self):
+        # LeNet's conv2 and conv1 gradients fill one buffer, the size of
+        # conv1's largest block, which the next step reuses and validation
+        # releases
+        store = synthetic_dataset(n_train=64, n_test=4, seed=7)
         trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
         x = _encode_batch(store.train_images)
-        trainer.loss_and_grads(x, store.train_labels)  # warm caches
+        trainer.loss_and_grads(x, store.train_labels)
+        held = trainer._block
+        assert held.nbytes == 8 * _conv_blocks(LENET_CONV1, 64)[1]
+        trainer.loss_and_grads(x, store.train_labels)
+        assert trainer._block is held
+        trainer.evaluate_loss(store.test_images, store.test_labels)
+        assert trainer._block.size == 0
+
+    @pytest.mark.parametrize("batch", [64, 70, 130])
+    def test_training_step_working_set_is_one_block_and_the_walk(self,
+                                                                  batch):
+        # no patch matrix: besides the one float64 block buffer, which the
+        # first step allocates, a step holds per image the float64
+        # channels-last copy of the conv1 input (64 KiB) and the float64
+        # conv1 gradients of the walk (37 KiB each), about 250 KiB in all.
+        # It traced 31.4, 30.9 and 46.5 MiB; a float64 copy of the whole
+        # patch matrix took 99 MiB at 64 images.
+        store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
+        x = _encode_batch(store.train_images)
+        Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7)) \
+            .loss_and_grads(x, store.train_labels)  # warm caches
+        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
         tracemalloc.start()
         try:
             trainer.loss_and_grads(x, store.train_labels)
@@ -642,6 +675,25 @@ class TestValidationLoss:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 2**20
+
+    def test_held_block_buffer_leaves_validation_within_a_step(self):
+        # a 64-image step, then validation on EVAL_BATCH images: the block
+        # buffer the step holds would take the peak to 43 MiB
+        batch = 64
+        store = synthetic_dataset(n_train=EVAL_BATCH, n_test=4, seed=7)
+        x = _encode_batch(store.train_images[:batch])
+        warm = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
+        warm.loss_and_grads(x, store.train_labels[:batch])
+        warm.evaluate_loss(store.train_images, store.train_labels)
+        trainer = Trainer(lenet(Precision.TERNARY), TrainConfig(seed=7))
+        tracemalloc.start()
+        try:
+            trainer.loss_and_grads(x, store.train_labels[:batch])
+            trainer.evaluate_loss(store.train_images, store.train_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BLOCK_BYTES + batch * 2**18
 
 
 def unpool_reference(a, sizes, dval):
