@@ -43,22 +43,30 @@ normal, clamped so that the cell never reads below the mean/100 floor, and
 the noise is added to its READ's mean.  Reads keep no state on the tile: a
 read that clamps draws logs it, block by block, and moves on.
 
-One pass serves both READs of a pair.  vmm_batch walks its P input
-vectors in blocks of READ_BLOCK_CELLS // (rows * cols) vectors and reads
-both phases of a block at once.  READ_BLOCK_CELLS counts cells, vectors x
-rows x cols; a row is gated in at most one phase, so a block draws at most
-READ_BLOCK_CELLS normals (about 0.5 MB of keys) however large the batch.
-The -1 means of a batch with no 0 input are the tile's column totals minus
-the +1 means: both are exact sums, so their difference is the exact sum
-over the -1 rows, and no second matmul is needed.  The noise of a block is
-one gather of its gated (phase, vector, row) cells, in which each READ's
-cells form one contiguous segment in row order, then one keyed draw, one
-clamp and one np.add.reduceat over the segments.  reduceat sums a segment
-as its first row plus a pairwise sum of the rest, whatever lies around the
-segment, so blocking and pairing cannot move a bit: each vector's mean is
-an exact sum, its noise is keyed by its own read ids and summed by
-segment, and every cell of it is drawn and clamped once, in whichever
-block it falls.
+One pass serves both READs of a pair, output-major.  vmm_batch casts its
+P input vectors to float64 gates in blocks of READ_BLOCK_CELLS // (2 *
+rows) vectors, in one reused buffer, and multiplies split.T @ gates.T
+into (hi and lo, col, vector) sums.  The one rounding, hi + lo, writes a
+(phase, col, vector) array, so the v_read scale and the caller's phase
+difference run along contiguous rows; i_pos and i_neg are transposed
+views of it.  The -1 means of a batch with no 0 input are the tile's
+column totals minus the +1 means: both are exact sums, so their
+difference is the exact sum over the -1 rows, and no second matmul is
+needed.
+
+C2C noise walks the batch in blocks of READ_BLOCK_CELLS // (rows * cols)
+vectors.  READ_BLOCK_CELLS counts cells, vectors x rows x cols; a row is
+gated in at most one phase, so a block draws at most READ_BLOCK_CELLS
+normals (about 0.5 MB of keys) however large the batch.  The noise of a
+block is one gather of its gated (phase, vector, row) cells, from bool
+gates made for that block, in which each READ's cells form one contiguous
+segment in row order, then one keyed draw, one clamp and one
+np.add.reduceat over the segments.  reduceat sums a segment as its first
+row plus a pairwise sum of the rest, whatever lies around the segment, so
+blocking and pairing cannot move a bit: each vector's mean is an exact
+sum, its noise is keyed by its own read ids and summed by segment, and
+every cell of it is drawn and clamped once, in whichever block it falls.
+The noise is added to the means before the v_read scale.
 """
 
 import logging
@@ -82,8 +90,8 @@ A_TO_UA = 1e6
 # clamps stay in the 1e-5 regime.
 CLAMP_WARN_FRACTION = 1e-3
 
-# Cells (vectors x rows x cols) per block of a READ pair; see the module
-# docstring.
+# Cells (vectors x rows x cols) per noise block of a READ pair, and twice
+# the float64 gates per cast block; see the module docstring.
 READ_BLOCK_CELLS = 2**16
 
 
@@ -141,32 +149,50 @@ class CrossbarTile:
         if pairs.shape != (xb.shape[0],):
             raise ShapeError("read_pairs must match the batch length")
         pairs = pairs.astype(np.uint64, copy=False)
-        gates = np.empty((2,) + xb.shape, dtype=bool)  # (phase, vector, row)
-        np.greater(xb, 0, out=gates[0])
-        np.less(xb, 0, out=gates[1])
-        dense = xb.all()  # no 0 input: the -1 sums are totals - the +1 sums
-        out = np.empty((2, xb.shape[0], self.cols))  # (phase, vector, col)
-        step = max(1, READ_BLOCK_CELLS // (self.rows * self.cols))
-        for a in range(0, xb.shape[0], step):
-            g = gates[:, a:a + step]
-            # Exact in any order (module docstring): one rounding, of hi + lo.
-            pos = g[0].astype(np.float64) @ self._split
-            neg = (self._totals - pos if dense
-                   else g[1].astype(np.float64) @ self._split)
-            blk = out[:, a:a + step]
-            np.add(pos[:, :self.cols], pos[:, self.cols:], out=blk[0])
-            np.add(neg[:, :self.cols], neg[:, self.cols:], out=blk[1])
-            if self._has_c2c:
-                self._add_c2c(blk, g, pairs[a:a + step])
+        P = xb.shape[0]
+        out = np.empty((2, self.cols, P))  # (phase, col, vector)
+        self._mean_currents(xb, out)
+        if self._has_c2c:
+            step = max(1, READ_BLOCK_CELLS // (self.rows * self.cols))
+            for a in range(0, P, step):
+                self._add_c2c(out[:, :, a:a + step], xb[a:a + step],
+                              pairs[a:a + step])
         out *= self.config.v_read * A_TO_UA
-        return out[0], out[1]
+        return out[0].T, out[1].T
 
-    def _add_c2c(self, out, gates, pairs):
-        """Add the clamped C2C noise of every gated cell to its READ's row.
+    def _mean_currents(self, xb, out):
+        """Write the mean column conductances of both READs of each vector
+        of xb (P, rows) to out (2, cols, P).  The gate block and its sums
+        are freed on return, before the noise pass draws."""
+        P, cols = out.shape[2], self.cols
+        dense = xb.all()  # no 0 input: the -1 sums are totals - the +1 sums
+        step = max(1, min(P, READ_BLOCK_CELLS // (2 * self.rows)))
+        f = np.empty((step, self.rows))
+        sums = np.empty((2 * cols, step))  # (hi and lo, col, vector)
+        split_t, totals = self._split.T, self._totals[:, None]
+        for a in range(0, P, step):
+            blk = xb[a:a + step]
+            g, s = f[:len(blk)], sums[:, :len(blk)]
+            np.greater(blk, 0, out=g)
+            np.matmul(split_t, g.T, out=s)
+            # Exact in any order (module docstring): one rounding, of hi + lo.
+            np.add(s[:cols], s[cols:], out=out[0, :, a:a + step])
+            if dense:
+                np.subtract(totals, s, out=s)
+            else:
+                np.less(blk, 0, out=g)
+                np.matmul(split_t, g.T, out=s)
+            np.add(s[:cols], s[cols:], out=out[1, :, a:a + step])
 
-        out is (2, p, cols) and gates (2, p, rows); phase 0 is READ
-        2 * pairs, phase 1 READ 2 * pairs + 1.
+    def _add_c2c(self, out, x, pairs):
+        """Add the clamped C2C noise of every gated cell to its READ's mean.
+
+        out is (2, cols, p) and x (p, rows); phase 0 is READ 2 * pairs,
+        phase 1 READ 2 * pairs + 1.
         """
+        gates = np.empty((2,) + x.shape, dtype=bool)  # (phase, vector, row)
+        np.greater(x, 0, out=gates[0])
+        np.less(x, 0, out=gates[1])
         cells = np.flatnonzero(gates)  # gated (phase, vector, row), row-major
         if cells.size == 0:
             return
@@ -193,6 +219,7 @@ class CrossbarTile:
         counts = np.bincount(seg, minlength=words.size)
         nonempty = counts > 0
         starts = np.cumsum(counts) - counts
+        out = out.transpose(0, 2, 1)  # (phase, vector, col)
         out[nonempty.reshape(2, -1)] += np.add.reduceat(z, starts[nonempty],
                                                         axis=0)
 

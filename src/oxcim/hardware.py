@@ -146,22 +146,27 @@ def _layer_delta(mapping, patches, read_pairs):
     """Differential currents (P, cols) for one lowered layer.
 
     Row-split partial deltas are summed digitally; each tile's reference
-    columns are averaged (a matmul: a mean over rows of two is slower) and
-    subtracted from its data columns before the digital sum.
+    columns are averaged and subtracted from its data columns before the
+    digital sum.  The work runs on the (col, vector) rows under the
+    transposed views vmm_batch returns, and the result is a transposed
+    view too.  The mean of the two references is (a + b) * 0.5: halving is
+    exact and a difference of currents is never -0.0, so it has the bits
+    of 0.5 * a + 0.5 * b.
     """
     P = patches.shape[0]
     if patches.shape[1] != mapping.rows:
         raise ShapeError(f"patch width {patches.shape[1]} != layer rows "
                          f"{mapping.rows}")
-    delta = np.zeros((P, mapping.cols), dtype=np.float64)
+    delta = np.zeros((mapping.cols, P))  # (col, vector)
     for pl in mapping.placements:
         t = pl.tile
         xs = patches[:, pl.row_start:pl.row_start + t.rows]
-        d = np.subtract(*t.vmm_batch(xs, read_pairs))  # i_pos - i_neg
+        i_pos, i_neg = t.vmm_batch(xs, read_pairs)
+        d = np.subtract(i_pos, i_neg, out=i_pos).T  # (col, vector)
         n = t.cols - len(REF_TRITS)  # data columns
-        ref = d[:, n:] @ np.full(len(REF_TRITS), 1 / len(REF_TRITS))
-        delta[:, pl.col_start:pl.col_start + n] += d[:, :n] - ref[:, None]
-    return delta
+        ref = (d[n] + d[n + 1]) * 0.5
+        delta[pl.col_start:pl.col_start + n] += d[:n] - ref
+    return delta.T
 
 
 def forward_hardware(tiled, x, image_ordinal=0):

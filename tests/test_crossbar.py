@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oxcim import rng
+from oxcim import crossbar, rng
 from oxcim.crossbar import (A_TO_UA, READ_BLOCK_CELLS, CrossbarTile,
                             sense_to_activation)
 from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
@@ -161,6 +161,37 @@ class TestBlockedRead:
             lone_pos, lone_neg = read_one(tile, x[p], pairs[p])
             np.testing.assert_array_equal(i_pos[p], lone_pos)
             np.testing.assert_array_equal(i_neg[p], lone_neg)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(block=st.integers(0, 15).flatmap(  # log-uniform in 1..2**16
+               lambda k: st.integers(2**k, 2**(k + 1))),
+           rows=st.integers(1, 70),
+           cols=st.integers(1, 9), P=st.integers(1, 40),
+           region=st.sampled_from(["hrs0", "hrs", "lrs"]),
+           zeros=st.booleans(), seed=st.integers(0, 2**16))
+    def test_any_block_size_reads_each_vector_alone(self, block, rows, cols,
+                                                    P, region, zeros, seed):
+        # cast blocks of block // (2 * rows) vectors and noise blocks of
+        # block // (rows * cols) cut the batch at varied offsets
+        cfg = default_device_config(region.rstrip("0"))
+        if region == "hrs0":
+            cfg = cfg.with_zero_variability()
+        gen = np.random.default_rng(seed)
+        tile = CrossbarTile(cfg, gen.integers(-1, 2, size=(rows, cols)),
+                            array_id=seed)
+        x = gen.integers(-1 if zeros else 0, 2, size=(P, rows)).astype(np.int8)
+        if not zeros:
+            x[x == 0] = -1
+        pairs = gen.integers(0, 2**40, size=P)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crossbar, "READ_BLOCK_CELLS", block)
+            i_pos, i_neg = tile.vmm_batch(x, pairs)
+        for p in range(P):
+            lone_pos, lone_neg = read_one(tile, x[p], pairs[p])
+            np.testing.assert_array_equal(i_pos[p].view(np.uint64),
+                                          lone_pos.view(np.uint64))
+            np.testing.assert_array_equal(i_neg[p].view(np.uint64),
+                                          lone_neg.view(np.uint64))
 
     def test_working_memory_is_bounded(self):
         # an 8-image conv1 chunk on a 64 x 8 HRS tile, every row gated in

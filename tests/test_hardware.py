@@ -1,14 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oxcim.device import MlcStateModel, DeviceConfig
+from oxcim import hardware
+from oxcim.crossbar import A_TO_UA, READ_BLOCK_CELLS, CrossbarTile
+from oxcim.device import MlcStateModel, DeviceConfig, default_device_config
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.hardware import (forward_hardware, map_network_to_tiles,
                             predict_hardware)
 from oxcim.network import forward_ideal, lenet
 from oxcim.quant import Precision
+from oxcim.train import TrainConfig, Trainer
 from test_network import tiny_net
 
 
@@ -215,3 +219,110 @@ def test_both_passes_refuse_an_empty_batch(precision):
         forward_ideal(net, x)
     with pytest.raises(ShapeError, match="no images"):
         forward_hardware(tiled, x)
+
+
+def lenet_case(precision, region, batch):
+    """(tiled LeNet, trit batch): region "hrs0" is HRS at zero variability;
+    a binary batch holds no 0 input, a ternary one about a third."""
+    cfg = default_device_config(region.rstrip("0"))
+    if region == "hrs0":
+        cfg = cfg.with_zero_variability()
+    net = Trainer(lenet(precision), TrainConfig(seed=batch)).network()
+    gen = np.random.default_rng(batch)
+    x = gen.choice(precision.allowed_values, size=(batch, *net.input_shape))
+    return map_network_to_tiles(net, cfg), x.astype(np.int8)
+
+
+def input_major_read(tile, x, pairs):
+    """The input-major tile READ, the reference: the (vector, col) sums of
+    gates @ [hi | lo] per 128-vector block, -1 sums as totals minus +1
+    sums when no input is 0, C2C noise, then the v_read scale."""
+    gates = np.stack([x > 0, x < 0])
+    out = np.empty((2, len(x), tile.cols))
+    for a in range(0, len(x), 128):
+        g = gates[:, a:a + 128]
+        pos = g[0].astype(np.float64) @ tile._split
+        neg = (tile._totals - pos if x.all()
+               else g[1].astype(np.float64) @ tile._split)
+        for phase, sums in enumerate((pos, neg)):
+            out[phase, a:a + 128] = sums[:, :tile.cols] + sums[:, tile.cols:]
+        if tile._has_c2c:
+            tile._add_c2c(out[:, a:a + 128].transpose(0, 2, 1), x[a:a + 128],
+                          np.asarray(pairs[a:a + 128], np.uint64))
+    out *= tile.config.v_read * A_TO_UA
+    return out[0], out[1]
+
+
+def input_major_layer_delta(mapping, patches, read_pairs):
+    """_layer_delta as it was: (vector, col) deltas, references averaged by
+    a two-column gemv."""
+    delta = np.zeros((patches.shape[0], mapping.cols))
+    for pl in mapping.placements:
+        t = pl.tile
+        xs = patches[:, pl.row_start:pl.row_start + t.rows]
+        d = np.subtract(*input_major_read(t, xs, read_pairs))
+        n = t.cols - 2
+        ref = d[:, n:] @ np.full(2, 0.5)
+        delta[:, pl.col_start:pl.col_start + n] += d[:, :n] - ref[:, None]
+    return delta
+
+
+class TestOutputMajorRead:
+    """Tile READs sum columns output-major, split.T @ gates.T, and keep the
+    bits of the input-major gates @ split they replaced."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("region", ["hrs0", "hrs", "lrs"])
+    @pytest.mark.parametrize("precision", [Precision.BINARY,
+                                           Precision.TERNARY])
+    def test_forward_keeps_the_input_major_bits(self, monkeypatch, precision,
+                                                region, batch):
+        tiled, x = lenet_case(precision, region, batch)
+        got = forward_hardware(tiled, x, image_ordinal=batch)
+        monkeypatch.setattr(hardware, "_layer_delta", input_major_layer_delta)
+        expect = forward_hardware(tiled, x, image_ordinal=batch)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expect.view(np.uint64))
+
+    @pytest.mark.parametrize("precision", [Precision.BINARY,
+                                           Precision.TERNARY])
+    def test_one_read_per_tile_per_layer(self, monkeypatch, precision):
+        # benchmarks/tracing.py times and counts every vmm_batch call, so a
+        # layer must read each of its tiles once, with the whole batch
+        tiled, x = lenet_case(precision, "hrs0", 3)
+        calls = []
+        inner = CrossbarTile.vmm_batch
+
+        def counted(tile, x_batch, read_pairs):
+            calls.append((tile.array_id, np.shape(x_batch)))
+            return inner(tile, x_batch, read_pairs)
+
+        monkeypatch.setattr(CrossbarTile, "vmm_batch", counted)
+        forward_hardware(tiled, x)
+        expect = []
+        for li, m in tiled.mappings.items():
+            gather = tiled.net.plan[li].gather
+            P = len(x) * (1 if gather is None else gather.shape[0])
+            expect += [(p.tile.array_id, (P, p.tile.rows))
+                       for p in m.placements]
+        assert calls == expect
+
+    @pytest.mark.parametrize("region, input_major_mib", [("hrs0", 3.61),
+                                                         ("hrs", 5.28)])
+    def test_forward_working_set(self, region, input_major_mib):
+        # An 8-image LeNet-BNN forward peaked at 3.61 MiB at zero
+        # variability and 5.28 MiB on HRS with input-major READs.  The
+        # output-major READ adds a float64 cast block of READ_BLOCK_CELLS / 2
+        # gates (256 KiB) and its (hi and lo, col, vector) sums, 512 KiB at
+        # most, on conv1's 8 x 8 tile; the noise pass makes its bool gates
+        # block by block, not for the whole batch.
+        tiled, x = lenet_case(Precision.BINARY, region, 8)
+        forward_hardware(tiled, x)
+        tracemalloc.start()
+        try:
+            forward_hardware(tiled, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        added = 4 * READ_BLOCK_CELLS + 8 * READ_BLOCK_CELLS
+        assert peak <= input_major_mib * 2**20 + added
