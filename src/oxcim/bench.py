@@ -21,11 +21,12 @@ import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile, sense_to_activation
 from .data import N_CLASSES, check_images, check_labels, pad_to_32
-from .device import check_seed
+from .device import check_config, check_seed
 from .errors import ConfigError, ShapeError, check_integer, check_integers
 from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
     map_network_to_tiles, predict_hardware
-from .network import Activation, predict_ideal, thermometric_trits
+from .network import Activation, check_network, predict_ideal, \
+    thermometric_trits
 from .quant import popcount_oracle
 
 CHUNK = 8  # images per forward pass (module docstring)
@@ -68,6 +69,8 @@ class ExperimentSpec:
         if self.limit is not None:
             check_integer(self.limit, "limit", lo=1)
         check_max_tile(self.max_tile)
+        check_network(self.net)
+        check_config(self.config)
         if self.seeds is None:
             self.seeds = [self.config.seed]
         seeds = np.asarray(self.seeds, dtype=object)  # ragged: no ValueError
@@ -165,7 +168,7 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
                       for n in tile_dims)
     check_integer(samples, "samples", lo=1)
     check_integer(seed, "sweep seed", lo=0)  # numpy takes no seed < 0
-    config.require_states(precision)
+    check_config(config).require_states(precision)
     trit_pool = np.asarray(precision.allowed_values, dtype=np.int8)
     gen = np.random.default_rng(seed)
     gain_uA = config.v_read * config.conductance_slope() * A_TO_UA

@@ -74,8 +74,8 @@ import logging
 import numpy as np
 
 from . import rng
-from .device import DeviceConfig, clamp_floor, sigmoid_neuron_voltage, \
-    sample_device_conductance_grid
+from .device import DeviceConfig, check_config, clamp_floor, \
+    sample_device_conductance_grid, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer, check_real, \
     check_integers, check_reals, check_trits
 from .network import Activation
@@ -107,7 +107,7 @@ class CrossbarTile:
         trits = check_trits(cell_state, "cell states")
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
-        self.config = config
+        self.config = check_config(config)
         self.array_id = int(check_integer(array_id, "array id", 0, 2**64))
         self.cell_state = trits
         self.rows, self.cols = trits.shape

@@ -128,6 +128,13 @@ class DeviceConfig:
         )
 
 
+def check_config(config):
+    """config, or a ConfigError unless it is a DeviceConfig."""
+    if not isinstance(config, DeviceConfig):
+        raise ConfigError(f"not a DeviceConfig: {config!r}")
+    return config
+
+
 def check_seed(seed):
     """seed, or a ConfigError unless it is an integer that fits the one
     64-bit word (signed or not) that rng.stream_key folds it into."""

@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile
-from .device import sigmoid_neuron_voltage
+from .device import check_config, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer
-from .network import Conv2D, as_batch, conv_weight_matrix, patches, \
-    predicted_class, walk
+from .network import Conv2D, as_batch, check_network, conv_weight_matrix, \
+    patches, predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .crossbar import sense_to_activation  # noqa: F401
 from .network import im2col  # noqa: F401
@@ -112,7 +112,7 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     (network, config) always produces identical tiles.  Every tile gets two
     extra reference columns; physical tile widths still respect max_tile.
     """
-    config.require_states(net.precision)
+    check_config(config).require_states(check_network(net).precision)
     max_r, max_c = check_max_tile(max_tile)
     width = max_c - len(REF_TRITS)  # data columns per tile
     net.require_weights()

@@ -336,6 +336,13 @@ class NetworkDescription:
                 if isinstance(l, (Conv2D, Dense))]
 
 
+def check_network(net):
+    """net, or a ConfigError unless it is a NetworkDescription."""
+    if not isinstance(net, NetworkDescription):
+        raise ConfigError(f"not a NetworkDescription: {net!r}")
+    return net
+
+
 def hidden_activation_kind(precision):
     return "binary" if precision is Precision.BINARY else "ternary"
 
@@ -455,8 +462,9 @@ def as_batch(net, x):
     and ShapeError for a batch of no images, so the exact and the analog
     pass refuse the same inputs.
     """
+    allowed = check_network(net).precision.allowed_values
     arr = check_trits(x.data if isinstance(x, TernaryTensor) else x,
-                      "network inputs", net.precision.allowed_values)
+                      "network inputs", allowed)
     if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
         raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
     if arr.size == 0:

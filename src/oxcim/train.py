@@ -18,20 +18,21 @@ run is reproducible end to end.  The validation loss runs the forward pass
 only: the same forward and loss code as a training step, with no backward
 records, STE masks or gradients.
 
-The quantized forward runs network.exact_preact, the exact products of
-the oracle, and records each layer's input; only the surrogate forward
-builds a conv's patch matrix.  A step casts its layer inputs to float one
-block at a time, each within BLOCK_BYTES: blocks of images to float32 for
-the forward products; for the weight gradients, column blocks of a dense
-layer's input and, for a conv, blocks of whole kernel positions of its
-patch columns, copied to float64 from windows of the input into one
-buffer that the Trainer holds across steps and releases before a
-validation pass.  A conv block is multiplied output-major: the gradient
-at the pre-activations, as a C-ordered (O, N*P) array, times the block.
-Neither moves a bit: the forward products are exact trit sums, and each
-gradient element keeps its one float64 sum over the batch.  Pool
-gradients go back through the strided views of the window offsets, as
-network.maxpool reads them.
+The forward runs network.exact_preact, the exact products of the oracle,
+and records each layer's input; no step builds a patch matrix.  A step
+casts its layer inputs to float one block at a time, each within
+BLOCK_BYTES: blocks of images to float32 for the forward products, and
+blocks of whole kernel positions of a conv's patch columns to float64 for
+its weight gradient, copied from windows of the input into one buffer
+that the Trainer holds across steps and releases before a validation
+pass.  A conv block is multiplied output-major: the gradient at the
+pre-activations, as a C-ordered (O, N*P) array, times the block; a dense
+layer's weight gradient is one float64 product.  Neither moves a bit: the
+forward products are exact trit sums, and each gradient element keeps its
+one float64 sum over the batch.  Pool gradients go back through the
+strided views of the window offsets, as network.maxpool reads them.  The
+finite-difference check of the gradients, through a differentiable
+clipped-identity surrogate, lives in tests/test_train.py::TestGradients.
 """
 
 from dataclasses import dataclass, field
@@ -42,9 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import check_images, check_labels, pad_to_32
 from .errors import ConfigError, ShapeError, TrainingDiverged, check_integer, \
     check_real
-from .network import Activation, NetworkDescription, activate, as_batch, \
-    conv_weight_matrix, exact_preact, maxpool, patches, thermometric_trits, \
-    walk
+from .network import Activation, activate, as_batch, check_network, \
+    conv_weight_matrix, exact_preact, maxpool, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .quant import act_binary, act_ternary  # noqa: F401
@@ -57,11 +57,11 @@ ADAM_EPS = 1e-8
 EVAL_BATCH = 256  # images per forward pass in evaluate_loss
 # Bytes of the float copy of one block of a layer input in a training
 # step: the forward casts blocks of images to float32, the backward blocks
-# of a dense input's columns or a conv's patch columns to float64.  A float64
-# copy of a whole conv1 patch matrix (80 MB at 64 images) set the peak RSS
-# of a training run.  16 MiB blocks ran fastest: LeNet conv1's output-major
-# weight gradient at 64 images took 12.3 ms, against 15.5-18.6 ms at
-# 0.5-8 MiB and 15.1 ms at 32 and 64 MiB (one BLAS thread, 2-core VM).
+# of a conv's patch columns to float64.  A float64 copy of a whole conv1
+# patch matrix (80 MB at 64 images) set the peak RSS of a training run.
+# 16 MiB blocks ran fastest: LeNet conv1's output-major weight gradient at
+# 64 images took 12.3 ms, against 15.5-18.6 ms at 0.5-8 MiB and 15.1 ms at
+# 32 and 64 MiB (one BLAS thread, 2-core VM).
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -109,23 +109,6 @@ def _blocks(n, nbytes, unit=1):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _weight_gradient(inputs, dpre):
-    """A dense layer's inputs.T @ dpre in float64, cast and multiplied in
-    blocks of inputs' columns that each fit in BLOCK_BYTES.
-
-    A block owns whole rows of the result, so each element keeps its one
-    sum over all of inputs' rows.  At one BLAS thread it keeps its bits too
-    while each block runs the whole product's OpenBLAS (0.3.31) kernel:
-    blocks start on multiples of 4 columns, the groups a one-column gemv
-    sums, and hold at least a third of BLOCK_BYTES, which keeps two or more
-    columns of dpre above the small-matrix GEMM (M*N*K <= 10**6).
-    """
-    gw = np.empty((inputs.shape[1], dpre.shape[1]))
-    for s in _blocks(inputs.shape[1], inputs.size * 8, unit=4):
-        gw[s] = np.asarray(inputs[:, s], dtype=np.float64).T @ dpre
-    return gw
-
-
 def _patch_rows(dpre):
     """A conv's (B, O, oh, ow) pre-activation gradient as (B*P, O) in
     patch-row order: the transpose of a C-ordered (O, B*P) copy, which
@@ -152,8 +135,9 @@ def _conv_weight_gradient(op, x, dpre, buf):
     dpre, the (N*P, O) gradient at its pre-activations in patch-row order.
 
     The columns of the float64 patch matrix P, in (kh, kw, c) order, are
-    copied from windows of a channels-last copy of x, each kernel row's
-    (kw, c) run contiguous, into buf, one _conv_blocks block at a time.
+    copied from windows of a channels-last copy of x in x's own dtype,
+    each kernel row's (kw, c) run contiguous, into buf (np.copyto casts
+    them to float64), one _conv_blocks block at a time.
     Each block is multiplied output-major, dpre.T @ block, with dpre.T the
     C-ordered (O, N*P) copy _patch_rows made: at 64 images a 40-column
     block of LeNet conv1 took 1.2-1.5 ms so against 2.7 ms as
@@ -164,7 +148,7 @@ def _conv_weight_gradient(op, x, dpre, buf):
     s = op.layer.stride
     _, oh, ow = op.out_shape
     n, _, h, w = x.shape
-    hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np.float64)
+    hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     # rows[n, y, j] = hwc[n, y, j*s:j*s + k].ravel(), the (kw, c) run
     rows = sliding_window_view(hwc.reshape(n, h, w * c), k * c, axis=2)
     rows = rows[:, :, :s * c * (ow - 1) + 1:s * c]
@@ -227,12 +211,10 @@ class Trainer:
     """Backprop engine for one architecture (conv/pool/dense/activation)."""
 
     def __init__(self, net_template, cfg=None):
-        if not isinstance(net_template, NetworkDescription):
-            raise ConfigError(f"not a NetworkDescription: {net_template!r}")
+        self.net = check_network(net_template)
         self.cfg = TrainConfig() if cfg is None else cfg
         if not isinstance(self.cfg, TrainConfig):
             raise ConfigError(f"not a TrainConfig: {cfg!r}")
-        self.net = net_template
         self.precision = net_template.precision
         self.rng = np.random.default_rng(self.cfg.seed)
         self.params = [
@@ -263,24 +245,12 @@ class Trainer:
 
     # -- forward / backward ----------------------------------------------------
 
-    def _quant_weight(self, p, surrogate):
-        if surrogate:
-            return np.clip(p, -1.0, 1.0)
-        return quantize_weights(p, self.precision, self.cfg.weight_r) \
-            .data.astype(np.float64)
-
-    def loss_and_grads(self, x_trits, labels, surrogate=False):
-        """Mean loss and latent-weight gradients for one encoded batch.
-
-        surrogate=True swaps every quantizer for its clipped-identity
-        backward surrogate in the forward pass too, giving a differentiable
-        network whose analytic gradients can be checked against finite
-        differences.
-        """
+    def loss_and_grads(self, x_trits, labels):
+        """Mean loss and latent-weight gradients for one encoded batch."""
         x, _ = as_batch(self.net, x_trits)
-        return self._pass(x, labels, surrogate, backward=True)
+        return self._pass(x, labels, backward=True)
 
-    def _pass(self, x_trits, labels, surrogate=False, backward=False):
+    def _pass(self, x_trits, labels, backward=False):
         """Mean loss of one encoded batch, and with backward the gradients.
 
         Without backward the walk keeps no records and computes no STE
@@ -296,13 +266,11 @@ class Trainer:
 
         def preact(op, x):
             k = self.net.parametric_indices().index(op.index)
-            wq = self._quant_weight(self.params[k], surrogate)
+            wq = quantize_weights(self.params[k], self.precision,
+                                  self.cfg.weight_r).data.astype(np.float64)
             wmat = wq if op.gather is None else conv_weight_matrix(wq)
             if backward:
                 stack.append((op, k, x, wmat))
-            if surrogate:
-                return np.asarray(patches(op, x), dtype=np.float64) @ wmat \
-                    / op.scale
             # float32 row windows: H * ow * C * kernel values per conv image
             width = x[0].size if op.gather is None else \
                 op.in_shape[1] * op.out_shape[2] * op.fan_in // op.layer.kernel
@@ -312,7 +280,7 @@ class Trainer:
             return u
 
         def ste_activate(op, u):
-            a = np.clip(u, -1.0, 1.0) if surrogate else activate(op, u)
+            a = activate(op, u)
             if backward:
                 stack.append((op, np.abs(u) <= 1.0, a))
             return a
@@ -364,7 +332,7 @@ class Trainer:
                 continue
             _, k, x, wmat = rec
             if op.gather is None:
-                grads[k] = _weight_gradient(x, dpre)
+                grads[k] = np.asarray(x, dtype=np.float64).T @ dpre
             else:
                 dpre = _patch_rows(dpre)
                 grads[k] = _conv_weight_gradient(op, x, dpre, self._block)

@@ -1,10 +1,13 @@
-"""Module boundaries: a rule that several modules share is public, and
-every import is used.
+"""Module boundaries: a rule that several modules share is public, every
+import is used, and every option has a caller in the package.
 
 A `_`-prefixed name is private to its module, so no module of the package
 imports one from a sibling; a shared rule lives under a public name (as
 `errors.check_trits` does) where every caller can see it.  The only imports
 a module does not use are the bindings that benchmarks/tracing.py wraps.
+An option that only the tests set would be a public API that exists only
+for its tests; a test-side reference replaces it (as the surrogate forward
+of the gradient check does in test_train.py).
 """
 
 import ast
@@ -80,3 +83,88 @@ def test_unused_imports_are_tracer_bindings():
             elif not marked and name not in used:
                 unused.append((path.name, line, name))
     assert (unused, untraced) == ([], [])
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+# (callee, parameter) of each option that only callers outside the package
+# set: an entry point's argv is how an outside caller runs it (cli.main, and
+# benchmarks/run.py's main, which has the same callee name).
+OUTSIDE_OPTIONS = {("main", "argv")}
+
+
+def defaulted_parameters(tree):
+    """(callee, parameter, position) of each defaulted parameter of a
+    public function or method: the callee is the function's name, or the
+    class name for __init__, and the position the parameter's index among
+    a call's positional arguments (None if it is keyword-only)."""
+    found = []
+    scopes = [(None, tree.body)] + [
+        (node.name, node.body) for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    for cls, body in scopes:
+        for fn in body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
+                    and not (cls and fn.name == "__init__"):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            bound = 1 if cls and not static else 0  # self or cls
+            callee = cls if fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            found += [(callee, a.arg, i - bound)
+                      for i, a in enumerate(args) if i >= first]
+            found += [(callee, a.arg, None)
+                      for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def passed_arguments(trees):
+    """callee name -> (keywords passed, most positional arguments passed)
+    over every call in trees; a * or ** argument passes them all."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords, most = calls.get(name, (set(), 0))
+            keywords |= {k.arg or "**" for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = keywords, max(most, float("inf") if starred
+                                        else len(node.args))
+    return calls
+
+
+def unset_options(sources):
+    """(callee, parameter) of each defaulted parameter in sources, a list
+    of source texts, that no call among them passes, by keyword or by
+    position."""
+    trees = [ast.parse(text) for text in sources]
+    calls = passed_arguments(trees)
+    unset = []
+    for tree in trees:
+        for callee, name, position in defaulted_parameters(tree):
+            keywords, most = calls.get(callee, (set(), 0))
+            if not ({name, "**"} & keywords
+                    or position is not None and most > position):
+                unset.append((callee, name))
+    return unset
+
+
+def test_every_option_is_set_by_a_caller_in_the_package():
+    """No public API exists only for the tests: every defaulted parameter
+    of a public function or method in src/ or benchmarks/ is passed by some
+    call there."""
+    assert unset_options([
+        "def f(a, b=1, *, c=2): pass\n"
+        "def g(d=1): pass\n"
+        "class K:\n"
+        "    def __init__(self, e=1): pass\n"
+        "    def h(self, x, y=2): pass\n"
+        "    def _p(self, z=3): pass\n",
+        "f(0, 1)\nK().h(1)\ng(**{})\n"]) == [("f", "c"), ("K", "e"), ("h", "y")]
+    paths = SOURCES + sorted(BENCHMARKS.glob("*.py"))
+    assert set(unset_options([path.read_text(encoding="utf-8")
+                              for path in paths])) == OUTSIDE_OPTIONS

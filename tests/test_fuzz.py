@@ -21,7 +21,7 @@ from oxcim.data import DatasetStore, synthetic_dataset
 from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
                           default_device_config, parse_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
-from oxcim.errors import OxcimError
+from oxcim.errors import ConfigError, OxcimError
 from oxcim.hardware import forward_hardware, map_network_to_tiles
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal,
@@ -372,10 +372,12 @@ class TestTraining:
 
 
 # ExperimentSpec: up to four fields drawn from pools of valid and invalid
-# values, then one accuracy run over a 4-image corpus.
+# values, then one accuracy run over a 4-image corpus.  A config is drawn
+# by its key in spec_corpus's configs: "none" stands for None and "name"
+# for the config name "hrs", neither of them a DeviceConfig.
 SPEC_VALUES = {
     "mode": ["ideal", "hardware", "x"],
-    "config": ["hrs", "lrs", "binary"],
+    "config": ["hrs", "lrs", "binary", "none", "name"],
     "seeds": [None, [0], [1, 2], [], [1, 1], [1, 1.5], [2 ** 64], [-1], 3,
               (1, 2), np.array([1, 2]), [10 ** 5000]],
     "limit": [None, 1, 4, 5, 0, -1, 2.5, 2.0],
@@ -393,7 +395,8 @@ def spec_corpus():
     binary = DeviceConfig("HRS", {t: default_device_config("hrs").states[t]
                                   for t in (-1, 1)})
     configs = {"hrs": default_device_config("hrs"),
-               "lrs": default_device_config("lrs"), "binary": binary}
+               "lrs": default_device_config("lrs"), "binary": binary,
+               "none": None, "name": "hrs"}
     return (Trainer(small_arch()).network(), configs, store.test_images,
             store.test_labels)
 
@@ -419,6 +422,36 @@ class TestExperimentSpec:
         except OxcimError:
             return
         assert len(report.accuracies) == len(report.seeds)
+
+
+# Each entry point that takes a net or a device config, given another kind
+# of object (net, config, images and labels from spec_corpus).
+WRONG_KINDS = {
+    "spec-config-none": lambda net, cfg, images, labels:
+        ExperimentSpec(net, config=None, mode="ideal"),
+    "run-net-name": lambda net, cfg, images, labels:
+        run_accuracy(ExperimentSpec("x", cfg, "ideal"), images, labels),
+    "run-config-name": lambda net, cfg, images, labels: run_accuracy(
+        ExperimentSpec(net, "hrs", "hardware", seeds=[0]), images, labels),
+    "map-net": lambda net, cfg, images, labels: map_network_to_tiles("x", cfg),
+    "map-config": lambda net, cfg, images, labels:
+        map_network_to_tiles(net, "hrs"),
+    "tile-config": lambda net, cfg, images, labels:
+        CrossbarTile("hrs", np.ones((2, 2), np.int8)),
+    "forward-ideal-net": lambda net, cfg, images, labels:
+        forward_ideal("x", np.ones((8, 32, 32), np.int8)),
+    "sweep-config": lambda net, cfg, images, labels:
+        sweep_sense_distribution((2, 2), Precision.TERNARY, "hrs"),
+}
+
+
+class TestWrongKindOfObject:
+    @pytest.mark.parametrize("call", list(WRONG_KINDS))
+    def test_config_error_before_use(self, spec_corpus, call):
+        net, configs, images, labels = spec_corpus
+        kind = "DeviceConfig" if "config" in call else "NetworkDescription"
+        with pytest.raises(ConfigError, match=f"not a {kind}: "):
+            WRONG_KINDS[call](net, configs["hrs"], images, labels)
 
 
 # Array arguments: every array drawn from one pool.  It starts from valid

@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ import pytest
 from oxcim.data import synthetic_dataset
 from oxcim.errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
-                           NetworkDescription, forward_ideal, lenet, maxpool,
-                           patches, walk)
+                           NetworkDescription, conv_weight_matrix,
+                           forward_ideal, lenet, maxpool, patches, walk)
 from oxcim.quant import Precision
 from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
                          _blocks, _conv_blocks, _conv_weight_gradient,
-                         _encode_batch, _patch_rows, _unpool,
-                         _weight_gradient)
+                         _encode_batch, _patch_rows, _unpool)
 from test_golden import GOLDEN_TRAIN_RUN
 
 
@@ -344,18 +344,41 @@ class TestTrainingProgress:
             assert 0 not in np.unique(trained_bnn.weights[i].data)
 
 
+def use_surrogate(monkeypatch):
+    """Swap train's quantized forward for its clipped-identity surrogate, a
+    differentiable net whose analytic gradients finite differences can
+    check: weights and hidden activations are clipped, not quantized, and
+    each product is a float64 patch-matrix product."""
+    def preact(op, x, w):
+        wmat = w if op.gather is None else conv_weight_matrix(w)
+        u = np.asarray(patches(op, x), np.float64) @ wmat / op.scale
+        o, *hw = op.out_shape
+        return u.reshape(len(x), *hw, o)
+
+    module = sys.modules["oxcim.train"]
+    monkeypatch.setattr(module, "activate",
+                        lambda op, u: np.clip(u, -1.0, 1.0))
+    monkeypatch.setattr(module, "quantize_weights", lambda p, precision, r:
+                        SimpleNamespace(data=np.clip(p, -1.0, 1.0)))
+    monkeypatch.setattr(module, "exact_preact", preact)
+
+
 class TestGradients:
     @staticmethod
-    def check_surrogate_gradients(arch, x_shape, n_classes):
-        # surrogate (clipped-identity) mode; latents kept well inside the
-        # clip range so the surrogate network is smooth there
+    def check_surrogate_gradients(monkeypatch, arch, x_shape, n_classes):
+        # latents kept well inside the clip range so the surrogate network
+        # is smooth there
+        use_surrogate(monkeypatch)
         trainer = Trainer(arch, TrainConfig(seed=8))
         for k, p in enumerate(trainer.params):
             trainer.params[k] = 0.4 * p  # keep |latent| well inside 1
         gen = np.random.default_rng(9)
         x = gen.choice([-1, 0, 1], size=x_shape).astype(np.int8)
         y = gen.integers(0, n_classes, size=x_shape[0])
-        loss0, grads = trainer.loss_and_grads(x, y, surrogate=True)
+        loss0, grads = trainer.loss_and_grads(x, y)
+        # without the surrogate every gradient would be 0: each latent
+        # here rounds to a 0 weight, and the quantized net is flat
+        assert all(np.abs(g).max() > 1e-4 for g in grads)
         eps = 1e-6
         checked = 0
         for k, p in enumerate(trainer.params):
@@ -363,9 +386,9 @@ class TestGradients:
             for idx in range(0, flat.size, max(1, flat.size // 10)):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp, _ = trainer.loss_and_grads(x, y, surrogate=True)
+                lp, _ = trainer.loss_and_grads(x, y)
                 flat[idx] = orig - eps
-                lm, _ = trainer.loss_and_grads(x, y, surrogate=True)
+                lm, _ = trainer.loss_and_grads(x, y)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 an = grads[k].ravel()[idx]
@@ -373,16 +396,17 @@ class TestGradients:
                 checked += 1
         assert checked >= 20
 
-    def test_surrogate_gradients_match_finite_differences(self):
+    def test_surrogate_gradients_match_finite_differences(self, monkeypatch):
         # two-layer dense net with 4 output classes
         arch = NetworkDescription(
             Precision.TERNARY, (1, 3, 3),
             [Dense(6), Activation("ternary"), Dense(4),
              Activation("sigmoid_output")],
             [None, None, None, None])
-        self.check_surrogate_gradients(arch, (5, 1, 3, 3), 4)
+        self.check_surrogate_gradients(monkeypatch, arch, (5, 1, 3, 3), 4)
 
-    def test_surrogate_gradients_through_convs_and_stacked_pools(self):
+    def test_surrogate_gradients_through_convs_and_stacked_pools(
+            self, monkeypatch):
         # a second conv routes its gradient back through col2im, and two
         # pools in a row route theirs back through each other's ties
         layers = [Conv2D(2, 3), Activation("ternary"),
@@ -391,7 +415,7 @@ class TestGradients:
                   Dense(4), Activation("sigmoid_output")]
         arch = NetworkDescription(Precision.TERNARY, (1, 10, 10), layers,
                                   [None] * len(layers))
-        self.check_surrogate_gradients(arch, (3, 1, 10, 10), 4)
+        self.check_surrogate_gradients(monkeypatch, arch, (3, 1, 10, 10), 4)
 
     def test_ste_masks_zero_gradients_outside_clip(self):
         trainer = Trainer(small_arch(), TrainConfig(seed=10))
@@ -461,58 +485,38 @@ def conv1_patch_bytes(batch, itemsize):
 
 
 class TestBlockedWeightGradient:
-    """The backward casts and multiplies column blocks of a layer's inputs
-    that fit in BLOCK_BYTES; the gradient keeps the one-call bits."""
-
-    @staticmethod
-    def conv1_case(batch, seed=0):
-        rng = np.random.default_rng(seed)
-        rows = batch * LENET_CONV1.gather.shape[0]
-        inputs = rng.integers(-1, 2, size=(rows, LENET_CONV1.fan_in),
-                              dtype=np.int8)
-        dpre = rng.standard_normal((rows, LENET_CONV1.out_shape[0])) * 1e-3
-        return inputs, dpre
+    """_blocks splits a conv's patch columns into whole units that each fit
+    in BLOCK_BYTES; the gradient keeps the one-product bits."""
 
     @pytest.mark.parametrize("batch", [1, 13, 14, 33, 41, 61, 64, 70])
     def test_blocks_match_one_float64_product_bit_for_bit(self, batch):
         # 1 and 13 images fit the budget: one product
-        inputs, dpre = self.conv1_case(batch)
-        spans = _blocks(inputs.shape[1], inputs.size * 8, unit=4)
-        assert (len(spans) > 1) == (inputs.size * 8 > BLOCK_BYTES)
-        assert all(s.start % 4 == 0 and s.stop - s.start >= 4 for s in spans)
-        got = _weight_gradient(inputs, dpre)
-        expect = np.asarray(inputs, np.float64).T @ dpre
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      expect.view(np.uint64))
+        x, dpre = conv_gradient_case(LENET_CONV1, batch)
+        spans = _conv_blocks(LENET_CONV1, batch)[0]
+        channels = LENET_CONV1.in_shape[0]
+        assert (len(spans) > 1) == (conv1_patch_bytes(batch, 8) > BLOCK_BYTES)
+        assert all(s.start % channels == 0 and s.stop - s.start >= channels
+                   for s in spans)
+        expect = np.asarray(patches(LENET_CONV1, x), np.float64).T @ dpre
+        assert_same_bits(conv_gradient(LENET_CONV1, x, dpre),
+                         expect.T.reshape(LENET_CONV1.weight_shape))
 
     def test_uneven_blocks_are_tested(self):
         widths = {s.stop - s.start for batch in (33, 70)
-                  for s in _blocks(LENET_CONV1.fan_in,
-                                   conv1_patch_bytes(batch, 8), unit=4)}
+                  for s in _conv_blocks(LENET_CONV1, batch)[0]}
         assert len(widths) > 1
 
     def test_float64_inputs_above_the_budget(self):
-        # conv2's patches are float64 activations; at 150 images they pass
-        # the budget too
+        # the windows keep x's dtype: float64 activations, as the gradient
+        # tests' surrogate feeds conv2, pass the budget at 150 images too
+        op = CONVS["lenet-conv2"]
         rng = np.random.default_rng(1)
-        inputs = rng.choice([-1.0, 0.0, 1.0], size=(150 * 100, 150))
-        dpre = rng.standard_normal((150 * 100, 16))
-        assert inputs.nbytes > BLOCK_BYTES
-        np.testing.assert_array_equal(
-            _weight_gradient(inputs, dpre).view(np.uint64),
-            (inputs.T @ dpre).view(np.uint64))
-
-    def test_one_output_column_keeps_its_gemv_groups(self):
-        # a one-column dpre goes to gemv, which sums 4 columns at a time:
-        # two blocks of 75 columns changed bits, blocks of 76 and 74 do not
-        rng = np.random.default_rng(2)
-        inputs = rng.integers(-1, 2, size=(15000, 150), dtype=np.int8)
-        dpre = rng.standard_normal((15000, 1))
-        spans = _blocks(inputs.shape[1], inputs.size * 8, unit=4)
-        assert [s.stop - s.start for s in spans] == [76, 74]
-        np.testing.assert_array_equal(
-            _weight_gradient(inputs, dpre).view(np.uint64),
-            (np.asarray(inputs, np.float64).T @ dpre).view(np.uint64))
+        x = rng.choice([-1.0, 0.0, 1.0], size=(150, *op.in_shape))
+        dpre = _patch_rows(rng.standard_normal((150, *op.out_shape)))
+        p = np.asarray(patches(op, x), np.float64)
+        assert p.nbytes > BLOCK_BYTES and len(_conv_blocks(op, 150)[0]) > 1
+        assert_same_bits(conv_gradient(op, x, dpre),
+                         (p.T @ dpre).T.reshape(op.weight_shape))
 
     def test_blocks_are_at_least_one_unit_long(self):
         assert [s.stop - s.start for s in _blocks(9, 10**12, 4)] == [4, 5]
@@ -599,7 +603,7 @@ class TestConvWeightGradient:
     def test_training_step_builds_no_patch_matrix(self, monkeypatch):
         def refuse(op, x):
             raise AssertionError("built a patch matrix")
-        monkeypatch.setattr(sys.modules["oxcim.train"], "patches", refuse)
+        monkeypatch.setattr(sys.modules["oxcim.network"], "patches", refuse)
         store = synthetic_dataset(n_train=8, n_test=4, seed=3)
         x = _encode_batch(store.train_images)
         for arch in (lenet(Precision.TERNARY), small_arch()):
@@ -641,10 +645,10 @@ class TestConvWeightGradient:
     def test_training_step_working_set_is_one_block_and_the_walk(self,
                                                                   batch):
         # no patch matrix: besides the one float64 block buffer, which the
-        # first step allocates, a step holds per image the float64
-        # channels-last copy of the conv1 input (64 KiB) and the float64
-        # conv1 gradients of the walk (37 KiB each), about 250 KiB in all.
-        # It traced 31.4, 30.9 and 46.5 MiB; a float64 copy of the whole
+        # first step allocates, a step holds per image the int8
+        # channels-last copy of the conv1 input (8 KiB) and the float64
+        # conv1 gradients of the walk (37 KiB each), about 190 KiB in all.
+        # It traced 30.5, 29.9 and 44.7 MiB; a float64 copy of the whole
         # patch matrix took 99 MiB at 64 images.
         store = synthetic_dataset(n_train=batch, n_test=4, seed=7)
         x = _encode_batch(store.train_images)
