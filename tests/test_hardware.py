@@ -13,6 +13,7 @@ from oxcim.hardware import (forward_hardware, map_network_to_tiles,
 from oxcim.network import forward_ideal, lenet
 from oxcim.quant import Precision
 from oxcim.train import TrainConfig, Trainer
+from conftest import patches
 from test_network import tiny_net
 
 
@@ -253,18 +254,25 @@ def input_major_read(tile, x, pairs):
     return out[0], out[1]
 
 
-def input_major_layer_delta(mapping, patches, read_pairs):
-    """_layer_delta as it was: (vector, col) deltas, references averaged by
-    a two-column gemv."""
-    delta = np.zeros((patches.shape[0], mapping.cols))
-    for pl in mapping.placements:
-        t = pl.tile
-        xs = patches[:, pl.row_start:pl.row_start + t.rows]
-        d = np.subtract(*input_major_read(t, xs, read_pairs))
-        n = t.cols - 2
-        ref = d[:, n:] @ np.full(2, 0.5)
-        delta[:, pl.col_start:pl.col_start + n] += d[:, :n] - ref[:, None]
-    return delta
+def input_major_layer_delta(tiled):
+    """_layer_delta as it was, for the layers of tiled: (vector, col) deltas
+    of column slices of the layer's patch matrix, references averaged by a
+    two-column gemv."""
+    ops = {id(m): tiled.net.plan[li] for li, m in tiled.mappings.items()}
+
+    def layer_delta(mapping, x, read_pairs):
+        p = patches(ops[id(mapping)], x)
+        delta = np.zeros((p.shape[0], mapping.cols))
+        for pl in mapping.placements:
+            t = pl.tile
+            xs = p[:, pl.row_start:pl.row_start + t.rows]
+            d = np.subtract(*input_major_read(t, xs, read_pairs))
+            n = t.cols - 2
+            ref = d[:, n:] @ np.full(2, 0.5)
+            delta[:, pl.col_start:pl.col_start + n] += d[:, :n] - ref[:, None]
+        return delta
+
+    return layer_delta
 
 
 class TestOutputMajorRead:
@@ -279,7 +287,8 @@ class TestOutputMajorRead:
                                                 region, batch):
         tiled, x = lenet_case(precision, region, batch)
         got = forward_hardware(tiled, x, image_ordinal=batch)
-        monkeypatch.setattr(hardware, "_layer_delta", input_major_layer_delta)
+        monkeypatch.setattr(hardware, "_layer_delta",
+                            input_major_layer_delta(tiled))
         expect = forward_hardware(tiled, x, image_ordinal=batch)
         np.testing.assert_array_equal(got.view(np.uint64),
                                       expect.view(np.uint64))
@@ -326,3 +335,53 @@ class TestOutputMajorRead:
             tracemalloc.stop()
         added = 4 * READ_BLOCK_CELLS + 8 * READ_BLOCK_CELLS
         assert peak <= input_major_mib * 2**20 + added
+
+
+class TestTileMajorInputs:
+    """A conv layer's tiles read contiguous slabs of one tile-major buffer,
+    a slab per row block; a dense layer's tiles read column slices of its
+    input.  Column-split tiles of a row block share its slab."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_each_row_block_reads_one_slab(self, monkeypatch, batch):
+        # 48 x 5 tiles: uneven row blocks and 3 data columns, so every
+        # layer of LeNet is split both ways
+        tiled, x = lenet_case(Precision.TERNARY, "hrs0", batch)
+        cfg = default_device_config("hrs").with_zero_variability()
+        tiled = map_network_to_tiles(tiled.net, cfg, max_tile=(48, 5))
+        inputs, reads = {}, {}
+        layer_delta, vmm = hardware._layer_delta, CrossbarTile.vmm_batch
+
+        def spy_layer(mapping, x_layer, read_pairs):
+            inputs[id(mapping)] = x_layer
+            return layer_delta(mapping, x_layer, read_pairs)
+
+        def spy_read(tile, x_batch, read_pairs):
+            reads[tile.array_id] = x_batch
+            return vmm(tile, x_batch, read_pairs)
+
+        monkeypatch.setattr(hardware, "_layer_delta", spy_layer)
+        monkeypatch.setattr(CrossbarTile, "vmm_batch", spy_read)
+        forward_hardware(tiled, x)
+        for li, m in tiled.mappings.items():
+            op = tiled.net.plan[li]
+            expect = patches(op, inputs[id(m)])
+            first = reads[m.placements[0].tile.array_id]
+            starts = sorted({pl.row_start for pl in m.placements})
+            assert len(starts) > 1 and len(m.placements) > len(starts)
+            for pl in m.placements:
+                slab = reads[pl.tile.array_id]
+                r0 = pl.row_start
+                np.testing.assert_array_equal(
+                    slab, expect[:, r0:r0 + pl.tile.rows])
+                lead = next(q for q in m.placements if q.row_start == r0)
+                shared = reads[lead.tile.array_id]
+                assert (slab.__array_interface__ == shared.__array_interface__
+                        and np.shares_memory(slab, shared))
+                if op.gather is not None:
+                    # back to back in one buffer of the patch matrix's size
+                    assert slab.flags.c_contiguous
+                    assert slab.base is first.base
+                    assert slab.base.size == expect.size
+                    assert slab.ctypes.data - first.ctypes.data \
+                        == len(expect) * r0

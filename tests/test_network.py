@@ -10,12 +10,13 @@ from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import (DEFAULT_THERMO_THRESHOLDS, Activation, Conv2D,
                            Dense, MaxPool2D, NetworkDescription,
                            conv_weight_matrix, exact_preact, forward_ideal,
-                           im2col, lenet, maxpool, patches, predict_ideal,
+                           im2col, lenet, maxpool, predict_ideal,
                            thermometric_trits)
 from oxcim.quant import Precision, TernaryTensor
 from oxcim.device import sigmoid_ideal
 from oxcim.quant import popcount_oracle
 from oxcim.train import _encode_batch
+from conftest import patches
 
 
 def direct_conv2d(x, w, stride=1):

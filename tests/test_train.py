@@ -10,11 +10,12 @@ from oxcim.data import synthetic_dataset
 from oxcim.errors import ConfigError, DomainError, ShapeError, TrainingDiverged
 from oxcim.network import (Activation, Conv2D, Dense, MaxPool2D,
                            NetworkDescription, conv_weight_matrix,
-                           forward_ideal, lenet, maxpool, patches, walk)
+                           forward_ideal, lenet, maxpool, walk)
 from oxcim.quant import Precision
 from oxcim.train import (BLOCK_BYTES, EVAL_BATCH, TrainConfig, Trainer, train,
                          _blocks, _conv_blocks, _conv_weight_gradient,
                          _encode_batch, _patch_rows, _unpool)
+from conftest import patches
 from test_golden import GOLDEN_TRAIN_RUN
 
 
@@ -601,9 +602,11 @@ class TestConvWeightGradient:
         assert_same_bits(conv_gradient(op, x, dpre), expect)
 
     def test_training_step_builds_no_patch_matrix(self, monkeypatch):
-        def refuse(op, x):
+        # a patch matrix is an np.take of the input through the im2col
+        # offsets (conftest.patches, the tests' own); a step takes none
+        def refuse(*args, **kwargs):
             raise AssertionError("built a patch matrix")
-        monkeypatch.setattr(sys.modules["oxcim.network"], "patches", refuse)
+        monkeypatch.setattr(np, "take", refuse)
         store = synthetic_dataset(n_train=8, n_test=4, seed=3)
         x = _encode_batch(store.train_images)
         for arch in (lenet(Precision.TERNARY), small_arch()):
@@ -625,6 +628,23 @@ class TestConvWeightGradient:
             assert s.start % channels == 0 and s.stop % channels == 0
             assert BLOCK_BYTES / 3 <= (s.stop - s.start) * column \
                 <= BLOCK_BYTES
+
+    def test_one_output_conv_keeps_the_gemv_bits(self):
+        # one output channel makes each block product a gemv, which sums 4
+        # columns at a time; blocks on whole kernel positions of 3 channels
+        # (9, 12, 9, ... columns) moved bits, blocks on lcm(3, 4) do not
+        layers = [Conv2D(1, 5), Activation("ternary"), Dense(10),
+                  Activation("sigmoid_output")]
+        op = NetworkDescription(Precision.TERNARY, (3, 32, 32), layers,
+                                [None] * len(layers)).plan[0]
+        x, dpre = conv_gradient_case(op, 200)
+        spans = _conv_blocks(op, 200)[0]
+        assert len(spans) > 1 and all(s.start % 12 == 0 for s in spans)
+        p = patches(op, x)  # int8, then columns in (kh, kw, c) order
+        p = p.reshape(-1, 3, 5, 5).transpose(0, 2, 3, 1).reshape(p.shape)
+        expect = (dpre.T @ np.asarray(p, np.float64)) \
+            .reshape(1, 5, 5, 3).transpose(0, 3, 1, 2)
+        assert_same_bits(conv_gradient(op, x, dpre), expect)
 
     def test_steps_share_one_held_block_buffer(self):
         # LeNet's conv2 and conv1 gradients fill one buffer, the size of
