@@ -21,11 +21,12 @@ import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile, sense_to_activation
 from .data import N_CLASSES, check_images, check_labels, pad_to_32
-from .device import check_config, check_seed
-from .errors import ConfigError, ShapeError, check_integer, check_integers
-from .hardware import DEFAULT_MAX_TILE, check_max_tile, \
-    check_tiled_network, map_network_to_tiles, predict_hardware
-from .network import Activation, check_network, predict_ideal, \
+from .device import DeviceConfig, check_seed
+from .errors import ConfigError, ShapeError, check_integer, check_integers, \
+    check_type, shown
+from .hardware import DEFAULT_MAX_TILE, TiledNetwork, check_max_tile, \
+    map_network_to_tiles, predict_hardware
+from .network import Activation, NetworkDescription, predict_ideal, \
     thermometric_trits
 from .quant import popcount_oracle
 
@@ -64,18 +65,19 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.mode not in ("ideal", "hardware"):
-            raise ConfigError(f"mode must be ideal or hardware, got {self.mode!r}")
+            raise ConfigError(f"mode must be ideal or hardware, got {shown(self.mode)}")
         check_integer(self.threads, "threads", lo=1)
         if self.limit is not None:
             check_integer(self.limit, "limit", lo=1)
         check_max_tile(self.max_tile)
-        check_network(self.net)
-        check_config(self.config)
+        check_type(self.net, NetworkDescription)
+        check_type(self.config, DeviceConfig)
         if self.seeds is None:
             self.seeds = [self.config.seed]
         seeds = np.asarray(self.seeds, dtype=object)  # ragged: no ValueError
         if seeds.ndim != 1 or not seeds.size:
-            raise ConfigError(f"seeds must be a non-empty sequence, got {self.seeds!r}")
+            raise ConfigError(f"seeds must be a non-empty sequence, got "
+                              f"{shown(self.seeds)}")
         for seed in self.seeds:
             check_seed(seed)
         if len(set(self.seeds)) != len(self.seeds):
@@ -123,8 +125,7 @@ def _predict_many(fn, n, threads):
 
 def run_accuracy(spec, images, labels):
     """Accuracy over trials; confusion matrix comes from the first seed."""
-    if not isinstance(spec, ExperimentSpec):
-        raise ConfigError(f"not an ExperimentSpec: {type(spec).__name__}")
+    check_type(spec, ExperimentSpec)
     spec = dataclasses.replace(spec)  # checks a spec changed since it was built
     spec.net.require_weights()
     images = check_images(images)
@@ -166,12 +167,12 @@ def sweep_sense_distribution(tile_dims, precision, config, samples=5000, seed=0)
     maps one popcount unit of differential current to 1 uA.
     """
     if np.asarray(tile_dims, dtype=object).shape != (2,):
-        raise ConfigError(f"sweep tile must be (rows, cols), got {tile_dims!r}")
+        raise ConfigError(f"sweep tile must be (rows, cols), got {shown(tile_dims)}")
     rows_n, cols_n = (check_integer(n, "sweep tile size", 1, 9)
                       for n in tile_dims)
     check_integer(samples, "samples", lo=1)
     check_integer(seed, "sweep seed", lo=0)  # numpy takes no seed < 0
-    check_config(config).require_states(precision)
+    check_type(config, DeviceConfig).require_states(precision)
     trit_pool = np.asarray(precision.allowed_values, dtype=np.int8)
     gen = np.random.default_rng(seed)
     gain_uA = config.v_read * config.conductance_slope() * A_TO_UA
@@ -200,7 +201,7 @@ def weight_conductance_histogram(tiled):
     (infinite when both spreads are zero).
     """
     by_trit = {}
-    for state_grid, g_grid in check_tiled_network(tiled).all_cells():
+    for state_grid, g_grid in check_type(tiled, TiledNetwork).all_cells():
         for t in np.unique(state_grid):
             sel = state_grid == t
             by_trit.setdefault(int(t), []).append(g_grid[sel])

@@ -47,7 +47,7 @@ from . import device, weightfile
 from .bench import (ExperimentSpec, run_accuracy, sweep_sense_distribution,
                     weight_conductance_histogram)
 from .data import load_dataset_dir
-from .errors import OxcimError, check_integer
+from .errors import OxcimError, check_integer, shown
 from .hardware import DEFAULT_MAX_TILE, map_network_to_tiles
 from .network import Activation, lenet
 from .quant import Precision
@@ -59,14 +59,15 @@ def _parse_dims(text):
         r, c = text.lower().split("x")
         return int(r), int(c)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {shown(text)}")
 
 
 def _parse_seeds(text):
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ints, got {shown(text)}")
 
 
 def build_parser():

@@ -74,10 +74,10 @@ import logging
 import numpy as np
 
 from . import rng
-from .device import DeviceConfig, check_config, clamp_floor, \
+from .device import DeviceConfig, clamp_floor, \
     sample_device_conductance_grid, sigmoid_neuron_voltage
 from .errors import ConfigError, ShapeError, check_integer, check_real, \
-    check_integers, check_reals, check_trits
+    check_integers, check_reals, check_trits, check_type, shown
 from .network import Activation
 from .quant import act_binary, act_ternary
 
@@ -107,7 +107,7 @@ class CrossbarTile:
         trits = check_trits(cell_state, "cell states")
         if trits.ndim != 2 or trits.size == 0:
             raise ShapeError("cell_state must be a non-empty 2-D trit grid")
-        self.config = check_config(config)
+        self.config = check_type(config, DeviceConfig)
         self.array_id = int(check_integer(array_id, "array id", 0, 2**64))
         self.cell_state = trits
         self.rows, self.cols = trits.shape
@@ -243,9 +243,9 @@ def _exact_split(g, array_id):
     if wide.size:
         c = int(wide[0])
         raise ConfigError(
-            f"array {array_id} column {c}: conductances from {g[:, c].min()!r} "
-            f"to {g[:, c].max()!r} S span more than 2**{54 - 2 * L}, too wide "
-            f"for exact {rows}-row column sums")
+            f"array {array_id} column {c}: conductances from "
+            f"{shown(g[:, c].min())} to {shown(g[:, c].max())} S span more "
+            f"than 2**{54 - 2 * L}, too wide for exact {rows}-row column sums")
     u = np.ldexp(1.0, e_max + L - 53)
     hi = np.rint(g / u) * u
     return np.concatenate([hi, g - hi], axis=1)
@@ -260,8 +260,7 @@ def sense_to_activation(delta_uA, activation, gain_uA=1.0):
     trits; for sigmoid_output the scaled value is the neuron input current
     in uA and the neuron voltages are returned.
     """
-    if not isinstance(activation, Activation):
-        raise ConfigError(f"not an Activation: {activation!r}")
+    check_type(activation, Activation)
     check_real(gain_uA, "gain", 0.0, strict=True)
     u = check_reals(delta_uA, "differential current") / gain_uA
     if activation.kind == "binary":

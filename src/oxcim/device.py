@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, ParseError, check_integer, \
-    check_real, check_reals, check_trits, read_records
+    check_real, check_reals, check_trits, read_records, shown
 from .quant import check_precision
 
 log = logging.getLogger(__name__)
@@ -66,13 +66,13 @@ class DeviceConfig:
 
     def __post_init__(self):
         if self.region not in (HRS, LRS):
-            raise ConfigError(f"region must be HRS or LRS, got {self.region!r}")
+            raise ConfigError(f"region must be HRS or LRS, got {shown(self.region)}")
         if not (isinstance(self.states, dict)
                 and {-1, 1} <= set(self.states) <= {-1, 0, 1}
                 and all(isinstance(s, MlcStateModel)
                         for s in self.states.values())):
             raise ConfigError(f"states must map -1, +1 and optionally 0 to "
-                              f"MlcStateModels, got {self.states!r}")
+                              f"MlcStateModels, got {shown(self.states)}")
         # More positive weight must map to higher conductance.
         present = sorted(self.states)
         means = [self.states[t].mean_S for t in present]
@@ -83,7 +83,7 @@ class DeviceConfig:
         check_real(self.v_read, "v_read", 0.0, strict=True)
         check_seed(self.seed)
         if not isinstance(self.name, str):
-            raise ConfigError(f"config name must be a string, got {self.name!r}")
+            raise ConfigError(f"config name must be a string, got {shown(self.name)}")
 
     def require_states(self, precision):
         """Check the trit -> state map covers the given precision."""
@@ -91,7 +91,7 @@ class DeviceConfig:
                    if t not in self.states]
         if missing:
             raise ConfigError(
-                f"config {self.name!r} lacks states for trits {missing} "
+                f"config {shown(self.name)} lacks states for trits {missing} "
                 f"required by {precision.value} precision"
             )
 
@@ -109,7 +109,7 @@ class DeviceConfig:
         try:
             idx = check_trits(state_grid, "cell states", tuple(self.states)) + 1
         except DomainError as exc:
-            raise ConfigError(f"config {self.name!r} has no state for a "
+            raise ConfigError(f"config {shown(self.name)} has no state for a "
                               f"weight: {exc}") from None
         table = np.zeros((3, 3))  # (mean, d2d, c2c) x (trit + 1)
         for t, s in self.states.items():
@@ -126,13 +126,6 @@ class DeviceConfig:
         return DeviceConfig(
             self.region, states, self.v_read, self.seed, self.name + "+novar",
         )
-
-
-def check_config(config):
-    """config, or a ConfigError unless it is a DeviceConfig."""
-    if not isinstance(config, DeviceConfig):
-        raise ConfigError(f"not a DeviceConfig: {config!r}")
-    return config
 
 
 def check_seed(seed):
@@ -250,7 +243,7 @@ def default_config_file(which):
     """The packaged default config file: 'hrs' or 'lrs'."""
     key = which.lower() if isinstance(which, str) else None
     if key not in ("hrs", "lrs"):
-        raise ConfigError(f"no default config named {which!r}")
+        raise ConfigError(f"no default config named {shown(which)}")
     return resources.files(__package__).joinpath("configs", f"{key}_default.cfg")
 
 

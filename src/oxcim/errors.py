@@ -1,7 +1,7 @@
-"""Exception types shared across the package, the number checks of its
-inputs (check_integer and check_real for one value; check_integers,
-check_reals and check_trits for an array), and the record reader of its
-two text formats."""
+"""Exception types shared across the package, the checks of its inputs
+(check_type for an object's kind, check_integer and check_real for one
+number, check_integers, check_reals and check_trits for an array), shown,
+the one way a refusal shows a value, and the reader of its text formats."""
 
 import math
 import numbers
@@ -48,16 +48,24 @@ class TrainingDiverged(OxcimError, RuntimeError):
     """Training loss became non-finite; aborting instead of continuing blindly."""
 
 
+def check_type(value, cls):
+    """value, or a ConfigError unless it is a cls: the one type refusal."""
+    if not isinstance(value, cls):
+        an = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ConfigError(f"not {an} {cls.__name__}: {shown(value)}")
+    return value
+
+
 def check_integer(value, what, lo=None, hi=None):
     """value, or a ConfigError unless it is an integer (Python or numpy, not
     a bool) that is at least lo and, if hi is given, below hi."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {shown(value)}")
     if hi is not None and not lo <= value < hi:
         raise ConfigError(f"{what} must lie in [{_bound(lo)}, {_bound(hi)}), "
-                          f"got {_shown(value)}")
+                          f"got {shown(value)}")
     if lo is not None and value < lo:
-        raise ConfigError(f"{what} must be >= {lo}, got {_shown(value)}")
+        raise ConfigError(f"{what} must be >= {lo}, got {shown(value)}")
     return value
 
 
@@ -65,7 +73,7 @@ def check_real(value, what, lo, hi=math.inf, strict=False, error=ConfigError):
     """Raise error (a ConfigError unless given) unless value is a real number,
     not a bool, whose float lies in [lo, hi), or in (lo, hi) if strict."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{what} must be a real number, got {value!r}")
+        raise error(f"{what} must be a real number, got {shown(value)}")
     try:
         x = float(value)
     except OverflowError:  # an int beyond the largest float
@@ -73,7 +81,7 @@ def check_real(value, what, lo, hi=math.inf, strict=False, error=ConfigError):
     if not (lo < x < hi if strict else lo <= x < hi):
         rule = (f"be finite and {'>' if strict else '>='} {lo:g}" if hi == math.inf
                 else f"lie in {'(' if strict else '['}{lo:g}, {hi:g})")
-        raise error(f"{what} must {rule}, got {_shown(value)}")
+        raise error(f"{what} must {rule}, got {shown(value)}")
 
 
 def check_reals(values, what, lo=-math.inf, hi=math.inf):
@@ -97,7 +105,7 @@ def check_integers(values, what, lo, hi=None):
     arr = _asarray(values, what)
     if arr.dtype.kind not in ("iu" if arr.size else "iuf") or arr.size and (
             arr.min() < lo or hi is not None and arr.max() >= hi):
-        rule = f">= {lo}" if hi is None else f"in {lo}..{_shown(hi - 1)}"
+        rule = f">= {lo}" if hi is None else f"in {lo}..{shown(hi - 1)}"
         raise DomainError(f"{what} must be integers {rule}")
     return arr
 
@@ -130,13 +138,19 @@ def _asarray(values, what):
         raise DomainError(f"{what} must be one array: {exc}") from None
 
 
-def _shown(value):
-    """value as text; an int that str() may refuse (Python's limit is 4,300
-    digits by default and 640 at least) by its sign and bit length."""
+def shown(value):
+    """value as a refusal shows it: a number by str(), or an int that str()
+    may refuse (its limit is 4,300 digits by default, 640 at least) by its
+    sign and bit length; a string of up to 200 characters by its repr, and
+    anything else by its type name, never by the repr of a large object."""
     if isinstance(value, int) and value.bit_length() > 2048:
         return (f"{'a negative' if value < 0 else 'an'} integer of "
                 f"{value.bit_length()} bits")
-    return str(value)
+    if isinstance(value, numbers.Number):
+        return str(value)
+    if isinstance(value, str) and len(value) <= 200:
+        return repr(value)
+    return type(value).__name__
 
 
 def _bound(n):
@@ -173,13 +187,13 @@ def read_records(data, record, path=None, frame=None):
             continue
         key, eq, value = (s.strip() for s in line.partition("="))
         if not eq:
-            raise ParseError(f"expected 'key = value', got {line!r}",
+            raise ParseError(f"expected 'key = value', got {shown(line)}",
                              path=path, line=i + 1)
         if key in seen:
-            raise ParseError(f"duplicate key {key!r}", path=path, line=i + 1)
+            raise ParseError(f"duplicate key {shown(key)}", path=path, line=i + 1)
         seen.add(key)
         try:
             record(key, value)
         except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad {key!r} record: {exc}", path=path,
+            raise ParseError(f"bad {shown(key)} record: {exc}", path=path,
                              line=i + 1) from None

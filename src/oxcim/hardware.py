@@ -63,10 +63,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossbar import A_TO_UA, CrossbarTile
-from .device import check_config, sigmoid_neuron_voltage
-from .errors import ConfigError, check_integer
-from .network import Conv2D, as_batch, check_network, conv_weight_matrix, \
-    predicted_class, walk
+from .device import DeviceConfig, sigmoid_neuron_voltage
+from .errors import ConfigError, check_integer, check_type, shown
+from .network import Conv2D, NetworkDescription, as_batch, \
+    conv_weight_matrix, predicted_class, walk
 # No caller here; benchmarks/tracing.py wraps these module attributes.
 from .crossbar import sense_to_activation  # noqa: F401
 from .network import im2col  # noqa: F401
@@ -115,19 +115,12 @@ class TiledNetwork:
                        p.tile.cell_g[:, :-len(REF_TRITS)])
 
 
-def check_tiled_network(tiled):
-    """tiled, or a ConfigError unless it is a TiledNetwork."""
-    if not isinstance(tiled, TiledNetwork):
-        raise ConfigError(f"not a TiledNetwork: {type(tiled).__name__}")
-    return tiled
-
-
 def check_max_tile(max_tile):
     """max_tile as (rows, cols), or a ConfigError unless it is two integers
     with room for a data row and a data column plus two reference columns."""
     # as objects: np.shape raises a ValueError on a ragged value
     if np.asarray(max_tile, dtype=object).shape != (2,):
-        raise ConfigError(f"max tile must be (rows, cols), got {max_tile!r}")
+        raise ConfigError(f"max tile must be (rows, cols), got {shown(max_tile)}")
     return (check_integer(max_tile[0], "max tile rows", lo=1),
             check_integer(max_tile[1], "max tile columns", lo=3))
 
@@ -140,7 +133,8 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
     (network, config) always produces identical tiles.  Every tile gets two
     extra reference columns; physical tile widths still respect max_tile.
     """
-    check_config(config).require_states(check_network(net).precision)
+    check_type(config, DeviceConfig).require_states(
+        check_type(net, NetworkDescription).precision)
     max_r, max_c = check_max_tile(max_tile)
     width = max_c - len(REF_TRITS)  # data columns per tile
     net.require_weights()
@@ -228,7 +222,7 @@ def forward_hardware(tiled, x, image_ordinal=0):
     batch gives the same bits as one call per image.  The ordinal is an
     integer >= 0 that leaves every READ-pair id of the batch below 2**63.
     """
-    batch, single = as_batch(check_tiled_network(tiled).net, x)
+    batch, single = as_batch(check_type(tiled, TiledNetwork).net, x)
     n = batch.shape[0]
     # READ-pair ids are ordinal * patches + patch, below (ordinal + n) * most
     most = max((op.gather.shape[0] for op in tiled.net.plan
@@ -236,7 +230,7 @@ def forward_hardware(tiled, x, image_ordinal=0):
     check_integer(image_ordinal, "image ordinal", lo=0)
     if (int(image_ordinal) + n) * most > 2**63:
         raise ConfigError(f"image ordinal must keep (ordinal + {n}) * {most} "
-                          f"<= 2**63, got {image_ordinal}")
+                          f"<= 2**63, got {shown(image_ordinal)}")
     ordinals = np.uint64(image_ordinal) + np.arange(n, dtype=np.uint64)
 
     def preact(op, x):

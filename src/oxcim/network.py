@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .device import sigmoid_ideal
 from .errors import ConfigError, ShapeError, check_integer, check_reals, \
-    check_trits
+    check_trits, check_type, shown
 from .quant import Precision, TernaryTensor, act_binary, act_ternary, \
     check_dead_band, check_precision
 
@@ -128,7 +128,7 @@ class Activation:
 
     def __post_init__(self):
         if self.kind not in ("binary", "ternary", "sigmoid_output"):
-            raise ConfigError(f"unknown activation kind {self.kind!r}")
+            raise ConfigError(f"unknown activation kind {shown(self.kind)}")
         if self.kind == "ternary":
             check_dead_band(self.r)
 
@@ -273,7 +273,7 @@ def compile_plan(precision, input_shape, layers, weights):
             op = LayerOp(i, layer, shape, (shape[0], shape[1] // layer.size,
                                            shape[2] // layer.size))
         else:
-            raise ConfigError(f"layer {i}: unknown layer {layer!r}")
+            raise ConfigError(f"layer {i}: unknown layer {shown(layer)}")
         if op.weight_shape is not None:
             _check_weights(i, w, precision, op.weight_shape)
         elif w is not None:
@@ -314,19 +314,26 @@ def _check_weights(i, w, precision, expected_shape):
         raise ShapeError(f"layer {i}: weight shape {w.shape} != {expected_shape}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkDescription:
+    """A layer chain, its weights (None where a layer has none) and the plan
+    compiled from them; frozen, so the plan always matches the net."""
+
     precision: Precision
     input_shape: tuple          # (C, H, W)
-    layers: list = field(default_factory=list)
-    weights: list = field(default_factory=list)  # parallel to layers; None for non-parametric
+    layers: tuple
+    weights: tuple
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.layers):
+        layers, weights = tuple(self.layers), tuple(self.weights)
+        if len(weights) != len(layers):
             raise ConfigError("weights list must parallel the layer list")
-        self.plan = compile_plan(self.precision, self.input_shape,
-                                 self.layers, self.weights)
+        shape = check_input_shape(self.input_shape)
+        plan = compile_plan(self.precision, shape, layers, weights)
+        for name, value in zip(("input_shape", "layers", "weights", "plan"),
+                               (shape, layers, weights, plan)):
+            object.__setattr__(self, name, value)
 
     def require_weights(self):
         missing = [i for i in self.parametric_indices() if self.weights[i] is None]
@@ -336,13 +343,6 @@ class NetworkDescription:
     def parametric_indices(self):
         return [i for i, l in enumerate(self.layers)
                 if isinstance(l, (Conv2D, Dense))]
-
-
-def check_network(net):
-    """net, or a ConfigError unless it is a NetworkDescription."""
-    if not isinstance(net, NetworkDescription):
-        raise ConfigError(f"not a NetworkDescription: {net!r}")
-    return net
 
 
 def hidden_activation_kind(precision):
@@ -453,10 +453,10 @@ def as_batch(net, x):
     and ShapeError for a batch of no images, so the exact and the analog
     pass refuse the same inputs.
     """
-    allowed = check_network(net).precision.allowed_values
+    allowed = check_type(net, NetworkDescription).precision.allowed_values
     arr = check_trits(x.data if isinstance(x, TernaryTensor) else x,
                       "network inputs", allowed)
-    if arr.ndim not in (3, 4) or arr.shape[-3:] != tuple(net.input_shape):
+    if arr.ndim not in (3, 4) or arr.shape[-3:] != net.input_shape:
         raise ShapeError(f"input shape {arr.shape} != {net.input_shape}")
     if arr.size == 0:
         raise ShapeError("input batch holds no images")

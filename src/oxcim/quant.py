@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, check_real, \
-    check_reals, check_trits
+    check_reals, check_trits, shown
 
 TRIT_DTYPE = np.int8
 
@@ -32,7 +32,7 @@ class Precision(enum.Enum):
 def check_precision(precision):
     """precision, or a ConfigError unless it is a Precision."""
     if not isinstance(precision, Precision):
-        raise ConfigError(f"precision must be a Precision, got {precision!r}")
+        raise ConfigError(f"precision must be a Precision, got {shown(precision)}")
     return precision
 
 

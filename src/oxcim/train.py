@@ -36,15 +36,15 @@ clipped-identity surrogate, lives in tests/test_train.py::TestGradients.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import check_images, check_labels, pad_to_32
 from .errors import ConfigError, ShapeError, TrainingDiverged, check_integer, \
-    check_real
-from .network import Activation, activate, as_batch, check_network, \
+    check_real, check_type, shown
+from .network import Activation, NetworkDescription, activate, as_batch, \
     conv_weight_matrix, exact_preact, maxpool, thermometric_trits, walk
 from .quant import quantize_weights
 # No caller here; benchmarks/tracing.py wraps these module attributes.
@@ -66,7 +66,7 @@ EVAL_BATCH = 256  # images per forward pass in evaluate_loss
 BLOCK_BYTES = 16 * 2**20
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
@@ -218,11 +218,9 @@ class Trainer:
     """Backprop engine for one architecture (conv/pool/dense/activation)."""
 
     def __init__(self, net_template, cfg=None):
-        self.net = check_network(net_template)
-        self.cfg = TrainConfig() if cfg is None else cfg
-        if not isinstance(self.cfg, TrainConfig):
-            raise ConfigError(f"not a TrainConfig: {cfg!r}")
-        self.precision = net_template.precision
+        self.net = check_type(net_template, NetworkDescription)
+        self.cfg = check_type(TrainConfig() if cfg is None else cfg,
+                              TrainConfig)
         self.rng = np.random.default_rng(self.cfg.seed)
         self.params = [
             self.rng.uniform(-0.9, 0.9, size=self.net.plan[i].weight_shape)
@@ -233,7 +231,7 @@ class Trainer:
 
     def quantized_weights(self):
         """Current latent weights quantized to TernaryTensors."""
-        return [quantize_weights(p, self.precision, self.cfg.weight_r)
+        return [quantize_weights(p, self.net.precision, self.cfg.weight_r)
                 for p in self.params]
 
     def network(self):
@@ -241,8 +239,7 @@ class Trainer:
         weights = [None] * len(self.net.layers)
         for w, li in zip(self.quantized_weights(), self.net.parametric_indices()):
             weights[li] = w
-        return type(self.net)(self.precision, self.net.input_shape,
-                              list(self.net.layers), weights)
+        return replace(self.net, weights=weights)
 
     def _check_labels(self, labels, n):
         """labels as checked by data.check_labels for n >= 1 images."""
@@ -273,7 +270,7 @@ class Trainer:
 
         def preact(op, x):
             k = self.net.parametric_indices().index(op.index)
-            wq = quantize_weights(self.params[k], self.precision,
+            wq = quantize_weights(self.params[k], self.net.precision,
                                   self.cfg.weight_r).data.astype(np.float64)
             wmat = wq if op.gather is None else conv_weight_matrix(wq)
             if backward:
@@ -376,7 +373,7 @@ class Trainer:
 
     def fit(self, images, labels, log_fn=None):
         if log_fn is not None and not callable(log_fn):
-            raise ConfigError(f"log_fn is not callable: {log_fn!r}")
+            raise ConfigError(f"log_fn is not callable: {shown(log_fn)}")
         cfg = self.cfg
         images = check_images(images)
         n = images.shape[0]

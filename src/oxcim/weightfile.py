@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, read_records
+from .errors import ParseError, read_records, shown
 from .network import (Activation, Conv2D, Dense, MaxPool2D, NetworkDescription,
                       check_input_shape)
 from .quant import Precision, TernaryTensor
@@ -85,7 +85,7 @@ def _layer_record(layer):
         if layer.kind == "ternary":
             rec += f" r={layer.r!r}"
         return rec
-    raise ParseError(f"cannot serialize layer {layer!r}")
+    raise ParseError(f"cannot serialize layer {shown(layer)}")
 
 
 def _parse_layer(record):
@@ -103,7 +103,7 @@ def _parse_layer(record):
     elif kind == "activation":
         layer = Activation(kv.pop("kind"), float(kv.pop("r", Activation.r)))
     else:
-        raise ParseError(f"unknown layer kind {kind!r}")
+        raise ParseError(f"unknown layer kind {shown(kind)}")
     if kv:
         raise ParseError(f"unknown layer fields {sorted(kv)}")
     return layer
@@ -114,7 +114,7 @@ def _parse_weights(record, precision):
         raise ParseError("weight record before the precision record")
     encoding, shape, payload = record.split(None, 2)
     if encoding != "pack64":
-        raise ParseError(f"unknown weight encoding {encoding!r}")
+        raise ParseError(f"unknown weight encoding {shown(encoding)}")
     shape = tuple(int(t) for t in shape.split(","))
     flat = _unpack_payload(payload.encode("ascii"), math.prod(shape), precision)
     return TernaryTensor(flat.reshape(shape), precision)

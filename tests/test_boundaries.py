@@ -1,5 +1,6 @@
 """Module boundaries: a rule that several modules share is public, every
-import is used, and every option has a caller in the package.
+import is used, every option has a caller in the package, and refusals
+share one type rule and one way of showing a value.
 
 A `_`-prefixed name is private to its module, so no module of the package
 imports one from a sibling; a shared rule lives under a public name (as
@@ -7,12 +8,16 @@ imports one from a sibling; a shared rule lives under a public name (as
 a module does not use are the bindings that benchmarks/tracing.py wraps.
 An option that only the tests set would be a public API that exists only
 for its tests; a test-side reference replaces it (as the surrogate forward
-of the gradient check does in test_train.py).
+of the gradient check does in test_train.py).  Only errors.check_type
+refuses an object of the wrong kind ("not a ..."), and a raised message
+shows a value through errors.shown, never by its repr, which for a net
+runs to thousands of characters.
 """
 
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import oxcim
@@ -35,6 +40,38 @@ def test_no_module_imports_a_private_name_of_another():
                            ) == [(1, ".quant", "_as_trits"), (2, ".", "_cache")]
     found = {p.name: private_imports(p.read_text(encoding="utf-8"))
              for p in SOURCES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def refusal_faults(source):
+    """(line, fault) of each raise whose message formats a value with !r
+    ("repr") or starts a refusal with "not a" or "not an" ("not a")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        for part in ast.walk(node.exc):
+            if isinstance(part, ast.FormattedValue) \
+                    and part.conversion == ord("r"):
+                found.append((node.lineno, "repr"))
+            elif isinstance(part, ast.Constant) and isinstance(
+                    part.value, str) and re.match("not an? ", part.value):
+                found.append((node.lineno, "not a"))
+    return found
+
+
+def test_refusals_share_one_type_rule_and_show_no_repr():
+    assert refusal_faults(
+        'raise ValueError(f"bad {x!r}")\n'
+        'raise E(f"not a Net: {x}")\nraise E("not an Activation")\n'
+        'msg = f"{x!r}"\nraise E(f"not {a} {x}: {shown(v)}")\n'
+        'raise E(f"is not a number: {x!s}")\n'
+    ) == [(1, "repr"), (2, "not a"), (3, "not a")]
+    found = {p.name: refusal_faults(p.read_text(encoding="utf-8"))
+             for p in SOURCES}
+    assert "errors.py" in found
+    found["errors.py"] = [hit for hit in found["errors.py"]
+                          if hit[1] == "repr"]
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

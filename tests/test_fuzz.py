@@ -434,52 +434,141 @@ def mutated_spec(net, cfg):
     return spec
 
 
-# Each entry point that takes a net, a device config, a tiled net or a spec,
-# given another kind of object (net, config, images and labels from
-# spec_corpus): the kind it names in its ConfigError, and the call.
+def not_a(kind):
+    """The start of the ConfigError that refuses an object that is not a
+    kind."""
+    return f"not an? {kind}: "
+
+
+# Each entry point that takes a net, a device config, a tiled net, a spec,
+# a train config or an activation, given another kind of object (net,
+# config, images and labels from spec_corpus): the start of its
+# ConfigError, and the call.  The -tiled and -net cases pass a mapped net
+# or a net, whose repr runs to thousands of characters, also where a
+# number, a sequence or a function is expected; each message names its
+# type instead.
 WRONG_KINDS = {
-    "spec-config-none": ("DeviceConfig", lambda net, cfg, images, labels:
+    "spec-config-none": (not_a("DeviceConfig"),
+                         lambda net, cfg, images, labels:
                          ExperimentSpec(net, config=None, mode="ideal")),
-    "run-net-name": ("NetworkDescription", lambda net, cfg, images, labels:
+    "run-net-name": (not_a("NetworkDescription"),
+                     lambda net, cfg, images, labels:
                      run_accuracy(ExperimentSpec("x", cfg, "ideal"), images,
                                   labels)),
-    "run-config-name": ("DeviceConfig", lambda net, cfg, images, labels:
+    "run-config-name": (not_a("DeviceConfig"),
+                        lambda net, cfg, images, labels:
                         run_accuracy(ExperimentSpec(net, "hrs", "hardware",
                                                     seeds=[0]),
                                      images, labels)),
-    "run-spec-name": ("ExperimentSpec", lambda net, cfg, images, labels:
+    "run-spec-name": (not_a("ExperimentSpec"),
+                      lambda net, cfg, images, labels:
                       run_accuracy("x", images, labels)),
-    "run-spec-mutated": ("DeviceConfig", lambda net, cfg, images, labels:
+    "run-spec-mutated": (not_a("DeviceConfig"),
+                         lambda net, cfg, images, labels:
                          run_accuracy(mutated_spec(net, cfg), images,
                                       labels)),
-    "map-net": ("NetworkDescription", lambda net, cfg, images, labels:
+    "map-net": (not_a("NetworkDescription"),
+                lambda net, cfg, images, labels:
                 map_network_to_tiles("x", cfg)),
-    "map-config": ("DeviceConfig", lambda net, cfg, images, labels:
+    "map-config": (not_a("DeviceConfig"),
+                   lambda net, cfg, images, labels:
                    map_network_to_tiles(net, "hrs")),
-    "tile-config": ("DeviceConfig", lambda net, cfg, images, labels:
+    "tile-config": (not_a("DeviceConfig"),
+                    lambda net, cfg, images, labels:
                     CrossbarTile("hrs", np.ones((2, 2), np.int8))),
-    "forward-ideal-net": ("NetworkDescription",
+    "forward-ideal-net": (not_a("NetworkDescription"),
                           lambda net, cfg, images, labels: forward_ideal(
                               "x", np.ones((8, 32, 32), np.int8))),
-    "forward-hardware-net": ("TiledNetwork",
+    "forward-hardware-net": (not_a("TiledNetwork"),
                              lambda net, cfg, images, labels:
                              forward_hardware(net, np.ones(net.input_shape,
                                                            np.int8))),
-    "forward-hardware-name": ("TiledNetwork",
+    "forward-hardware-name": (not_a("TiledNetwork"),
                               lambda net, cfg, images, labels:
                               forward_hardware("x", np.ones((8, 32, 32),
                                                             np.int8))),
-    "predict-hardware-net": ("TiledNetwork",
+    "predict-hardware-net": (not_a("TiledNetwork"),
                              lambda net, cfg, images, labels:
                              predict_hardware(net, np.ones(net.input_shape,
                                                            np.int8))),
-    "histogram-net": ("TiledNetwork", lambda net, cfg, images, labels:
+    "histogram-net": (not_a("TiledNetwork"),
+                      lambda net, cfg, images, labels:
                       weight_conductance_histogram(net)),
-    "histogram-name": ("TiledNetwork", lambda net, cfg, images, labels:
+    "histogram-name": (not_a("TiledNetwork"),
+                       lambda net, cfg, images, labels:
                        weight_conductance_histogram("x")),
-    "sweep-config": ("DeviceConfig", lambda net, cfg, images, labels:
+    "sweep-config": (not_a("DeviceConfig"),
+                     lambda net, cfg, images, labels:
                      sweep_sense_distribution((2, 2), Precision.TERNARY,
                                               "hrs")),
+    "map-net-tiled": (not_a("NetworkDescription"),
+                      lambda net, cfg, images, labels: map_network_to_tiles(
+                          map_network_to_tiles(net, cfg), cfg)),
+    "forward-ideal-tiled": (not_a("NetworkDescription"),
+                            lambda net, cfg, images, labels: forward_ideal(
+                                map_network_to_tiles(net, cfg),
+                                np.ones(net.input_shape, np.int8))),
+    "spec-net-tiled": (not_a("NetworkDescription"),
+                       lambda net, cfg, images, labels: ExperimentSpec(
+                           map_network_to_tiles(net, cfg), cfg, "ideal")),
+    "trainer-net-tiled": (not_a("NetworkDescription"),
+                          lambda net, cfg, images, labels:
+                          Trainer(map_network_to_tiles(net, cfg))),
+    "map-config-net": (not_a("DeviceConfig"),
+                       lambda net, cfg, images, labels:
+                       map_network_to_tiles(net, net)),
+    "spec-config-tiled": (not_a("DeviceConfig"),
+                          lambda net, cfg, images, labels: ExperimentSpec(
+                              net, map_network_to_tiles(net, cfg),
+                              "hardware")),
+    "tile-config-tiled": (not_a("DeviceConfig"),
+                          lambda net, cfg, images, labels: CrossbarTile(
+                              map_network_to_tiles(net, cfg),
+                              np.ones((2, 2), np.int8))),
+    "trainer-config-tiled": (not_a("TrainConfig"),
+                             lambda net, cfg, images, labels:
+                             Trainer(net, map_network_to_tiles(net, cfg))),
+    "train-config-net": (not_a("TrainConfig"),
+                         lambda net, cfg, images, labels:
+                         train(net, images, labels, net)),
+    "sense-activation-tiled": (not_a("Activation"),
+                               lambda net, cfg, images, labels:
+                               sense_to_activation(
+                                   np.zeros(2),
+                                   map_network_to_tiles(net, cfg))),
+    "run-spec-tiled": (not_a("ExperimentSpec"),
+                       lambda net, cfg, images, labels: run_accuracy(
+                           map_network_to_tiles(net, cfg), images, labels)),
+    "spec-seeds-tiled": ("seeds must be a non-empty sequence, got "
+                         "TiledNetwork$",
+                         lambda net, cfg, images, labels: ExperimentSpec(
+                             net, cfg, "hardware",
+                             seeds=map_network_to_tiles(net, cfg))),
+    "spec-seed-net": ("seed must be an integer, got NetworkDescription$",
+                      lambda net, cfg, images, labels:
+                      ExperimentSpec(net, cfg, "hardware", seeds=[net])),
+    "spec-limit-tiled": ("limit must be an integer, got TiledNetwork$",
+                         lambda net, cfg, images, labels: ExperimentSpec(
+                             net, cfg, "ideal",
+                             limit=map_network_to_tiles(net, cfg))),
+    "train-lr-tiled": ("learning rate must be a real number, got "
+                       "TiledNetwork$",
+                       lambda net, cfg, images, labels:
+                       TrainConfig(lr=map_network_to_tiles(net, cfg))),
+    "map-max-tile-tiled": (r"max tile must be \(rows, cols\), got "
+                           "TiledNetwork$",
+                           lambda net, cfg, images, labels:
+                           map_network_to_tiles(
+                               net, cfg,
+                               max_tile=map_network_to_tiles(net, cfg))),
+    "spec-max-tile-net": (r"max tile must be \(rows, cols\), got "
+                          "NetworkDescription$",
+                          lambda net, cfg, images, labels:
+                          ExperimentSpec(net, cfg, "ideal", max_tile=net)),
+    "fit-log-fn-tiled": ("log_fn is not callable: TiledNetwork$",
+                         lambda net, cfg, images, labels: Trainer(net).fit(
+                             images, labels,
+                             log_fn=map_network_to_tiles(net, cfg))),
 }
 
 
@@ -487,9 +576,10 @@ class TestWrongKindOfObject:
     @pytest.mark.parametrize("call", list(WRONG_KINDS))
     def test_config_error_before_use(self, spec_corpus, call):
         net, configs, images, labels = spec_corpus
-        kind, fn = WRONG_KINDS[call]
-        with pytest.raises(ConfigError, match=f"not an? {kind}: "):
+        message, fn = WRONG_KINDS[call]
+        with pytest.raises(ConfigError, match=message) as err:
             fn(net, configs["hrs"], images, labels)
+        assert len(str(err.value)) <= 300
 
 
 # Array arguments: every array drawn from one pool.  It starts from valid

@@ -105,12 +105,14 @@ class TestForwardHardware:
 
     @pytest.mark.parametrize("ordinal, n", [
         (-1, 1), (1.5, 1), (2 ** 64, 1), (2 ** 61, 1), (2 ** 61 - 1, 2),
-        (np.uint64(2 ** 63), 1), ("3", 1), (True, 1)])
+        (np.uint64(2 ** 63), 1), ("3", 1), (True, 1),
+        pytest.param(10 ** 5000, 1, id="10**5000")])
     def test_image_ordinal_checked(self, ordinal, n):
         # tiny_net's conv reads 4 patches per image, so the READ-pair ids of
         # n images from ordinal a stay below 2**63 iff (a + n) * 4 <= 2**63.
         # -1 and 2**64 used to end in an OverflowError, 1.5 drew image 1's
-        # noise, and larger ordinals wrapped their READ ids in uint64
+        # noise, larger ordinals wrapped their READ ids in uint64, and the
+        # message of one too long for str() ended in Python's ValueError
         tiled = map_network_to_tiles(tiny_net(), affine_config(c2c=1e-6))
         x = np.ones((n, 1, 4, 4), dtype=np.int8)
         with pytest.raises(ConfigError, match="image ordinal"):

@@ -1,3 +1,5 @@
+import dataclasses
+import operator
 import tracemalloc
 
 import numpy as np
@@ -334,7 +336,7 @@ class TestNetworkDescription:
         bad = TernaryTensor(np.ones((2, 2), dtype=np.int8), Precision.TERNARY)
         with pytest.raises(ShapeError):
             NetworkDescription(net.precision, net.input_shape, net.layers,
-                               [bad] + net.weights[1:])
+                               [bad] + list(net.weights[1:]))
 
     def test_sigmoid_output_before_the_last_layer_rejected(self):
         # this net used to compile, and both forward passes stopped at
@@ -366,9 +368,10 @@ class TestNetworkDescription:
         net = tiny_net(Precision.TERNARY)
         with pytest.raises(ConfigError, match="carries no weights"):
             NetworkDescription(net.precision, net.input_shape,
-                               net.layers[:at] + [layer] + net.layers[at:],
-                               net.weights[:at] + net.weights[:1]
-                               + net.weights[at:])
+                               list(net.layers[:at]) + [layer]
+                               + list(net.layers[at:]),
+                               list(net.weights[:at]) + list(net.weights[:1])
+                               + list(net.weights[at:]))
 
     @pytest.mark.parametrize("make", [
         lambda: Conv2D(2.5, 5), lambda: Dense(10.5),
@@ -428,6 +431,27 @@ class TestNetworkDescription:
                                              "4194304"):
             NetworkDescription(Precision.TERNARY, (1, 4, 4), layers,
                                [None] * len(layers))
+
+    @pytest.mark.parametrize("change", [
+        lambda net: setattr(net, "precision", Precision.BINARY),
+        lambda net: setattr(net, "weights", [None] * len(net.layers)),
+        lambda net: operator.setitem(net.weights, 0, None),
+        lambda net: operator.setitem(net.layers, 0, Conv2D(3, 2)),
+        lambda net: operator.setitem(net.input_shape, 0, 2),
+        lambda net: setattr(net, "plan", ()),
+    ], ids=["precision", "weights", "weight", "layer", "input-dim", "plan"])
+    def test_a_net_cannot_change_after_its_plan_is_compiled(self, change):
+        # a net whose weights[0] became a 3x3 kernel was mapped as 72 rows
+        # against a plan of 200, and a ternary net took BINARY silently
+        net = NetworkDescription(Precision.TERNARY, [1, 4, 4],
+                                 list(tiny_net().layers),
+                                 list(tiny_net().weights))
+        assert net.input_shape == (1, 4, 4) and all(
+            type(v) is tuple for v in (net.layers, net.weights))
+        plan = net.plan
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            change(net)
+        assert net == tiny_net() and net.plan is plan
 
     def test_missing_weights_gate(self):
         arch = lenet(Precision.BINARY)  # no weights attached

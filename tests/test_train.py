@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import tracemalloc
@@ -91,6 +92,17 @@ class TestTrainConfig:
         # a float would reach range() or the generator as a TypeError
         with pytest.raises(ConfigError, match=f"{what} must be an integer"):
             TrainConfig(**{field: value})
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("seed", -1), ("epochs", 1.5), ("epochs", 0)])
+    def test_a_config_cannot_change_after_its_check(self, field, value):
+        # each value, set after construction, used to reach training
+        # unchecked: range() or numpy refused it, or no epoch ran
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == TrainConfig()
 
 
 class TestLabelChecks:
