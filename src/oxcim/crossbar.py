@@ -111,12 +111,12 @@ class CrossbarTile:
         self.array_id = int(check_integer(array_id, "array id", 0, 2**64))
         self.cell_state = trits
         self.rows, self.cols = trits.shape
-        _, _, c2c, floor = config.grids_for(trits)
-        self._c2c_sigma = c2c
-        self.cell_g = sample_device_conductance_grid(config, trits, self.array_id)
+        mean, d2d, self._c2c_sigma, floor = config.grids_for(trits)
+        self.cell_g = sample_device_conductance_grid(config, mean, d2d, floor,
+                                                     self.array_id)
         self._split = _exact_split(self.cell_g, self.array_id)
         self._totals = self._split.sum(axis=0)  # exact: see _exact_split
-        self._has_c2c = bool(np.any(c2c > 0.0))
+        self._has_c2c = bool(np.any(self._c2c_sigma > 0.0))
         self._headroom = self._c2c_keys = None
         if self._has_c2c:
             # Lowest C2C offset per cell, rounded up so that cell_g +

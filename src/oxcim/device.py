@@ -147,9 +147,8 @@ def clamp_floor(g, floor):
     return g, n
 
 
-def sample_device_conductance_grid(config, state_grid, array_id):
-    """Device conductances for a whole trit grid, D2D noise keyed per cell."""
-    mean, d2d, _, floor = config.grids_for(state_grid)
+def sample_device_conductance_grid(config, mean, d2d, floor, array_id):
+    """Device conductances from config.grids_for's grids, D2D keyed per cell."""
     if np.any(d2d > 0.0):
         z = rng.d2d_normals(config.seed, array_id, *mean.shape)
         g = mean + d2d * z

@@ -155,11 +155,12 @@ def map_network_to_tiles(net, config, max_tile=DEFAULT_MAX_TILE):
             gain_uA=config.v_read * a * net.plan[li].scale * A_TO_UA,
         )
         for r0 in range(0, rows, max_r):
+            band = wmat[r0:r0 + max_r]  # one row block, one reference block
             ids = None if gather is None \
                 else np.ascontiguousarray(gather[:, r0:r0 + max_r])
+            refs = np.tile(np.array(REF_TRITS, np.int8), (len(band), 1))
             for c0 in range(0, cols, width):
-                block = wmat[r0:r0 + max_r, c0:c0 + width]
-                refs = np.tile(np.array(REF_TRITS, np.int8), (len(block), 1))
+                block = band[:, c0:c0 + width]
                 tile = CrossbarTile(config, np.hstack([block, refs]), array_id)
                 mapping.placements.append(TilePlacement(tile, r0, c0, ids))
                 array_id += 1

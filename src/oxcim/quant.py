@@ -38,14 +38,17 @@ def check_precision(precision):
 
 @dataclass(frozen=True)
 class TernaryTensor:
-    """Dense tensor over {-1, 0, +1} with a declared precision."""
+    """Dense tensor over {-1, 0, +1} with a declared precision, held as a
+    read-only int8 copy, so writing the caller's array changes nothing."""
 
     data: np.ndarray
     precision: Precision
 
     def __post_init__(self):
         allowed = check_precision(self.precision).allowed_values
-        object.__setattr__(self, "data", check_trits(self.data, "trits", allowed))
+        data = np.array(check_trits(self.data, "trits", allowed))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def shape(self):

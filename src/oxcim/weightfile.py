@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, read_records, shown
+from .errors import ParseError, check_type, read_records, shown
 from .network import (Activation, Conv2D, Dense, MaxPool2D, NetworkDescription,
                       check_input_shape)
 from .quant import Precision, TernaryTensor
@@ -121,7 +121,7 @@ def _parse_weights(record, precision):
 
 
 def dumps(net):
-    net.require_weights()
+    check_type(net, NetworkDescription).require_weights()
     lines = [f"{MAGIC} {VERSION}",
              f"precision = {net.precision.value}",
              f"input = {','.join(str(d) for d in net.input_shape)}"]

@@ -13,6 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from oxcim import rng  # noqa: E402
 from oxcim.data import STANDARD_FILES, synthetic_dataset  # noqa: E402
 from oxcim.device import default_device_config  # noqa: E402
 
@@ -99,6 +100,33 @@ def patches(op, x):
         return x
     n = x.shape[0]
     return np.take(x.reshape(n, -1), op.gather, axis=1).reshape(-1, op.fan_in)
+
+
+def per_cell_c2c(tile, out, x, pairs):
+    """Reference of CrossbarTile._add_c2c, one READ at a time: each gated
+    cell draws one keyed normal, scaled by its C2C sigma and clamped so the
+    cell never reads below its mean/100 floor, and the READ's noise is the
+    sum of its gated rows in row order.  out is (2, cols, p) and x (p, rows);
+    phase 0 is READ 2 * pairs, phase 1 READ 2 * pairs + 1.  Install it over
+    _add_c2c with monkeypatch."""
+    cfg, g = tile.config, tile.cell_g
+    _, _, sigma, floor = cfg.grids_for(tile.cell_state)
+    keys = rng.cell_key_grid(cfg.seed, rng.TAG_C2C, tile.array_id,
+                             tile.rows, tile.cols)
+    # the lowest offset, rounded up where g + (floor - g) rounds below floor
+    lowest = floor - g
+    lowest = np.where(g + lowest < floor, np.nextafter(lowest, np.inf),
+                      lowest)
+    for v, row in enumerate(x):
+        for phase, gated in enumerate((row > 0, row < 0)):
+            cells = np.flatnonzero(gated)
+            if cells.size == 0:
+                continue
+            word = rng.read_event_words([2 * int(pairs[v]) + phase])
+            z = rng.normals_consuming_keys(keys[cells] ^ word) * sigma[cells]
+            z = np.maximum(z, lowest[cells])
+            # reduceat's order: the first row plus a pairwise sum of the rest
+            out[phase, :, v] += z[0] + np.ascontiguousarray(z[1:].T).sum(1)
 
 
 def save_idx(path, array):

@@ -16,6 +16,7 @@ from oxcim.device import DeviceConfig, MlcStateModel, default_device_config
 from oxcim.errors import ConfigError, DomainError, ShapeError
 from oxcim.network import Activation
 from oxcim.quant import popcount_oracle
+from conftest import per_cell_c2c
 
 TRITS = (-1, 0, 1)
 
@@ -267,6 +268,33 @@ class TestPinnedReads:
                             np.ones((4, 3), dtype=np.int8))
         i_pos, i_neg = tile.vmm_batch(np.zeros((0, 4), dtype=np.int8), [])
         assert i_pos.shape == i_neg.shape == (0, 3)
+
+
+class TestPerCellReference:
+    """vmm_batch with the per-cell C2C reference of conftest in place of
+    _add_c2c reads the same bits as the blocked pass."""
+
+    @pytest.mark.parametrize("region", ["hrs", "lrs", "clamping"])
+    @pytest.mark.parametrize("rows, cols, seed", [(4, 4, 3), (64, 8, 11)])
+    def test_reference_reads_the_same_bits(self, monkeypatch, region, rows,
+                                           cols, seed):
+        if region == "clamping":  # C2C sigma at the +1 mean: many clamps
+            cfg = affine_config(c2c=20e-6, seed=seed)
+        else:
+            cfg = dataclasses.replace(default_device_config(region), seed=seed)
+        gen = np.random.default_rng(seed)
+        tile = CrossbarTile(cfg, gen.integers(-1, 2, size=(rows, cols)),
+                            array_id=seed + 1)
+        P = READ_BLOCK_CELLS // (rows * cols) + 5  # two noise blocks
+        x = gen.integers(-1, 2, size=(P, rows)).astype(np.int8)
+        pairs = np.arange(P) + 7 * seed
+        want = tile.vmm_batch(x, pairs)
+        monkeypatch.setattr(CrossbarTile, "_add_c2c", per_cell_c2c)
+        got = tile.vmm_batch(x, pairs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert not np.array_equal(
+            want[0], tile.vmm_batch(x, pairs + P)[0])  # the noise is live
 
 
 class TestDrawCount:

@@ -116,21 +116,24 @@ def sample_device_conductance(state, seed, array_id, row, col):
                state.mean_S * CLAMP_FLOOR_FRACTION)
 
 
+def sample_grid(cfg, trits, array_id):
+    """sample_device_conductance_grid on the grids cfg gives a trit grid."""
+    mean, d2d, _, floor = cfg.grids_for(trits)
+    return sample_device_conductance_grid(cfg, mean, d2d, floor, array_id)
+
+
 class TestDeviceSampling:
     def test_zero_sigma_is_exact(self):
         cfg = DeviceConfig("HRS", {-1: _state(50e-6), 1: _state(100e-6)})
-        g = sample_device_conductance_grid(cfg, np.ones((4, 5), dtype=np.int8),
-                                           array_id=0)
+        g = sample_grid(cfg, np.ones((4, 5), dtype=np.int8), array_id=0)
         assert np.all(g == 100e-6)
 
     def test_same_cell_same_value(self):
         # a cell's draw does not depend on the grid it is sampled in
         cfg = DeviceConfig("HRS", {-1: _state(50e-6),
                                    1: _state(100e-6, d2d=5e-6)}, seed=7)
-        a = sample_device_conductance_grid(cfg, np.ones((3, 4), dtype=np.int8),
-                                           array_id=1)
-        b = sample_device_conductance_grid(cfg, np.ones((5, 6), dtype=np.int8),
-                                           array_id=1)
+        a = sample_grid(cfg, np.ones((3, 4), dtype=np.int8), array_id=1)
+        b = sample_grid(cfg, np.ones((5, 6), dtype=np.int8), array_id=1)
         assert a[2, 3] == b[2, 3]
         assert np.array_equal(a, b[:3, :4])
 
@@ -138,7 +141,7 @@ class TestDeviceSampling:
         cfg = DeviceConfig("HRS", {-1: _state(1e-6, 0.1e-6),
                                    1: _state(2e-6, 0.2e-6)}, seed=5)
         trits = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        grid = sample_device_conductance_grid(cfg, trits, array_id=3)
+        grid = sample_grid(cfg, trits, array_id=3)
         for r in range(2):
             for c in range(2):
                 st = cfg.states[trits[r, c]]
@@ -174,7 +177,7 @@ class TestDeviceSampling:
         cfg = DeviceConfig("LRS", {-1: _state(1e-6), 1: _state(100e-6, 5e-6)},
                            seed=9)
         trits = np.ones((400, 250), dtype=np.int8)
-        g = sample_device_conductance_grid(cfg, trits, array_id=1)
+        g = sample_grid(cfg, trits, array_id=1)
         assert abs(g.mean() - 100e-6) < 0.1e-6
         assert abs(g.std() - 5e-6) < 0.2e-6
 
@@ -182,7 +185,7 @@ class TestDeviceSampling:
         st = _state(1e-6, d2d=2e-6)  # sigma far above mean: clamps a lot
         cfg = DeviceConfig("HRS", {-1: _state(0.5e-6), 1: st}, seed=2)
         trits = np.ones((100, 100), dtype=np.int8)
-        g = sample_device_conductance_grid(cfg, trits, array_id=1)
+        g = sample_grid(cfg, trits, array_id=1)
         assert np.all(g > 0)
         assert np.all(g >= 1e-6 * CLAMP_FLOOR_FRACTION)
 
@@ -191,7 +194,7 @@ class TestDeviceSampling:
         cfg = DeviceConfig("HRS", {-1: _state(0.5e-6), 1: st}, seed=2)
         trits = np.ones((100, 100), dtype=np.int8)
         with caplog.at_level(logging.WARNING, logger="oxcim.device"):
-            sample_device_conductance_grid(cfg, trits, array_id=1)
+            sample_grid(cfg, trits, array_id=1)
         assert any("variability overflow" in r.message for r in caplog.records)
 
 

@@ -6,6 +6,7 @@ repeatable and its time bounded.
 """
 
 import math
+import os
 import re
 
 import numpy as np
@@ -569,6 +570,11 @@ WRONG_KINDS = {
                          lambda net, cfg, images, labels: Trainer(net).fit(
                              images, labels,
                              log_fn=map_network_to_tiles(net, cfg))),
+    "dumps-name": (not_a("NetworkDescription"),
+                   lambda net, cfg, images, labels: dumps("x")),
+    "save-name": (not_a("NetworkDescription"),
+                  lambda net, cfg, images, labels:
+                  weightfile.save_network("x", os.devnull)),
 }
 
 

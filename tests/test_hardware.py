@@ -36,6 +36,19 @@ class TestMapping:
         assert d1.rows == 400 and d1.cols == 120
         assert len(d1.placements) == 7 * 2
 
+    def test_one_grid_lookup_per_tile(self, monkeypatch):
+        # a tile used to look its grids up twice, once itself and once in
+        # sample_device_conductance_grid
+        shapes = []
+        inner = DeviceConfig.grids_for
+        monkeypatch.setattr(DeviceConfig, "grids_for", lambda cfg, grid:
+                            shapes.append(grid.shape) or inner(cfg, grid))
+        net = Trainer(lenet(Precision.TERNARY)).network()
+        tiled = map_network_to_tiles(net, default_device_config("hrs"))
+        assert shapes == [p.tile.cell_state.shape
+                          for m in tiled.mappings.values()
+                          for p in m.placements]
+
     def test_small_matrix_single_tile(self):
         net = tiny_net()
         tiled = map_network_to_tiles(net, affine_config())

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from oxcim.errors import ConfigError, DomainError, ShapeError
+from oxcim.network import NetworkDescription, forward_ideal
 from oxcim.quant import (Precision, TernaryTensor, act_binary, act_ternary,
                          popcount_oracle, quantize_weights)
+from oxcim.weightfile import dumps, loads
+from test_network import tiny_net
 
 TRITS = (-1, 0, 1)
 
@@ -174,6 +177,23 @@ class TestTernaryTensor:
     def test_shape_and_reshape(self):
         t = TernaryTensor(np.ones((2, 3), dtype=np.int8), Precision.BINARY)
         assert t.shape == (2, 3)
+
+    def test_keeps_a_read_only_copy_of_its_trits(self):
+        # the tensor used to keep the caller's int8 array: a 7 written into
+        # it reached forward_ideal, and the weight file read it back as a 1
+        net = tiny_net()
+        raw = net.weights[0].data.copy()
+        w = TernaryTensor(raw, Precision.TERNARY)
+        built = NetworkDescription(net.precision, net.input_shape, net.layers,
+                                   [w, None, net.weights[2], None])
+        x = np.ones((1, 4, 4), np.int8)
+        scores, text = forward_ideal(built, x), dumps(built)
+        raw[0, 0, 0, 0] = 7
+        np.testing.assert_array_equal(w.data, net.weights[0].data)
+        np.testing.assert_array_equal(forward_ideal(built, x), scores)
+        assert dumps(built) == text and loads(text) == built == net
+        with pytest.raises(ValueError, match="read-only"):
+            w.data[0, 0, 0, 0] = 1
 
 
 class TestQuantizeWeights:
